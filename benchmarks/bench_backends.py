@@ -1,13 +1,12 @@
 """Compute-backend kernel benchmark: accelerated vs reference numpy.
 
 For every backend that probes available on this host (``native`` when a
-C compiler exists, ``numba`` when importable) this measures each hot
-kernel A/B against the inline numpy reference path — the same call
-sites, with the backend armed via ``use_backend`` on one side and
-pinned to ``reference`` on the other.  The two sides are interleaved
-within each repetition (best-of-N per side, like bench_lanes.py /
-bench_fused_capture.py) so speedups compare like-for-like machine
-conditions on shared runners.
+C compiler exists) this measures each hot kernel A/B against the inline
+numpy reference path — the same call sites, with the backend armed via
+``use_backend`` on one side and pinned to ``reference`` on the other.
+The two sides are interleaved within each repetition (best-of-N per
+side) so speedups compare like-for-like machine conditions on shared
+runners.
 
 Kernels:
 
@@ -16,14 +15,8 @@ Kernels:
 * ``pointwise_mulmod`` — the negacyclic product's O(n) core;
 * ``expand`` — ``LeakageModel.expand`` over a real device event log
   (the compiled event emitter vs the vectorized numpy expansion);
-* ``expand_arena`` — ``LeakageModel.expand_arena`` over a 64-lane
-  deferred-record arena (the C block kernel vs the generated numpy
-  per-block emitters);
 * ``template`` — ``TemplateSet.log_likelihoods_matrix`` on a
-  profiling-sized batch (per-class Mahalanobis forms);
-* ``lane_select`` — the warp scheduler's per-dispatch scan;
-* ``fused_capture`` — end-to-end lane-major capture of a 64-trace
-  batch, the tentpole's bottom line.
+  profiling-sized batch (per-class Mahalanobis forms).
 
 Run directly::
 
@@ -46,10 +39,7 @@ from repro.backends import available_backends, backend_id, use_backend
 
 PAPER_Q = 132120577
 N = 1024
-MODULI = [0xFFEE001, 0xFFC4001, 0x7FE2001, 0x7F54001]
-TRACES = 64
 COUNT = 8
-FIRST_SEED = 1000
 
 #: (kernel name, inner calls per timing sample).  Inner iteration
 #: counts keep each sample well above timer resolution for the
@@ -59,19 +49,14 @@ KERNELS: Tuple[Tuple[str, int], ...] = (
     ("ntt_inverse", 50),
     ("pointwise_mulmod", 50),
     ("expand", 50),
-    ("expand_arena", 10),
     ("template", 10),
-    ("lane_select", 500),
-    ("fused_capture", 1),
 )
 
 
 def _build_cases() -> Dict[str, Callable[[], None]]:
     """One closure per kernel, running the call site under test."""
     from repro.attack.template import TemplateSet
-    from repro.power.capture import TraceAcquisition
     from repro.power.leakage import LeakageModel
-    from repro.power.scope import Oscilloscope
     from repro.riscv.device import GaussianSamplerDevice
     from repro.ring.ntt import get_ntt_context
 
@@ -98,51 +83,12 @@ def _build_cases() -> Dict[str, Callable[[], None]]:
     )
     slices = rng.normal(0.0, 5.0, (slices_n, 2 * k))
 
-    lanes = 64
-    pcs = (rng.integers(0, 64, lanes) * 4).astype(np.int64)
-    wraps = rng.integers(0, 2, lanes).astype(np.int64)
-    alive = rng.random(lanes) < 0.8
-
-    def lane_select_site() -> None:
-        # The exact selection LaneEngine.run performs per dispatch,
-        # kernel or numpy depending on the armed backend.
-        from repro.backends import get_kernel
-
-        kernel = get_kernel("lane_select")
-        if kernel is not None:
-            kernel(pcs, wraps, alive)
-            return
-        active = np.nonzero(alive)[0]
-        key = (wraps << 32) + pcs
-        lead = active[np.argmin(key[active])]
-        active[pcs[active] == int(pcs[lead])]
-
-    bench = TraceAcquisition(
-        GaussianSamplerDevice(MODULI), scope=Oscilloscope(noise_std=1.0),
-        rng=0,
-    )
-
-    arena_device = GaussianSamplerDevice(MODULI)
-    arena = arena_device.run_lanes(
-        [FIRST_SEED + i for i in range(TRACES)], COUNT,
-        events_per_lane=False,
-    )
-    arena_totals = [run.cycle_count for run in arena.runs]
-
     return {
         "ntt_forward": lambda: context.forward(a),
         "ntt_inverse": lambda: context.inverse(a),
         "pointwise_mulmod": lambda: context.multiply(a, b),
         "expand": lambda: model.expand(events),
-        "expand_arena": lambda: model.expand_arena(
-            arena.events, arena_totals
-        ),
         "template": lambda: templates.log_likelihoods_matrix(slices),
-        "lane_select": lane_select_site,
-        "fused_capture": lambda: bench.capture_batch(
-            TRACES, coeffs_per_trace=COUNT, first_seed=FIRST_SEED,
-            engine="lanes", lanes=TRACES,
-        ),
     }
 
 
@@ -154,7 +100,7 @@ def bench_backend(
     sides = [backend, "reference"]
     best: Dict[str, Dict[str, float]] = {name: {} for name, _ in KERNELS}
 
-    for side in sides:  # warm kernels, caches, compiled emitters
+    for side in sides:  # warm kernels and caches
         with use_backend(side):
             for name, _ in KERNELS:
                 cases[name]()
@@ -196,7 +142,7 @@ def main(argv=None) -> int:
     compiled = [b for b in available_backends() if b != "reference"]
     if not compiled:
         print("no compiled backend available on this host "
-              "(no C compiler, no numba); nothing to measure")
+              "(no C compiler); nothing to measure")
         return 0
 
     results: Dict[str, Dict[str, Dict[str, float]]] = {}
@@ -205,7 +151,7 @@ def main(argv=None) -> int:
         with use_backend(backend):
             ident = backend_id()
         print(f"backend {ident} vs reference "
-              f"({TRACES}x{COUNT} capture, n={N} NTT, best of {repetitions}):")
+              f"({COUNT}-coefficient expand, n={N} NTT, best of {repetitions}):")
         table = bench_backend(backend, repetitions)
         results[backend] = table
         for name, _ in KERNELS:
@@ -215,13 +161,12 @@ def main(argv=None) -> int:
                   f"-> {row['speedup']:.2f}x")
 
         # Guard: the compiled kernels must hold a decisive win on the
-        # hottest microbenches.  Measured ~9x (NTT forward), ~2.9x
-        # (expand) and ~1.9x (expand_arena) for the native backend on
-        # the dev container; the floors tolerate one noisy shared-
-        # runner repetition while still catching a backend that
-        # silently fell back to numpy (1.0x).  A floor only applies
-        # when the backend declares the kernel that accelerates the
-        # bench (numba carries no block-emitter kernel, say).
+        # hottest microbenches.  Measured ~9x (NTT forward) and ~2.9x
+        # (expand) for the native backend on the dev container; the
+        # floors tolerate one noisy shared-runner repetition while
+        # still catching a backend that silently fell back to numpy
+        # (1.0x).  A floor only applies when the backend declares the
+        # kernel that accelerates the bench.
         if args.quick:
             from repro.backends import kernel_exactness
 
@@ -229,7 +174,6 @@ def main(argv=None) -> int:
             for bench_name, kernel, floor in (
                 ("ntt_forward", "ntt_forward", 2.0),
                 ("expand", "expand_events", 1.5),
-                ("expand_arena", "expand_block", 1.2),
             ):
                 if kernel not in declared:
                     continue

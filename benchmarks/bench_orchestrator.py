@@ -11,7 +11,9 @@ Compares two ways to run the same attack campaign:
   :class:`repro.attack.orchestrator.Orchestrator`: workers forked once,
   work claimed grain-at-a-time from the shared work-stealing table, and
   results crossing as packed arrays in shared-memory arena slots (only
-  ~100-byte headers on the queue).
+  ~100-byte headers on the result pipes).
+
+Both sides run the threaded engine, so the A/B isolates the executor.
 
 On a 1-vCPU container (the CI box) extra workers buy no parallelism,
 so the win is pure overhead removal: no per-call pool spin-up, no
@@ -79,7 +81,7 @@ def bench_workers(
     campaign_s: List[float] = []
     orchestrated_s: List[float] = []
     with Orchestrator(
-        attack, workers=workers, grain=grain, engine="lanes"
+        attack, workers=workers, grain=grain, engine="threaded"
     ) as orchestrator:
         # Warm the service once (fork + first-touch) outside the timed
         # region: the orchestrator is a persistent engine and its

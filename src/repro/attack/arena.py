@@ -8,20 +8,13 @@ boundaries through one :class:`SliceArena`: a single
 counter, array count, payload bytes) followed by per-array descriptors
 (dtype code, ndim, shape) and the raw array bytes.
 
-Two slot roles share the segment:
-
-- **record slots** — the result ring.  A worker packs a grain's
-  per-seed outcome record (:mod:`repro.attack.orchestrator`) into one
-  of its dedicated slots and sends only a tiny header message (slot
-  index + generation) over the queue; the parent reads the arrays
-  straight out of shared memory, folds them, and releases the slot.
-  The generation counter makes stale or double reads a hard error
-  instead of silent corruption.
-- **scratch slots** — per-worker lane-chunk capture buffers.  The
-  fused capture pipeline (:func:`repro.power.capture._capture_lane_chunk`)
-  writes its flat lane-major sample buffer directly into the worker's
-  scratch slot (``out=``), so repeated grains reuse one arena-backed
-  allocation instead of mallocing a multi-megabyte buffer per chunk.
+The slots are the result ring.  A worker packs a grain's per-seed
+outcome record (:mod:`repro.attack.orchestrator`) into one of its
+dedicated slots and sends only a tiny header message (slot index +
+generation) to the parent; the parent reads the arrays straight out of
+shared memory, folds them, and releases the slot.  The generation
+counter makes stale or double reads a hard error instead of silent
+corruption.
 
 The parent creates and unlinks the segment; workers inherit it by fork
 or re-attach by name (pickling a :class:`SliceArena` re-attaches, so
@@ -264,17 +257,6 @@ class SliceArena:
             arrays.append(view.copy())
             offset += _align8(nbytes)
         return arrays
-
-    def scratch(self, index: int, dtype=np.float64) -> np.ndarray:
-        """The slot's whole payload as one flat reusable array view.
-
-        This is the lane-chunk capture buffer: the fused pipeline's
-        ``out=`` target.  The view aliases shared memory, so it is only
-        valid worker-locally between :meth:`write` calls to the slot.
-        """
-        _, payload = self._slot_region(index)
-        count = self.slot_bytes // np.dtype(dtype).itemsize
-        return np.ndarray(count, dtype=dtype, buffer=payload[: count * np.dtype(dtype).itemsize])
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -8,12 +8,10 @@ path:
 - :func:`run_campaign` fans ``capture -> segment -> classify -> score``
   for N victim seeds across a process pool.  Every worker does the
   whole chain locally and ships back only per-coefficient outcomes (a
-  few hundred bytes per trace); with ``engine="lanes"`` each worker
-  captures a whole lane batch through the fused expand→noise→scope
-  pipeline (L×W parallelism).  Every trace's measurement noise is a
+  few hundred bytes per trace).  Every trace's measurement noise is a
   pure function of ``(batch entropy, seed)`` under the counter-based
   stream of :mod:`repro.power.noise` — so the report is **identical**
-  for any worker count, lane width or pool scheduling order.
+  for any worker count, engine or pool scheduling order.
 - :class:`CampaignReport` aggregates accuracies, the confusion matrix,
   the probability tables (the LWE-with-hints input) and **per-stage
   wall-time counters**, the honest end-to-end throughput trajectory
@@ -44,7 +42,7 @@ from repro.attack.evaluation import CampaignResult
 from repro.attack.metrics import ConfusionMatrix
 from repro.attack.pipeline import ProfilingReport, SingleTraceAttack
 from repro.errors import AttackError
-from repro.power.capture import CapturedTrace, _capture_lane_chunk, _capture_one
+from repro.power.capture import CapturedTrace, _capture_one
 from repro.power.noise import NOISE_STREAM_VERSION
 from repro.riscv.device import effective_engine
 
@@ -182,36 +180,6 @@ def _attack_seed(
     return _attack_captured(attack, captured, time.perf_counter() - tick)
 
 
-def _attack_lane_chunk(
-    attack: SingleTraceAttack,
-    seeds,
-    count: int,
-    entropy: int,
-    out: Optional[np.ndarray] = None,
-) -> List[SeedOutcome]:
-    """Capture a whole lane chunk at once, then attack each trace.
-
-    The chunk's capture wall time is split evenly across its traces so
-    the aggregated per-stage timings stay comparable to the scalar
-    path's per-seed accounting.  ``out`` is an optional reusable flat
-    sample buffer (the orchestrator's shared-memory scratch slot) for
-    the fused expansion; the attacked outcomes never alias it.
-    """
-    acquisition = attack.acquisition
-    tick = time.perf_counter()
-    captures = _capture_lane_chunk(
-        acquisition.device,
-        acquisition.leakage,
-        acquisition.scope,
-        list(seeds),
-        count,
-        entropy,
-        out=out,
-    )
-    share = (time.perf_counter() - tick) / max(len(captures), 1)
-    return [_attack_captured(attack, captured, share) for captured in captures]
-
-
 def _attack_captured(
     attack: SingleTraceAttack, captured: CapturedTrace, capture_seconds: float
 ) -> SeedOutcome:
@@ -277,13 +245,6 @@ def _campaign_worker(args) -> SeedOutcome:
     )
 
 
-def _campaign_lane_worker(args) -> List[SeedOutcome]:
-    seeds, count = args
-    return _attack_lane_chunk(
-        _CAMPAIGN_STATE["attack"], seeds, count, _CAMPAIGN_STATE["entropy"]
-    )
-
-
 def run_campaign(
     attack: SingleTraceAttack,
     trace_count: int,
@@ -291,7 +252,6 @@ def run_campaign(
     first_seed: int = 1,
     workers: Optional[int] = None,
     engine: Optional[str] = None,
-    lanes: Optional[int] = None,
 ) -> CampaignReport:
     """Attack ``trace_count`` fresh executions, optionally in parallel.
 
@@ -303,10 +263,8 @@ def run_campaign(
     serial :func:`repro.attack.evaluation.run_campaign`.
 
     ``engine`` picks the capture execution engine (``None`` defers to
-    the bench's setting, then ``REVEAL_ENGINE``, then threaded);
-    ``engine="lanes"`` captures ``lanes`` seeds per lock-step batch —
-    composing with ``workers``, which then fan out whole chunks — and
-    still produces the identical report.
+    the bench's setting, then ``REVEAL_ENGINE``, then threaded); every
+    engine produces the identical report.
     """
     if attack.templates is None or attack.branch_classifier is None:
         raise AttackError("profile() must run before a campaign")
@@ -318,52 +276,24 @@ def run_campaign(
     )
     entropy = acquisition.batch_entropy()
     start = time.perf_counter()
-    if engine == "lanes":
-        width = getattr(acquisition, "lanes", 64) if lanes is None else int(lanes)
-        if width < 1:
-            raise AttackError(f"lanes must be >= 1, got {width}")
-        seeds = [first_seed + i for i in range(trace_count)]
-        lane_tasks = [
-            (tuple(seeds[i : i + width]), coeffs_per_trace)
-            for i in range(0, trace_count, width)
+    tasks = [
+        (first_seed + i, coeffs_per_trace, engine) for i in range(trace_count)
+    ]
+    if workers is None or workers <= 1 or trace_count <= 1:
+        pool_size = 1
+        results = [
+            _attack_seed(attack, seed, count, entropy, task_engine)
+            for seed, count, task_engine in tasks
         ]
-        if workers is None or workers <= 1 or len(lane_tasks) <= 1:
-            pool_size = 1
-            chunks = [
-                _attack_lane_chunk(attack, chunk_seeds, count, entropy)
-                for chunk_seeds, count in lane_tasks
-            ]
-        else:
-            pool_size = min(workers, len(lane_tasks), (os.cpu_count() or 1) * 4)
-            with ProcessPoolExecutor(
-                max_workers=pool_size,
-                initializer=_campaign_init,
-                initargs=(attack, entropy),
-            ) as pool:
-                chunk = max(1, len(lane_tasks) // (pool_size * 4))
-                chunks = list(
-                    pool.map(_campaign_lane_worker, lane_tasks, chunksize=chunk)
-                )
-        results = [outcome for chunk_results in chunks for outcome in chunk_results]
     else:
-        tasks = [
-            (first_seed + i, coeffs_per_trace, engine) for i in range(trace_count)
-        ]
-        if workers is None or workers <= 1 or trace_count <= 1:
-            pool_size = 1
-            results = [
-                _attack_seed(attack, seed, count, entropy, task_engine)
-                for seed, count, task_engine in tasks
-            ]
-        else:
-            pool_size = min(workers, trace_count, (os.cpu_count() or 1) * 4)
-            with ProcessPoolExecutor(
-                max_workers=pool_size,
-                initializer=_campaign_init,
-                initargs=(attack, entropy),
-            ) as pool:
-                chunk = max(1, trace_count // (pool_size * 4))
-                results = list(pool.map(_campaign_worker, tasks, chunksize=chunk))
+        pool_size = min(workers, trace_count, (os.cpu_count() or 1) * 4)
+        with ProcessPoolExecutor(
+            max_workers=pool_size,
+            initializer=_campaign_init,
+            initargs=(attack, entropy),
+        ) as pool:
+            chunk = max(1, trace_count // (pool_size * 4))
+            results = list(pool.map(_campaign_worker, tasks, chunksize=chunk))
     wall = time.perf_counter() - start
     return aggregate_outcomes(results, trace_count, wall, pool_size, engine)
 

@@ -19,17 +19,22 @@ where **no trace, slice or result array is ever pickled**:
 - **Results cross via the arena.**  A worker packs each grain's
   per-seed records (values / signs / estimates / dense probability
   tables / timings / error strings) into one of its two dedicated
-  :class:`~repro.attack.arena.SliceArena` slots and enqueues only a
-  ~100-byte :class:`GrainResult` header; the parent folds the arrays
-  straight out of shared memory and releases the slot.
+  :class:`~repro.attack.arena.SliceArena` slots and sends only a
+  ~100-byte :class:`GrainResult` header down its own result pipe; the
+  parent folds the arrays straight out of shared memory and releases
+  the slot.
 - **Checkpoint / resume.**  Folded seeds complete fixed-size checkpoint
   shards; each finished shard is written atomically
   (:mod:`repro.attack.checkpoint`) so a killed campaign resumes from
   the last completed shard under a fingerprint guard.
 - **Worker death is survivable.**  The parent monitors its workers;
-  a dead worker's rows and recorded in-flight range are re-queued and
-  a replacement is forked.  Duplicated grains re-fold bit-identical
-  records, so recovery never changes the report.
+  a dead worker's result pipe is drained to its end, its rows and
+  recorded in-flight range are re-queued and a replacement is forked
+  with a fresh pipe.  Each worker writes only its own pipe, with
+  synchronous sends, so a SIGKILL can neither strand a sent result in
+  a feeder thread nor wedge the other workers' channels.  Duplicated
+  grains re-fold bit-identical records, so recovery never changes the
+  report.
 
 The determinism contract is the campaign one: per-seed outcomes are a
 pure function of ``(attack, seed, coeffs, batch entropy)``, so the
@@ -41,15 +46,18 @@ bit-identical to ``run_campaign`` — pinned by the
 
 from __future__ import annotations
 
+import fcntl
 import json
 import multiprocessing
 import os
-import queue as queue_module
+import tempfile
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
+from multiprocessing.connection import wait as wait_for_channels
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -59,7 +67,6 @@ from repro.attack.campaign import (
     STAGES,
     CampaignReport,
     SeedOutcome,
-    _attack_lane_chunk,
     _attack_seed,
     aggregate_outcomes,
 )
@@ -74,15 +81,12 @@ except ImportError:  # pragma: no cover
     _shared_memory = None
 
 _TABLE_MAGIC = 0x5245_5645_414C_5754  # work-table header tag
-#: How long any party waits on the work-table lock before declaring it
-#: poisoned (a worker SIGKILLed inside the ~microsecond critical
-#: section).  The job then fails cleanly instead of hanging.
-_LOCK_TIMEOUT = 10.0
 
 
 # ----------------------------------------------------------------------
-# Queue messages — each a few hundred bytes, never any array payload.
-# The pickle-size regression test pins this (< 1 KB per message).
+# Channel messages — each a few hundred bytes, never any array payload.
+# The pickle-size regression test pins this (< 1 KB per message), which
+# also keeps every result-pipe write below PIPE_BUF and hence atomic.
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class JobSpec:
@@ -96,7 +100,6 @@ class JobSpec:
     grain: int
     min_steal: int
     engine: str
-    lanes: int
     n_labels: int
     backend: Optional[str] = None
 
@@ -135,17 +138,21 @@ class WorkTable:
     """Shared-memory seed ranges with grain-at-a-time stealing.
 
     Layout (int64 words): an 8-word header ``[magic, capacity, n_rows,
-    steals, epoch, workers, grains, _]``, then ``capacity`` rows of
+    steals, epoch, workers, grains, stop]``, then ``capacity`` rows of
     ``[lo, hi, cursor, owner]`` (absolute victim seeds, half-open;
     ``owner == -1`` means unclaimed), then per-worker in-flight words
     ``[lo, hi)`` recording the grain a worker has claimed but not yet
     completed — what the parent re-queues when that worker dies.
 
-    Every mutation happens under one external ``multiprocessing.Lock``
-    held for microseconds; the claim policy is owner-from-the-bottom
-    (``cursor += grain``), thief-from-the-top (``hi -= grain``), and a
-    thief never takes a victim's last ``min_steal`` seeds (the owner
-    finishes its own tail faster than a steal round-trips).
+    Every mutation happens under :meth:`locked`, held for microseconds;
+    the claim policy is owner-from-the-bottom (``cursor += grain``),
+    thief-from-the-top (``hi -= grain``), and a thief never takes a
+    victim's last ``min_steal`` seeds (the owner finishes its own tail
+    faster than a steal round-trips).  The lock is a POSIX record lock,
+    which the kernel releases when its holder dies, and a claim records
+    the in-flight grain *before* it moves any row bound — so a worker
+    SIGKILLed mid-claim leaves at worst a duplicated grain, never a
+    locked table or a lost one.  The ``stop`` word is read lock-free.
     """
 
     _HEADER = 8
@@ -177,6 +184,9 @@ class WorkTable:
             view[1] = capacity
             view[5] = workers
             _note_created(self._shm.name)
+            self._lock_fd = os.open(
+                self._lock_path(), os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600
+            )
         else:
             self._owner = False
             self._shm = _shared_memory.SharedMemory(name=name)
@@ -190,6 +200,7 @@ class WorkTable:
                 )
             capacity = int(head[1])
             workers = int(head[5])
+            self._lock_fd = os.open(self._lock_path(), os.O_RDWR)
         self.capacity = int(capacity)
         self.workers = int(workers)
         self._closed = False
@@ -202,6 +213,25 @@ class WorkTable:
     @property
     def name(self) -> str:
         return self._shm.name
+
+    def _lock_path(self) -> str:
+        return os.path.join(tempfile.gettempdir(), f"{self.name}.lock")
+
+    @contextmanager
+    def locked(self) -> Iterator[None]:
+        """Hold the table lock (exclusive across processes, not threads)."""
+        fcntl.lockf(self._lock_fd, fcntl.LOCK_EX)
+        try:
+            yield
+        finally:
+            fcntl.lockf(self._lock_fd, fcntl.LOCK_UN)
+
+    def request_stop(self) -> None:
+        """Ask every worker to stop at its next grain boundary."""
+        self._view()[7] = 1
+
+    def stop_requested(self) -> bool:
+        return bool(self._view()[7])
 
     def __getstate__(self) -> dict:
         return {"name": self.name}
@@ -228,7 +258,8 @@ class WorkTable:
         )
 
     def reset(self, ranges: Sequence[Tuple[int, int]]) -> None:
-        """Load a fresh job's seed ranges; clears counters/in-flight."""
+        """Load a fresh job's seed ranges; clears counters, in-flight
+        grains and any stop request."""
         if len(ranges) > self.capacity:
             raise ParameterError(
                 f"{len(ranges)} work ranges exceed table capacity "
@@ -245,16 +276,15 @@ class WorkTable:
         view[3] = 0  # steals
         view[4] += 1  # epoch
         view[6] = 0  # grains
+        view[7] = 0  # stop
         self._inflight()[:] = 0
 
     def _take(self, rows: np.ndarray, row: int, worker: int, grain: int) -> Tuple[int, int]:
         cursor, hi = int(rows[row, 2]), int(rows[row, 1])
         size = min(grain, hi - cursor)
-        rows[row, 2] = cursor + size
+        self._inflight()[worker] = (cursor, cursor + size)
         rows[row, 3] = worker
-        inflight = self._inflight()
-        inflight[worker, 0] = cursor
-        inflight[worker, 1] = cursor + size
+        rows[row, 2] = cursor + size
         self._view()[6] += 1
         return cursor, cursor + size
 
@@ -281,12 +311,10 @@ class WorkTable:
             return None
         size = min(grain, max(left // 2, min_steal))
         hi = int(rows[victim, 1])
+        self._inflight()[worker] = (hi - size, hi)
         rows[victim, 1] = hi - size
         view[3] += 1  # steals
         view[6] += 1  # grains
-        inflight = self._inflight()
-        inflight[worker, 0] = hi - size
-        inflight[worker, 1] = hi
         return hi - size, hi
 
     def complete(self, worker: int) -> None:
@@ -327,12 +355,14 @@ class WorkTable:
         if self._closed:
             return
         self._closed = True
+        os.close(self._lock_fd)
         self._shm.close()
         if self._owner:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover
-                pass
+            for unlink in (self._shm.unlink, lambda: os.unlink(self._lock_path())):
+                try:
+                    unlink()
+                except FileNotFoundError:  # pragma: no cover
+                    pass
 
     def __del__(self) -> None:  # pragma: no cover - GC ordering varies
         try:
@@ -455,15 +485,11 @@ def _worker_main(
     worker_id: int,
     attack: SingleTraceAttack,
     control,
-    results,
+    outbox,
     table: WorkTable,
-    table_lock,
     record_arena: SliceArena,
     record_slots: Tuple[int, int],
-    scratch_arena: Optional[SliceArena],
-    scratch_slot: int,
     slot_sem,
-    stop_event,
 ) -> None:
     """Persistent worker: block on the mailbox, run jobs until ``None``."""
     while True:
@@ -475,38 +501,30 @@ def _worker_main(
                 worker_id,
                 attack,
                 spec,
-                results,
+                outbox,
                 table,
-                table_lock,
                 record_arena,
                 record_slots,
-                scratch_arena,
-                scratch_slot,
                 slot_sem,
-                stop_event,
             )
         except Exception as exc:  # pragma: no cover - defensive
-            results.put(
+            outbox.send(
                 WorkerFailed(
                     worker_id, spec.job, f"{type(exc).__name__}: {exc}"[:400]
                 )
             )
-        results.put(WorkerIdle(worker_id, spec.job))
+        outbox.send(WorkerIdle(worker_id, spec.job))
 
 
 def _worker_job(
     worker_id: int,
     attack: SingleTraceAttack,
     spec: JobSpec,
-    results,
+    outbox,
     table: WorkTable,
-    table_lock,
     record_arena: SliceArena,
     record_slots: Tuple[int, int],
-    scratch_arena: Optional[SliceArena],
-    scratch_slot: int,
     slot_sem,
-    stop_event,
 ) -> None:
     if spec.backend is not None:
         from repro.backends import get_backend, set_backend
@@ -515,34 +533,17 @@ def _worker_job(
             set_backend(spec.backend)
     labels = [int(l) for l in attack.templates.labels]
     groups = _sign_groups(labels)
-    scratch = None
-    if spec.engine == "lanes" and scratch_arena is not None:
-        scratch = scratch_arena.scratch(scratch_slot)
     toggle = 0
-    while not stop_event.is_set():
-        if not table_lock.acquire(timeout=_LOCK_TIMEOUT):
-            continue  # re-check stop_event; parent fails the job if poisoned
-        try:
+    while not table.stop_requested():
+        with table.locked():
             claim = table.claim(worker_id, spec.grain, spec.min_steal)
-        finally:
-            table_lock.release()
         if claim is None:
             return
         lo, hi = claim
-        outcomes: List[SeedOutcome] = []
-        if spec.engine == "lanes":
-            for base in range(lo, hi, spec.lanes):
-                seeds = list(range(base, min(base + spec.lanes, hi)))
-                outcomes.extend(
-                    _attack_lane_chunk(
-                        attack, seeds, spec.count, spec.entropy, out=scratch
-                    )
-                )
-        else:
-            outcomes.extend(
-                _attack_seed(attack, seed, spec.count, spec.entropy, spec.engine)
-                for seed in range(lo, hi)
-            )
+        outcomes = [
+            _attack_seed(attack, seed, spec.count, spec.entropy, spec.engine)
+            for seed in range(lo, hi)
+        ]
         for chunk in _chunk_outcomes(
             outcomes, record_arena.slot_bytes, spec.count, spec.n_labels
         ):
@@ -551,12 +552,9 @@ def _worker_job(
             slot = record_slots[toggle]
             toggle ^= 1
             generation = record_arena.write(slot, arrays)
-            results.put(GrainResult(worker_id, spec.job, slot, generation))
-        if table_lock.acquire(timeout=_LOCK_TIMEOUT):
-            try:
-                table.complete(worker_id)
-            finally:
-                table_lock.release()
+            outbox.send(GrainResult(worker_id, spec.job, slot, generation))
+        with table.locked():
+            table.complete(worker_id)
 
 
 # ----------------------------------------------------------------------
@@ -650,7 +648,7 @@ class CampaignJob:
         checkpointed, so a later ``resume`` picks up from here."""
         if not self._done.is_set():
             self._cancel.set()
-            self._orchestrator._stop.set()
+            self._orchestrator._table.request_stop()
 
     def result(self, timeout: Optional[float] = None) -> CampaignReport:
         if not self._done.wait(timeout):
@@ -688,9 +686,7 @@ class Orchestrator:
         grain: Optional[int] = None,
         min_steal: int = 8,
         engine: Optional[str] = None,
-        lanes: Optional[int] = None,
         record_slot_bytes: Optional[int] = None,
-        scratch_bytes: int = 8 << 20,
         start_method: Optional[str] = None,
         respawn: bool = True,
     ) -> None:
@@ -702,12 +698,9 @@ class Orchestrator:
         self.engine = resolve_engine(
             engine if engine is not None else getattr(acquisition, "engine", None)
         )
-        width = lanes if lanes is not None else getattr(acquisition, "lanes", 64)
-        self.lanes = max(1, int(width or 64))
-        self.grain = max(1, int(grain) if grain else (self.lanes if self.engine == "lanes" else 32))
+        self.grain = max(1, int(grain) if grain else 32)
         self.min_steal = max(1, int(min_steal))
         self.record_slot_bytes = record_slot_bytes
-        self.scratch_bytes = int(scratch_bytes)
         self.respawn = respawn
         methods = multiprocessing.get_all_start_methods()
         if start_method is None:
@@ -722,6 +715,7 @@ class Orchestrator:
         self._submit_lock = threading.Lock()
         self._procs: Dict[int, multiprocessing.Process] = {}
         self._controls: Dict[int, object] = {}
+        self._inboxes: Dict[int, object] = {}
         self._sems: Dict[int, object] = {}
 
     # ------------------------------------------------------------------
@@ -753,23 +747,16 @@ class Orchestrator:
         self.record_slot_bytes = int(record_bytes)
         capacity = max(256, self.workers * 16)
         self._table = WorkTable(capacity=capacity, workers=self.workers)
-        self._table_lock = self._ctx.Lock()
-        self._stop = self._ctx.Event()
-        self._results = self._ctx.Queue()
         self._record_arena = SliceArena(
             slots=2 * self.workers, slot_bytes=self.record_slot_bytes
         )
-        self._scratch_arena = None
-        if self.engine == "lanes":
-            self._scratch_arena = SliceArena(
-                slots=self.workers, slot_bytes=self.scratch_bytes
-            )
         self._started = True
         for worker in range(self.workers):
             self._spawn(worker)
 
     def _spawn(self, worker: int) -> None:
         control = self._ctx.Queue()
+        inbox, outbox = self._ctx.Pipe(duplex=False)
         sem = self._ctx.BoundedSemaphore(2)
         proc = self._ctx.Process(
             target=_worker_main,
@@ -777,22 +764,54 @@ class Orchestrator:
                 worker,
                 self.attack,
                 control,
-                self._results,
+                outbox,
                 self._table,
-                self._table_lock,
                 self._record_arena,
                 (2 * worker, 2 * worker + 1),
-                self._scratch_arena,
-                worker,
                 sem,
-                self._stop,
             ),
             daemon=True,
         )
         proc.start()
+        # The worker now holds the pipe's only write end, so its death
+        # reads as end-of-file once everything it sent is consumed.
+        outbox.close()
         self._procs[worker] = proc
         self._controls[worker] = control
+        self._inboxes[worker] = inbox
         self._sems[worker] = sem
+
+    def _receive(self, timeout: float) -> List[object]:
+        """Wait up to ``timeout`` for worker messages; at most one per
+        ready pipe.  A pipe at end-of-file belongs to a dead worker and
+        is dropped here, so it cannot keep the wait spinning."""
+        messages = []
+        for inbox in wait_for_channels(list(self._inboxes.values()), timeout):
+            try:
+                messages.append(inbox.recv())
+            except (EOFError, OSError):
+                self._drop_inbox(inbox)
+        return messages
+
+    def _drop_inbox(self, inbox) -> None:
+        for worker, candidate in list(self._inboxes.items()):
+            if candidate is inbox:
+                del self._inboxes[worker]
+        inbox.close()
+
+    def _drain_dead(self, worker: int) -> List[object]:
+        """Everything a dead worker sent, up to its pipe's end-of-file."""
+        inbox = self._inboxes.pop(worker, None)
+        messages: List[object] = []
+        if inbox is None:
+            return messages
+        while True:
+            try:
+                messages.append(inbox.recv())
+            except (EOFError, OSError):
+                break
+        inbox.close()
+        return messages
 
     # ------------------------------------------------------------------
     def submit(
@@ -856,7 +875,6 @@ class Orchestrator:
                 grain=self.grain,
                 min_steal=self.min_steal,
                 engine=self.engine,
-                lanes=self.lanes,
                 n_labels=len(self._labels),
                 backend=backend_name,
             )
@@ -928,10 +946,9 @@ class Orchestrator:
 
     def _drive(self, job: CampaignJob) -> None:
         spec = job.spec
-        self._stop.clear()
         ranges = self._work_ranges(job)
         idle: set = set()
-        with self._table_lock:
+        with self._table.locked():
             self._table.reset(ranges)
         if ranges:
             job._status = "running"
@@ -943,33 +960,29 @@ class Orchestrator:
         while True:
             if job._cancel.is_set():
                 break
-            try:
-                message = self._results.get(timeout=0.2)
-            except queue_module.Empty:
+            messages = self._receive(timeout=0.2)
+            if not messages:
                 if self._check_deaths(job, spec, idle) is False:
                     return
                 if finishing and idle >= set(self._procs):
                     break
                 continue
-            job.messages += 1
-            if isinstance(message, GrainResult):
-                if message.job == spec.job:
-                    self._fold(job, message)
-                    if not finishing and bool(job.folded.all()):
-                        finishing = True
-                else:  # stale slot from a cancelled job: free it anyway
-                    self._release(message)
-            elif isinstance(message, WorkerIdle):
-                if message.job == spec.job:
-                    idle.add(message.worker)
-            elif isinstance(message, WorkerFailed):
-                if message.job == spec.job:
-                    job._error = f"worker {message.worker} failed: {message.message}"
-                    self._stop.set()
-                    self._drain_to_idle(idle)
-                    job._status = "failed"
-                    job._done.set()
-                    return
+            for message in messages:
+                job.messages += 1
+                if isinstance(message, WorkerFailed):
+                    if message.job == spec.job:
+                        job._error = (
+                            f"worker {message.worker} failed: {message.message}"
+                        )
+                        self._table.request_stop()
+                        self._drain_to_idle(idle)
+                        job._status = "failed"
+                        job._done.set()
+                        return
+                else:
+                    self._handle(job, message, idle)
+            if not finishing and bool(job.folded.all()):
+                finishing = True
             if finishing and idle >= set(self._procs):
                 break
         if job._cancel.is_set() and not bool(job.folded.all()):
@@ -984,6 +997,17 @@ class Orchestrator:
         job._report = self._assemble(job, wall)
         job._status = "completed"
         job._done.set()
+
+    def _handle(self, job: CampaignJob, message, idle: set) -> None:
+        """Fold a result or note an idle worker (stale jobs' slots are
+        freed without folding)."""
+        if isinstance(message, GrainResult):
+            if message.job == job.spec.job:
+                self._fold(job, message)
+            else:  # stale slot from a cancelled job: free it anyway
+                self._release(message)
+        elif isinstance(message, WorkerIdle) and message.job == job.spec.job:
+            idle.add(message.worker)
 
     def _release(self, message: GrainResult) -> None:
         try:
@@ -1089,14 +1113,11 @@ class Orchestrator:
             alive = {w for w, p in self._procs.items() if p.is_alive()}
             if idle >= alive:
                 break
-            try:
-                message = self._results.get(timeout=0.2)
-            except queue_module.Empty:
-                continue
-            if isinstance(message, GrainResult):
-                self._release(message)
-            elif isinstance(message, WorkerIdle):
-                idle.add(message.worker)
+            for message in self._receive(timeout=0.2):
+                if isinstance(message, GrainResult):
+                    self._release(message)
+                elif isinstance(message, WorkerIdle):
+                    idle.add(message.worker)
 
     def _check_deaths(self, job: CampaignJob, spec: JobSpec, idle: set):
         """Detect SIGKILLed workers; re-queue their work and respawn."""
@@ -1109,30 +1130,12 @@ class Orchestrator:
             return True
         for worker in dead:
             job.workers_died += 1
-            # Fold everything already queued before touching the table,
+            # Fold everything the worker sent before touching the table,
             # so re-queued ranges shrink to what was actually lost.
-            while True:
-                try:
-                    message = self._results.get_nowait()
-                except queue_module.Empty:
-                    break
-                if isinstance(message, GrainResult) and message.job == spec.job:
-                    self._fold(job, message)
-                elif isinstance(message, WorkerIdle) and message.job == spec.job:
-                    idle.add(message.worker)
-            if not self._table_lock.acquire(timeout=_LOCK_TIMEOUT):
-                job._error = (
-                    f"worker {worker} died holding the work-table lock; "
-                    "campaign state is checkpointed — resume to continue"
-                )
-                self._stop.set()
-                job._status = "failed"
-                job._done.set()
-                return False
-            try:
+            for message in self._drain_dead(worker):
+                self._handle(job, message, idle)
+            with self._table.locked():
                 self._table.requeue_dead(worker)
-            finally:
-                self._table_lock.release()
             idle.discard(worker)
             self._procs.pop(worker).join(timeout=0.1)
             if self.respawn:
@@ -1189,8 +1192,7 @@ class Orchestrator:
             "steals": job.base_counters.get("steals", 0) + counters["steals"],
             "grains": job.base_counters.get("grains", 0) + counters["grains"],
             "checkpoints": job.checkpoints_written,
-            "arena_bytes": self._record_arena.total_bytes
-            + (self._scratch_arena.total_bytes if self._scratch_arena else 0),
+            "arena_bytes": self._record_arena.total_bytes,
             "workers_died": job.workers_died,
             "messages": job.messages,
         }
@@ -1213,7 +1215,7 @@ class Orchestrator:
             self._active.cancel()
             self._active._done.wait(timeout=10.0)
         if self._started:
-            self._stop.set()
+            self._table.request_stop()
             for control in self._controls.values():
                 try:
                     control.put(None)
@@ -1224,9 +1226,9 @@ class Orchestrator:
                 if proc.is_alive():
                     proc.terminate()
                     proc.join(timeout=1.0)
+            for inbox in self._inboxes.values():
+                inbox.close()
             self._record_arena.close()
-            if self._scratch_arena is not None:
-                self._scratch_arena.close()
             self._table.close()
 
     def __del__(self) -> None:  # pragma: no cover - GC ordering varies
@@ -1248,7 +1250,6 @@ def run_orchestrated(
     grain: Optional[int] = None,
     min_steal: int = 8,
     engine: Optional[str] = None,
-    lanes: Optional[int] = None,
     campaign_dir: Optional[Union[str, Path]] = None,
     resume: bool = False,
     shard_size: int = 256,
@@ -1261,7 +1262,6 @@ def run_orchestrated(
         grain=grain,
         min_steal=min_steal,
         engine=engine,
-        lanes=lanes,
     ) as orchestrator:
         job = orchestrator.submit(
             trace_count,

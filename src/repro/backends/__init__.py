@@ -6,10 +6,9 @@ kernel glue are the floor; Intel HEXL makes the case that SEAL-class
 workloads get their remaining order of magnitude from *dedicated
 kernels*, not better algorithms.  This package is that layer for the
 reproduction: the numeric hot kernels — NTT butterflies, negacyclic
-pointwise products, leakage expansion, template matching and the lane
-engine's dispatch-group selection — are abstracted behind a uniform
-:func:`get_backend` / :func:`get_kernel` interface with pluggable
-implementations.
+pointwise products, leakage expansion and template matching — are
+abstracted behind a uniform :func:`get_backend` / :func:`get_kernel`
+interface with pluggable implementations.
 
 Backends
 --------
@@ -24,11 +23,8 @@ Backends
     float kernels bit-identical to numpy's non-fused arithmetic).  The
     shared object is cached on disk keyed by the C source hash, so
     probes after the first are a plain import and forked pool workers
-    inherit the loaded library.
-``numba``
-    ``@njit`` (nopython, cached) versions of the same kernels, present
-    only when numba is importable.  Probing never raises when it is
-    absent — the registry silently falls back.
+    inherit the loaded library.  Probing never raises when no compiler
+    is present — the registry silently falls back to ``reference``.
 
 Selection
 ---------
@@ -44,7 +40,7 @@ Bit-exactness contract
 Every kernel declares whether it is bit-exact against the reference
 twin.  Exact kernels (integer NTT/pointwise arithmetic, leakage
 expansion whose float evaluation order is mirrored operation for
-operation, lane selection) are drop-in and enabled whenever a compiled
+operation) are drop-in and enabled whenever a compiled
 backend probes available.  Non-exact kernels (the template Mahalanobis
 form, whose reduction order necessarily differs from ``np.einsum``)
 change last bits and are enabled only when the backend was *explicitly*
@@ -67,7 +63,7 @@ from typing import Callable, Dict, Iterator, Optional, Tuple
 from repro.errors import ParameterError
 
 #: Canonical backend names, in the order reported to users.
-BACKEND_NAMES = ("reference", "native", "numba")
+BACKEND_NAMES = ("reference", "native")
 
 
 @dataclass(frozen=True)
@@ -119,16 +115,9 @@ def _build_native() -> Backend:
     return native.build_backend()
 
 
-def _build_numba() -> Backend:
-    from repro.backends import numba_backend
-
-    return numba_backend.build_backend()
-
-
 _FACTORIES: Dict[str, Callable[[], Backend]] = {
     "reference": _build_reference,
     "native": _build_native,
-    "numba": _build_numba,
 }
 
 _LOCK = threading.Lock()
@@ -165,7 +154,7 @@ def probe_backend(name: str) -> Optional[Backend]:
     """Build (or fetch the cached) backend; ``None`` if unavailable.
 
     A probe failure is cached with its reason and never raises: a
-    missing compiler or an absent numba must degrade to the reference
+    missing compiler must degrade to the reference
     path, not break imports.
     """
     name = resolve_backend(name)

@@ -8,7 +8,7 @@ kernels mirror the numpy expression tree *operation for operation* —
 same association, same order — and the module is compiled with
 ``-ffp-contract=off`` so the compiler cannot fuse ``a*b+c`` into an
 FMA; together that makes `expand_events` bit-identical to
-``LeakageModel._expand_core`` (enforced by the ``backend.native.*``
+``LeakageModel.expand`` (enforced by the ``backend.native.*``
 oracles).  The template Mahalanobis kernel is the one declared
 *non-exact* kernel: its per-row reduction order necessarily differs
 from ``np.einsum``'s, so it carries a ``Tolerance`` oracle instead and
@@ -37,10 +37,6 @@ import numpy as np
 
 from repro.backends import Backend, Kernel
 from repro.riscv import cycles as cy
-from repro.riscv.cpu import ExecutionEvent
-
-_EV_FIELDS = len(ExecutionEvent._fields)
-
 _CDEF = """
 void reveal_ntt_forward(int64_t *a, int64_t n, const uint64_t *w,
                         const uint64_t *ws, uint64_t q);
@@ -56,16 +52,6 @@ void reveal_expand_events(int64_t n, const int64_t *op,
                           const int64_t *prev, const int64_t *starts,
                           double *samples, double wd, double wt,
                           double wf, double we, double eoff, double base);
-void reveal_expand_block(int64_t count, const int64_t *tpl,
-                         const int32_t *gidx, const int64_t *offs,
-                         int64_t g, const int64_t *dest0,
-                         const int64_t *prev, const int64_t *vals,
-                         double *out, uint8_t *mask, double wd,
-                         double wt, double wf, double we, double eoff,
-                         double base);
-int64_t reveal_lane_select(const int64_t *pcs, const int64_t *wraps,
-                           const uint8_t *alive, int64_t n,
-                           int64_t *group, int64_t *pc_out);
 void reveal_template_quad_pooled(const double *x, const double *means,
                                  const double *prec, int64_t n,
                                  int64_t c, int64_t p, double *out);
@@ -164,7 +150,7 @@ void reveal_pointwise_mulmod(const int64_t *a, const int64_t *b,
 
 /* Expand ONE event at s: every defined cycle of its op class, padding
    cycles keep the prefilled baseline.  Expression trees mirror
-   LeakageModel._expand_core exactly — see that method for the
+   LeakageModel.expand exactly — see that method for the
    cycle-layout rationale.  half_wd/half_we/eng_base are the hoisted
    (0.5*wd, we*0.5, base+eoff) products shared across events. */
 static inline void expand_one(int64_t op, int64_t word, int64_t prevw,
@@ -253,68 +239,6 @@ void reveal_expand_events(int64_t n, const int64_t *op,
                    half_wd, wt, wf, we, half_we, eng_base, base);
 }
 
-/* One dispatch group of a lane block: g lanes x count events, fields
-   resolved per event from the static template (gidx < 0) or gathered
-   from the recorded dynamic value matrix vals[gidx][lane].  Replaces
-   the generated numpy block emitters of expand_arena: same per-event
-   expansion as above, scattered at dest0[lane] + offs[event], with the
-   event-start mask filled in the same pass.  The fetched-word history
-   chains through the block (prev[lane] seeds event 0). */
-void reveal_expand_block(int64_t count, const int64_t *tpl,
-                         const int32_t *gidx, const int64_t *offs,
-                         int64_t g, const int64_t *dest0,
-                         const int64_t *prev, const int64_t *vals,
-                         double *out, uint8_t *mask, double wd,
-                         double wt, double wf, double we, double eoff,
-                         double base) {
-    double half_wd = 0.5 * wd;
-    double half_we = we * 0.5;
-    double eng_base = base + eoff;
-    for (int64_t i = 0; i < g; i++) {
-        int64_t lane0 = dest0[i];
-        int64_t pw = prev[i];
-        for (int64_t j = 0; j < count; j++) {
-            const int64_t *t = tpl + j * @EV_FIELDS@;
-            const int32_t *gx = gidx + j * @EV_FIELDS@;
-            int64_t f[7];
-            for (int r = 0; r < 7; r++)
-                f[r] = gx[r] >= 0 ? vals[(int64_t)gx[r] * g + i] : t[r];
-            int64_t s0 = lane0 + offs[j];
-            mask[s0] = 1;
-            expand_one(f[0], f[1], pw, f[2], f[3], f[4], f[5], f[6],
-                       out + s0, wd, half_wd, wt, wf, we, half_we,
-                       eng_base, base);
-            pw = f[1];
-        }
-    }
-}
-
-/* Warp scheduling: lead lane by min (wraps << 32) + pc over live
-   lanes (first minimum, like np.argmin), group = live lanes at the
-   lead's pc, ascending.  Returns the group size; pc_out = -1 and 0
-   when no lane is alive. */
-int64_t reveal_lane_select(const int64_t *pcs, const int64_t *wraps,
-                           const uint8_t *alive, int64_t n,
-                           int64_t *group, int64_t *pc_out) {
-    int64_t best_key = 0, pc = -1;
-    int found = 0;
-    for (int64_t i = 0; i < n; i++) {
-        if (!alive[i]) continue;
-        int64_t key = (wraps[i] << 32) + pcs[i];
-        if (!found || key < best_key) {
-            best_key = key;
-            pc = pcs[i];
-            found = 1;
-        }
-    }
-    *pc_out = pc;
-    if (!found) return 0;
-    int64_t count = 0;
-    for (int64_t i = 0; i < n; i++)
-        if (alive[i] && pcs[i] == pc) group[count++] = i;
-    return count;
-}
-
 /* Mahalanobis quadratic forms d P d^T for every (slice, class) pair.
    Reduction order differs from np.einsum — declared non-exact. */
 void reveal_template_quad_pooled(const double *x, const double *means,
@@ -367,7 +291,7 @@ def _c_source() -> str:
         "OP_BRANCH_NOT_TAKEN", "OP_BRANCH_TAKEN", "OP_JUMP",
     ):
         source = source.replace(f"@{name}@", str(getattr(cy, name)))
-    return source.replace("@EV_FIELDS@", str(_EV_FIELDS))
+    return source
 
 
 def _cache_dir() -> str:
@@ -491,70 +415,6 @@ def build_backend() -> Backend:
             i64(starts_c), f64(samples), wd, wt, wf, we, eoff, base,
         )
 
-    # Per-block expansion metadata, cached alongside the numpy emitters
-    # (the key shape cannot collide with their 6-float weight tuples).
-    _META_KEY = ("__native_block_meta__",)
-
-    def _block_meta(block):
-        meta = block.emitters.get(_META_KEY, False)
-        if meta is False:
-            count = block.length
-            tpl = np.ascontiguousarray(block.template)
-            gidx = np.full(count * _EV_FIELDS, -1, dtype=np.int32)
-            for cell, k in zip(block.cells, block.gather):
-                gidx[cell] = k
-            # Per-event first-cycle offsets.  Only a terminal branch may
-            # carry a dynamic op class (same invariant the emitter
-            # compiler enforces); any other dynamic op means the block
-            # layout is not static, so decline and let the caller fall
-            # back to the generated emitter's error path.
-            meta = None
-            offs = np.zeros(count, dtype=np.int64)
-            off = 0
-            for j in range(count):
-                offs[j] = off
-                if gidx[j * _EV_FIELDS] >= 0:
-                    if j != count - 1:
-                        break
-                else:
-                    off += cy.CYCLES[int(tpl[j * _EV_FIELDS])]
-            else:
-                meta = (tpl, gidx, offs, count, len(block.uniq_names))
-            block.emitters[_META_KEY] = meta
-        return meta
-
-    def expand_block(block, dest0, prev, vals, out, mask, weights) -> bool:
-        meta = _block_meta(block)
-        if meta is None:
-            return False
-        tpl, gidx, offs, count, nvals = meta
-        wd, wt, wf, we, eoff, base = weights
-        dest0 = np.ascontiguousarray(dest0, dtype=np.int64)
-        prev = np.ascontiguousarray(prev, dtype=np.int64)
-        g = dest0.shape[0]
-        vmat = np.empty((max(nvals, 1), g), dtype=np.int64)
-        for k in range(nvals):
-            vmat[k] = vals[k]
-        lib.reveal_expand_block(
-            count, i64(tpl), ffi.cast("int32_t *", ffi.from_buffer(gidx)),
-            i64(offs), g, i64(dest0), i64(prev), i64(vmat), f64(out),
-            ffi.cast("uint8_t *", ffi.from_buffer(mask)),
-            wd, wt, wf, we, eoff, base,
-        )
-        return True
-
-    def lane_select(pcs, wraps, alive):
-        group = np.empty(pcs.shape[0], dtype=np.int64)
-        pc_out = ffi.new("int64_t *")
-        count = lib.reveal_lane_select(
-            i64(pcs), i64(wraps),
-            ffi.cast("uint8_t *", ffi.from_buffer(alive)),
-            pcs.shape[0], i64(group), pc_out,
-        )
-        if count == 0:
-            return -1, None
-        return int(pc_out[0]), group[:count]
-
     def template_quad(x, means, precision, prec_stack) -> np.ndarray:
         x = np.ascontiguousarray(x, dtype=np.float64)
         means = np.ascontiguousarray(means, dtype=np.float64)
@@ -582,8 +442,6 @@ def build_backend() -> Backend:
             "ntt_inverse": Kernel(ntt_inverse),
             "pointwise_mulmod": Kernel(pointwise_mulmod),
             "expand_events": Kernel(expand_events),
-            "expand_block": Kernel(expand_block),
-            "lane_select": Kernel(lane_select),
             "template_quad": Kernel(template_quad, exact=False),
         },
     )

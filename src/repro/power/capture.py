@@ -13,11 +13,9 @@ device seed)``-keyed stream of :mod:`repro.power.noise` (noise stream
 v2), never from the bench's shared sequential stream.  That makes every
 trace's noise a pure function of its seed, so the ``workers=`` process
 pool produces **bit-identical** traces to the serial path in any
-completion order — and because the stream is addressable rather than
-sequential, the lanes engine fuses expand → noise → scope into one
-lane-major pass over the whole batch (``_capture_lane_chunk``) while
-still matching the per-trace threaded path bit for bit.  The
-pre-stream-v1 sequential-generator contract survives as
+completion order.  Every engine shares one per-trace path,
+``_capture_one`` (and ``_segment_one`` for worker-side segmentation).
+The pre-stream-v1 sequential-generator contract survives as
 :meth:`~TraceAcquisition.capture_reference`, pinned against v2 by the
 ``power.noise_v2`` oracle.
 """
@@ -177,18 +175,11 @@ def _segment_one(
     engine: str = "threaded",
 ) -> SegmentedCapture:
     """Capture one trace and segment it in place (worker-side path)."""
+    from repro.errors import AttackError
+
     captured = _capture_one(
         device, leakage, scope, seed, count, batch_entropy, engine=engine
     )
-    return _segment_captured(captured, segmenter, refiner)
-
-
-def _segment_captured(
-    captured: CapturedTrace, segmenter, refiner
-) -> SegmentedCapture:
-    """Segment one already-captured trace into aligned slices."""
-    from repro.errors import AttackError
-
     try:
         aligned = segmenter.aligned_slices(captured.trace.samples, refiner=refiner)
     except AttackError as exc:
@@ -211,79 +202,6 @@ def _segment_captured(
     )
 
 
-def _capture_lane_chunk(
-    device: GaussianSamplerDevice,
-    leakage: LeakageModel,
-    scope: Oscilloscope,
-    seeds: List[int],
-    count: int,
-    batch_entropy: int,
-    return_traces: bool = True,
-    out: Optional[np.ndarray] = None,
-) -> List[CapturedTrace]:
-    """Capture one chunk of seeds on the lane engine, one lane each.
-
-    This is the fused single-pass pipeline: the chunk executes in
-    lock-step, the arena's deferred dispatch records expand straight
-    into one flat lane-major buffer (``expand_arena`` — no per-trace
-    ``EventLog`` or intermediate noiseless array is ever materialized),
-    and the scope chain runs in place over the whole arena with each
-    lane's noise drawn from its ``(batch entropy, seed)``-keyed stream.
-    Per-trace output is bit-identical to ``_capture_one`` per seed —
-    every float64 op matches on the lane's slice alone.
-    """
-    if not return_traces:
-        batch = device.run_lanes(seeds, count, record_events=False)
-        return [
-            CapturedTrace(
-                trace=None,
-                values=run.values,
-                seed=seed,
-                cycle_count=run.cycle_count,
-            )
-            for seed, run in zip(seeds, batch.runs)
-        ]
-    batch = device.run_lanes(
-        seeds, count, record_events=True, events_per_lane=False
-    )
-    flat, bounds, starts = leakage.expand_arena(
-        batch.events, [run.cycle_count for run in batch.runs], out=out
-    )
-    scope.capture_batch(flat, bounds, batch_entropy, seeds)
-    captures: List[CapturedTrace] = []
-    for lane, (seed, run) in enumerate(zip(seeds, batch.runs)):
-        lo, hi = int(bounds[lane]), int(bounds[lane + 1])
-        captures.append(
-            CapturedTrace(
-                trace=Trace(
-                    flat[lo:hi], metadata={"seed": seed, "count": count}
-                ),
-                values=run.values,
-                seed=seed,
-                cycle_count=run.cycle_count,
-                event_starts=starts[lane],
-            )
-        )
-    return captures
-
-
-def _segment_lane_chunk(
-    device: GaussianSamplerDevice,
-    leakage: LeakageModel,
-    scope: Oscilloscope,
-    segmenter,
-    refiner,
-    seeds: List[int],
-    count: int,
-    batch_entropy: int,
-) -> List[SegmentedCapture]:
-    """Lane-batched capture + per-trace segmentation (worker-side)."""
-    captures = _capture_lane_chunk(
-        device, leakage, scope, seeds, count, batch_entropy
-    )
-    return [_segment_captured(c, segmenter, refiner) for c in captures]
-
-
 # Worker-process state: the bench components are shipped once via the
 # pool initializer instead of being pickled into every task.
 _POOL_BENCH: dict = {}
@@ -300,23 +218,6 @@ def _pool_capture(args) -> CapturedTrace:
     device, leakage, scope = _POOL_BENCH["parts"]
     return _capture_one(
         device, leakage, scope, seed, count, batch_entropy, return_traces, engine
-    )
-
-
-def _pool_capture_lanes(args) -> List[CapturedTrace]:
-    seeds, count, batch_entropy, return_traces = args
-    device, leakage, scope = _POOL_BENCH["parts"]
-    return _capture_lane_chunk(
-        device, leakage, scope, list(seeds), count, batch_entropy, return_traces
-    )
-
-
-def _pool_segment_lanes(args) -> List[SegmentedCapture]:
-    seeds, count, batch_entropy = args
-    device, leakage, scope = _POOL_BENCH["parts"]
-    segmenter, refiner = _POOL_BENCH["segmentation"]
-    return _segment_lane_chunk(
-        device, leakage, scope, segmenter, refiner, list(seeds), count, batch_entropy
     )
 
 
@@ -359,13 +260,10 @@ class TraceAcquisition:
         across bench instances and worker counts.
     engine:
         Default execution engine for this bench's captures
-        (``"interpreter"``/``"threaded"``/``"compiled"``/``"lanes"``);
+        (``"interpreter"``/``"threaded"``/``"compiled"``);
         ``None`` defers to ``REVEAL_ENGINE``, then ``"threaded"``.
         Batch methods can override it per call; ``"compiled"`` falls
         back to ``"threaded"`` where no C toolchain exists.
-    lanes:
-        Lanes per :class:`~repro.riscv.lanes.LaneEngine` batch when the
-        lanes engine is selected.
     """
 
     def __init__(
@@ -375,13 +273,11 @@ class TraceAcquisition:
         scope: Optional[Oscilloscope] = None,
         rng=None,
         engine: Optional[str] = None,
-        lanes: int = 64,
     ) -> None:
         self.device = device
         self.leakage = leakage if leakage is not None else LeakageModel()
         self.scope = scope if scope is not None else Oscilloscope()
         self.engine = engine
-        self.lanes = int(lanes)
         self._rng = new_rng(rng)
         # Integer seeds pin the batch entropy immediately; a fresh
         # bench-private stream (rng=None) can still derive it lazily on
@@ -461,8 +357,6 @@ class TraceAcquisition:
         """
         entropy = self.batch_entropy()
         engine = resolve_engine(engine if engine is not None else self.engine)
-        if engine == "lanes":
-            engine = "threaded"  # v1 predates the fused lane pipeline
         captures: List[CapturedTrace] = []
         for i in range(trace_count):
             seed = first_seed + i
@@ -495,7 +389,6 @@ class TraceAcquisition:
         workers: Optional[int] = None,
         return_traces: bool = True,
         engine: Optional[str] = None,
-        lanes: Optional[int] = None,
     ) -> List[CapturedTrace]:
         """Capture ``trace_count`` runs with consecutive device seeds.
 
@@ -510,27 +403,9 @@ class TraceAcquisition:
         pool pickle shrinks from hundreds of KB of samples and event
         starts to a few bytes of values, for callers that only need the
         sampled coefficients (class surveys, label generation).
-
-        ``engine="lanes"`` batches ``lanes`` consecutive seeds per
-        :class:`~repro.riscv.lanes.LaneEngine` execution (workers then
-        fan out over whole chunks); the output is still bit-identical
-        to the serial threaded path.
         """
         entropy = self.batch_entropy()
         engine = resolve_engine(engine if engine is not None else self.engine)
-        if engine == "lanes":
-            lane_tasks = self._lane_tasks(
-                trace_count, coeffs_per_trace, first_seed, entropy, lanes,
-                extra=(return_traces,),
-            )
-            chunks = self._run_lane_tasks(
-                lane_tasks, workers, _pool_capture_lanes,
-                lambda task: _capture_lane_chunk(
-                    self.device, self.leakage, self.scope,
-                    list(task[0]), *task[1:],
-                ),
-            )
-            return [capture for chunk in chunks for capture in chunk]
         tasks = [
             (first_seed + i, coeffs_per_trace, entropy, return_traces, engine)
             for i in range(trace_count)
@@ -549,45 +424,6 @@ class TraceAcquisition:
             chunk = max(1, trace_count // (pool_size * 4))
             return list(pool.map(_pool_capture, tasks, chunksize=chunk))
 
-    # -- lane-chunk scheduling helpers ---------------------------------
-    def _lane_tasks(
-        self,
-        trace_count: int,
-        coeffs_per_trace: int,
-        first_seed: int,
-        entropy: int,
-        lanes: Optional[int],
-        extra: tuple = (),
-    ) -> List[tuple]:
-        width = self.lanes if lanes is None else int(lanes)
-        if width < 1:
-            raise ValueError(f"lanes must be >= 1, got {width}")
-        seeds = [first_seed + i for i in range(trace_count)]
-        return [
-            (tuple(seeds[i : i + width]), coeffs_per_trace, entropy) + extra
-            for i in range(0, trace_count, width)
-        ]
-
-    def _run_lane_tasks(
-        self, tasks, workers, pool_fn, serial_fn, segmentation=None
-    ) -> List[list]:
-        if workers is None or workers <= 1 or len(tasks) <= 1:
-            return [serial_fn(task) for task in tasks]
-        pool_size = min(workers, len(tasks), (os.cpu_count() or 1) * 4)
-        if segmentation is None:
-            initializer = _pool_init
-            initargs = (self.device, self.leakage, self.scope)
-        else:
-            initializer = _pool_init_segmented
-            initargs = (self.device, self.leakage, self.scope) + segmentation
-        with ProcessPoolExecutor(
-            max_workers=pool_size,
-            initializer=initializer,
-            initargs=initargs,
-        ) as pool:
-            chunk = max(1, len(tasks) // (pool_size * 4))
-            return list(pool.map(pool_fn, tasks, chunksize=chunk))
-
     def capture_segmented_batch(
         self,
         trace_count: int,
@@ -597,7 +433,6 @@ class TraceAcquisition:
         segmenter=None,
         refiner=None,
         engine: Optional[str] = None,
-        lanes: Optional[int] = None,
     ) -> Iterator[SegmentedCapture]:
         """Capture and segment in the workers; yield only aligned slices.
 
@@ -619,21 +454,6 @@ class TraceAcquisition:
             raise ValueError("capture_segmented_batch requires a segmenter")
         entropy = self.batch_entropy()
         engine = resolve_engine(engine if engine is not None else self.engine)
-        if engine == "lanes":
-            lane_tasks = self._lane_tasks(
-                trace_count, coeffs_per_trace, first_seed, entropy, lanes
-            )
-            chunks = self._run_lane_tasks(
-                lane_tasks, workers, _pool_segment_lanes,
-                lambda task: _segment_lane_chunk(
-                    self.device, self.leakage, self.scope, segmenter, refiner,
-                    list(task[0]), *task[1:],
-                ),
-                segmentation=(segmenter, refiner),
-            )
-            for chunk in chunks:
-                yield from chunk
-            return
         tasks = [
             (first_seed + i, coeffs_per_trace, entropy, engine)
             for i in range(trace_count)

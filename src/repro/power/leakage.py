@@ -31,7 +31,7 @@ assert exact equality).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -60,17 +60,9 @@ _CYCLES_BY_CLASS = np.array(
 #: Engine-step indices as a row so the per-event step matrices come out
 #: ``(n_events, 32)``: the 32 steps of one event are then contiguous,
 #: which keeps the axis-1 cumsum/divmod and the sample scatter (32
-#: consecutive samples per event) cache-friendly on batched expansions.
+#: consecutive samples per event) cache-friendly on long event logs.
 _ENGINE_STEPS_UP = np.arange(32, dtype=np.int64)[None, :]
 _ENGINE_STEPS_DOWN = np.arange(31, -1, -1, dtype=np.int64)[None, :]
-
-#: Low-bit prefix masks per multiplier step: the shift-add accumulator
-#: after step ``i`` is ``(a * (b & prefix_i)) mod 2**32`` — one
-#: broadcast multiply replaces the partial-product cumsum (int64
-#: wraparound is harmless: 2**32 divides 2**64).
-_MUL_PREFIX = (np.int64(2) << np.arange(32, dtype=np.int64))[None, :] - 1
-
-_EV_FIELDS = len(ExecutionEvent._fields)
 
 
 def _hw(value: int) -> int:
@@ -127,223 +119,7 @@ class LeakageModel:
         :class:`~repro.riscv.cpu.EventLog` (zero-copy) or any sequence
         of :class:`~repro.riscv.cpu.ExecutionEvent`.
         """
-        return self._expand_core(_event_columns(events), None)
-
-    def expand_lanes(
-        self, events, lane_counts: Optional[Sequence[int]] = None
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Expand a whole lane batch's events in one vectorized pass.
-
-        ``events`` is normally a
-        :class:`~repro.riscv.lanes.LaneEventLog` (per-lane row counts
-        come from the arena itself); alternatively pass any event
-        matrix ``expand`` accepts plus explicit ``lane_counts``
-        partitioning its rows into consecutive per-lane runs.
-
-        Returns one ``(samples, starts)`` pair per lane, bit-identical
-        to calling :meth:`expand` on that lane's events alone: the
-        instruction-bus Hamming-distance state resets at every lane
-        boundary, and the per-class scatters land in disjoint per-lane
-        sample regions, so batching cannot change any float64 value.
-        The sample arrays are views into one shared buffer.
-        """
-        if lane_counts is None:
-            lane_counts = events.lane_counts()
-            cols = events.columns()
-        else:
-            cols = _event_columns(events)
-        lane_counts = np.asarray(lane_counts, dtype=np.int64)
-        bounds = np.zeros(lane_counts.size + 1, dtype=np.int64)
-        np.cumsum(lane_counts, out=bounds[1:])
-        n = int(bounds[-1])
-        if cols.shape[1] != n:
-            raise ValueError(
-                f"lane counts sum to {n}, got {cols.shape[1]} events"
-            )
-        samples, starts = self._expand_core(cols, bounds[:-1])
-        csum = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(_CYCLES_BY_CLASS[cols[0]], out=csum[1:])
-        sample_bounds = csum[bounds]
-        out: List[Tuple[np.ndarray, np.ndarray]] = []
-        for lane in range(lane_counts.size):
-            lo = int(sample_bounds[lane])
-            out.append(
-                (
-                    samples[lo : int(sample_bounds[lane + 1])],
-                    starts[bounds[lane] : bounds[lane + 1]] - lo,
-                )
-            )
-        return out
-
-    def _block_emitter(self, block) -> Tuple[object, np.ndarray]:
-        """The block's fused emitter for this model's weights.
-
-        Emitters are cached on the :class:`~repro.riscv.lanes.LaneBlock`
-        itself (keyed by the weight tuple): block shapes are few and
-        hot, so every dispatch of a block after the first reuses one
-        compiled function across traces, batches and acquisitions.
-        """
-        key = (
-            self.weight_data,
-            self.weight_transition,
-            self.weight_fetch,
-            self.weight_engine,
-            self.engine_offset,
-            self.baseline,
-        )
-        entry = block.emitters.get(key)
-        if entry is None:
-            entry = _compile_emitter(self, block)
-            block.emitters[key] = entry
-        return entry
-
-    def expand_arena(
-        self,
-        events,
-        cycle_totals: Sequence[int],
-        out: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray]]:
-        """Expand a deferred-record lane arena into one flat sample buffer.
-
-        This is the fused fast path: instead of materializing the
-        arena's row-major event matrix and expanding it per op class
-        (:meth:`expand_lanes`), it walks the arena's dispatch records
-        directly.  Each ``dyn`` record names a compiled
-        :class:`~repro.riscv.lanes.LaneBlock` plus the per-lane dynamic
-        values; a per-block *emitter* — generated source specialised to
-        the block's event template with every static Hamming weight
-        constant-folded — computes the block's dense ``(lanes, cycles)``
-        leakage matrix in a handful of vector ops and scatters it at
-        ``lane_base + cycle_start``.  Scalar-engine episodes (``rows``
-        records) fall back to :meth:`_expand_core` in scatter mode.
-
-        ``cycle_totals`` gives each lane's final cycle count; lane
-        ``i`` owns ``flat[bounds[i]:bounds[i + 1]]``.  Returns
-        ``(flat, bounds, starts)`` with per-lane event-start offsets.
-        Output is bit-identical to :meth:`expand` on each lane's own
-        event log — the emitters mirror ``_expand_core``'s float64
-        expression order term by term, and the tests assert equality.
-
-        ``out`` is an optional preallocated float64 buffer (e.g. a
-        shared-memory scratch slot) reused as the flat sample arena
-        when large enough; undersized buffers fall back to a fresh
-        allocation, so the result is identical either way.
-        """
-        totals = np.asarray(cycle_totals, dtype=np.int64)
-        bounds = np.zeros(totals.size + 1, dtype=np.int64)
-        np.cumsum(totals, out=bounds[1:])
-        total = int(bounds[-1])
-        if out is not None and out.dtype == np.float64 and out.size >= total:
-            flat = out[:total]
-            flat.fill(self.baseline)
-        else:
-            flat = np.full(total, self.baseline, dtype=np.float64)
-        mask = np.zeros(flat.size, dtype=bool)
-        lane_base = bounds[:-1]
-
-        # Group dyn records by block (first-seen order) so each block's
-        # emitter runs once over every dispatch of that block at once.
-        groups: Dict[int, list] = {}
-        order: List[list] = []
-        fallback = []
-        for rec in events.records():
-            tag = rec[0]
-            if tag == "dyn":
-                entry = groups.get(id(rec[1]))
-                if entry is None:
-                    entry = [rec[1], [], [], [], []]
-                    groups[id(rec[1])] = entry
-                    order.append(entry)
-                entry[1].append(rec[2])
-                entry[2].append(rec[3])
-                entry[3].append(rec[4])
-                entry[4].append(rec[5])
-            elif tag == "rows":
-                fallback.append(rec[1:])
-            else:
-                raise ValueError(
-                    "expand_arena needs a deferred-record arena; got a "
-                    f"{tag!r} record (expand_lanes handles materialized logs)"
-                )
-        # A compiled backend replaces the generated numpy emitters with
-        # one C pass per dispatch group (field resolution + per-event
-        # expansion + start mask) — bit-exact by the backend contract
-        # (``backend.*.expand_arena`` oracles).  It may decline a block
-        # whose event layout it cannot prove static; those fall through
-        # to the emitter below.
-        kernel = get_kernel("expand_block")
-        weights = (
-            self.weight_data, self.weight_transition, self.weight_fetch,
-            self.weight_engine, self.engine_offset, self.baseline,
-        )
-        for block, ids_l, cyc_l, prev_l, vals_l in order:
-            if len(ids_l) == 1:
-                ids, cyc0, prev = ids_l[0], cyc_l[0], prev_l[0]
-                vals = vals_l[0]
-            else:
-                ids = np.concatenate(ids_l)
-                cyc0 = np.concatenate(cyc_l)
-                prev = np.concatenate(prev_l)
-                vals = tuple(
-                    np.concatenate([v[i] for v in vals_l])
-                    for i in range(len(block.uniq_names))
-                )
-            dest0 = lane_base[ids] + cyc0
-            if kernel is not None and kernel(
-                block, dest0, prev, vals, flat, mask, weights
-            ):
-                continue
-            emit, ev_offs = self._block_emitter(block)
-            emit(flat, dest0, prev, vals)
-            mask[(dest0[:, None] + ev_offs).ravel()] = True
-        if fallback:
-            dest_l, prev_l, rows_l = [], [], []
-            for lane, rows, cyc0, prev_w in fallback:
-                if not rows.shape[0]:
-                    continue
-                cyc = _CYCLES_BY_CLASS[rows[:, 0]]
-                ev_starts = np.zeros(rows.shape[0], dtype=np.int64)
-                np.cumsum(cyc[:-1], out=ev_starts[1:])
-                dest_l.append(int(lane_base[lane]) + int(cyc0) + ev_starts)
-                pw = np.empty(rows.shape[0], dtype=np.int64)
-                pw[0] = prev_w
-                pw[1:] = rows[:-1, 1]
-                prev_l.append(pw)
-                rows_l.append(rows)
-            if rows_l:
-                dest = np.concatenate(dest_l)
-                self._expand_core(
-                    np.concatenate(rows_l).T,
-                    None,
-                    prev=np.concatenate(prev_l),
-                    dest=dest,
-                    out=flat,
-                )
-                mask[dest] = True
-        starts = [
-            np.flatnonzero(mask[int(bounds[i]) : int(bounds[i + 1])])
-            for i in range(totals.size)
-        ]
-        return flat, bounds, starts
-
-    def _expand_core(
-        self,
-        cols: np.ndarray,
-        resets: Optional[np.ndarray],
-        prev: Optional[np.ndarray] = None,
-        dest: Optional[np.ndarray] = None,
-        out: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The shared expansion kernel over an ``(8, n)`` event matrix.
-
-        ``resets`` lists row indices where the fetched-word history
-        starts over (lane boundaries in a batched expansion).
-        ``expand_arena`` drives the scatter mode: ``dest`` gives every
-        event's absolute first-cycle sample index into ``out`` (a
-        baseline-prefilled arena) and ``prev`` the previously-fetched
-        word per event, so non-contiguous episodes expand straight into
-        a shared flat buffer with no per-episode allocation.
-        """
+        cols = _event_columns(events)
         n = cols.shape[1]
         if n == 0:
             return np.zeros(0, dtype=np.float64), np.zeros(0, dtype=np.int64)
@@ -355,15 +131,16 @@ class LeakageModel:
         we = self.weight_engine
         base = self.baseline
 
-        if dest is None:
-            cycles = _CYCLES_BY_CLASS[op]
-            starts = np.zeros(n, dtype=np.int64)
-            np.cumsum(cycles[:-1], out=starts[1:])
-            total = int(starts[-1] + cycles[-1])
-            samples = np.full(total, base, dtype=np.float64)
-        else:
-            starts = dest
-            samples = out
+        cycles = _CYCLES_BY_CLASS[op]
+        starts = np.zeros(n, dtype=np.int64)
+        np.cumsum(cycles[:-1], out=starts[1:])
+        total = int(starts[-1] + cycles[-1])
+        samples = np.full(total, base, dtype=np.float64)
+
+        # The word fetched before each event (instruction-bus toggling).
+        previous_word = np.empty_like(word)
+        previous_word[0] = 0
+        previous_word[1:] = word[:-1]
 
         # A compiled compute backend replaces the whole per-class
         # scatter below with one pass over the event log — bit-exact by
@@ -371,14 +148,6 @@ class LeakageModel:
         # method operation for operation; ``backend.*.expand`` oracles).
         kernel = get_kernel("expand_events")
         if kernel is not None:
-            if prev is None:
-                previous_word = np.empty_like(word)
-                previous_word[0] = 0
-                previous_word[1:] = word[:-1]
-                if resets is not None:
-                    previous_word[resets[resets < n]] = 0
-            else:
-                previous_word = prev
             kernel(
                 cols, previous_word, starts, samples,
                 (wd, wt, wf, we, self.engine_offset, base),
@@ -397,14 +166,6 @@ class LeakageModel:
         # rs1/rs2/result rows).  The combined per-cycle values keep the
         # scalar reference's evaluation order so float64 output is
         # bit-identical.
-        if prev is None:
-            previous_word = np.empty_like(word)
-            previous_word[0] = 0
-            previous_word[1:] = word[:-1]
-            if resets is not None:
-                previous_word[resets[resets < n]] = 0
-        else:
-            previous_word = prev
         hw_rs1, hw_rs2, hw_res = _hw32(cols[2:5])
         hw_wb = _hw32(result ^ old_rd)  # writeback Hamming distance
         fetch_v = base + wf * (_hw32(word) + _hw32(word ^ previous_word))
@@ -631,293 +392,3 @@ class LeakageModel:
         )
         for _ in range(cy.CYCLES[cy.OP_DIV] - 35):
             samples.append(base)
-
-
-# ----------------------------------------------------------------------
-# Fused per-block emitters
-# ----------------------------------------------------------------------
-def _compile_emitter(
-    model: LeakageModel, block
-) -> Tuple[object, np.ndarray]:
-    """Compile one lane block's leakage emitter for one weight set.
-
-    The block's event *shape* is static — per event only a handful of
-    template cells are dynamic (``block.cells`` → value-vector indices
-    ``block.gather``) — so almost every term of ``_expand_core`` is a
-    compile-time constant here: per-event cycle offsets, fetch
-    Hamming weights/distances of the straight-line instruction words,
-    and any operand/result weight whose register value was folded at
-    block-generation time.  What remains is a short generated function
-
-        ``_em(out, dest0, prev, v)``
-
-    that fills a dense ``(dispatch_lanes, block_cycles)`` matrix from a
-    precomputed per-block constant row plus one vector expression per
-    dynamic cycle, and scatters it into the arena at ``dest0`` (each
-    lane's absolute first-cycle index).  ``prev`` is the word fetched
-    before this dispatch (the cross-dispatch instruction-bus state) and
-    ``v`` the tuple of recorded dynamic value vectors.
-
-    Every emitted float64 expression reproduces ``_expand_core``'s
-    term order exactly; constants are folded with the same Python-float
-    arithmetic IEEE-754 performs elementwise, so the fused output is
-    bit-identical to the row-major expansion.  The multiplier
-    accumulator uses the prefix-mask identity ``acc_i = (a * (b &
-    ((2 << i) - 1))) mod 2**32`` — equal to the reference's masked
-    partial-product prefix sum — to replace the 32-step cumsum with one
-    broadcast multiply.
-
-    Returns ``(emitter, event_start_offsets)``.
-    """
-    tpl = block.template
-    dyn = dict(zip(block.cells, block.gather))
-    count = block.length
-
-    wd = model.weight_data
-    wt = model.weight_transition
-    wf = model.weight_fetch
-    we = model.weight_engine
-    eoff = model.engine_offset
-    base = model.baseline
-
-    def spec(j, row):
-        """Event ``j`` field ``row``: a ``v[...]`` expression or an int."""
-        k = dyn.get(j * _EV_FIELDS + row)
-        return f"v[{k}]" if k is not None else int(tpl[j * _EV_FIELDS + row])
-
-    def vec(s):
-        """A ``(g, 1)`` operand for the 32-step engine matrices."""
-        return f"{s}[:, None]" if isinstance(s, str) else str(s)
-
-    def hw_of(s):
-        return f"_hw32({s})" if isinstance(s, str) else str(_hw(s))
-
-    def operand(j):
-        a, b = spec(j, 2), spec(j, 3)
-        if isinstance(a, int) and isinstance(b, int):
-            return base + 0.5 * wd * (_hw(a) + _hw(b))
-        return f"BASE + 0.5 * WD * ({hw_of(a)} + {hw_of(b)})"
-
-    def writeback(j):
-        r, o = spec(j, 4), spec(j, 5)
-        if isinstance(r, int) and isinstance(o, int):
-            return base + wd * _hw(r) + wt * _hw(r ^ o)
-        return f"BASE + WD * {hw_of(r)} + WT * _hw32({r} ^ {o})"
-
-    # Per-event first-cycle offsets within the block.  Only a terminal
-    # branch may have a dynamic op class, so every offset is static.
-    offs: List[int] = []
-    classes: List = []
-    off = 0
-    for j in range(count):
-        offs.append(off)
-        opc = spec(j, 0)
-        classes.append(opc)
-        if isinstance(opc, str):
-            if j != count - 1:
-                raise ValueError(
-                    "dynamic op class on a non-terminal block event"
-                )
-        else:
-            off += cy.CYCLES[opc]
-
-    const_cols: Dict[int, float] = {}
-    body: List[str] = []
-    tail: List[str] = []
-    hi = 1  # dense-matrix width high-water mark (fetch of event 0)
-
-    def put(col, value):
-        nonlocal hi
-        hi = max(hi, col + 1)
-        if isinstance(value, str):
-            body.append(f"    d[:, {col}] = {value}")
-        else:
-            const_cols[col] = value
-
-    for j in range(count):
-        o = offs[j]
-        w = int(tpl[j * _EV_FIELDS + 1])
-        if j == 0:
-            # The only cross-dispatch dependency: HD to the word the
-            # lane fetched before entering this block.
-            put(o, f"BASE + WF * ({_hw(w)} + _hw32({w} ^ prev_arg))")
-        else:
-            pw = int(tpl[(j - 1) * _EV_FIELDS + 1])
-            put(o, base + wf * (_hw(w) + _hw(w ^ pw)))
-        opc = classes[j]
-        if isinstance(opc, str):
-            # Terminal branch with a dynamic outcome: fetch + operand
-            # are unconditional; taken lanes additionally leak the
-            # target fetch in their third cycle (a baseline pad for
-            # not-taken lanes, which the prefilled arena already holds).
-            put(o + 1, operand(j))
-            r = spec(j, 4)
-            tail.extend(
-                [
-                    f"    tk = {opc} == {cy.OP_BRANCH_TAKEN}",
-                    f"    out[dest0[tk] + {o + 2}] = "
-                    f"BASE + WF * _hw32({r}[tk])",
-                ]
-            )
-        elif opc == cy.OP_ALU:
-            put(o + 1, operand(j))
-            put(o + 2, writeback(j))
-        elif opc == cy.OP_MUL:
-            put(o + 1, operand(j))
-            a, b = spec(j, 2), spec(j, 3)
-            if isinstance(a, int) and isinstance(b, int):
-                acc = 0
-                for i in range(32):
-                    if (b >> i) & 1:
-                        acc = (acc + (a << i)) & _MASK32
-                    put(o + 2 + i, base + eoff + we * _hw(acc))
-            else:
-                body.extend(
-                    [
-                        '    with _np.errstate(over="ignore"):',
-                        f"        mm = ({vec(a)} * ({vec(b)} & _PREFIX))"
-                        f" & {_MASK32}",
-                        f"    d[:, {o + 2}:{o + 34}] = "
-                        "BASE + EOFF + WE * _hw32(mm)",
-                    ]
-                )
-                hi = max(hi, o + 34)
-            put(o + 34, writeback(j))
-        elif opc == cy.OP_DIV:
-            put(o + 1, operand(j))
-            a, b = spec(j, 2), spec(j, 3)
-            if isinstance(a, int) and isinstance(b, int):
-                remainder = 0
-                quotient = 0
-                for i in range(31, -1, -1):
-                    remainder = (
-                        (remainder << 1) | ((a >> i) & 1)
-                    ) & _MASK32
-                    quotient <<= 1
-                    if b and remainder >= b:
-                        remainder -= b
-                        quotient |= 1
-                    put(
-                        o + 2 + (31 - i),
-                        base + eoff + we * 0.5 * (_hw(remainder) + _hw(quotient)),
-                    )
-            else:
-                body.append(f"    sh = {vec(a)} >> _SDOWN")
-                if isinstance(b, int):
-                    if b == 0:
-                        # A zero divisor never restores: the remainder
-                        # window slides through the dividend, quotient 0.
-                        hwsum = "(_hw32(sh) + 0)"
-                    else:
-                        body.append(f"    dq, dr = _np.divmod(sh, {b})")
-                        hwsum = "(_hw32(dr) + _hw32(dq))"
-                else:
-                    body.extend(
-                        [
-                            f"    dz = {vec(b)} == 0",
-                            f"    dq, dr = _np.divmod(sh, "
-                            f"_np.where(dz, 1, {vec(b)}))",
-                            "    dr = _np.where(dz, sh, dr)",
-                            "    dq = _np.where(dz, 0, dq)",
-                        ]
-                    )
-                    hwsum = "(_hw32(dr) + _hw32(dq))"
-                body.append(
-                    f"    d[:, {o + 2}:{o + 34}] = "
-                    f"BASE + EOFF + WE * 0.5 * {hwsum}"
-                )
-                hi = max(hi, o + 34)
-            put(o + 34, writeback(j))
-        elif opc == cy.OP_LOAD:
-            addr = spec(j, 6)
-            put(
-                o + 1,
-                base + 0.5 * wd * _hw(addr)
-                if isinstance(addr, int)
-                else f"BASE + 0.5 * WD * _hw32({addr})",
-            )
-            r = spec(j, 4)
-            put(
-                o + 2,
-                base + wd * _hw(r)
-                if isinstance(r, int)
-                else f"BASE + WD * _hw32({r})",
-            )
-            put(o + 3, writeback(j))
-        elif opc == cy.OP_STORE:
-            addr = spec(j, 6)
-            put(
-                o + 1,
-                base + 0.5 * wd * _hw(addr)
-                if isinstance(addr, int)
-                else f"BASE + 0.5 * WD * _hw32({addr})",
-            )
-            r = spec(j, 4)
-            put(
-                o + 2,
-                base + wd * _hw(r)
-                if isinstance(r, int)
-                else f"BASE + WD * _hw32({r})",
-            )
-            put(
-                o + 3,
-                base + 0.5 * wd * _hw(r)
-                if isinstance(r, int)
-                else f"BASE + 0.5 * WD * _hw32({r})",
-            )
-        elif opc == cy.OP_BRANCH_NOT_TAKEN:
-            put(o + 1, operand(j))
-        elif opc == cy.OP_BRANCH_TAKEN:
-            put(o + 1, operand(j))
-            r = spec(j, 4)
-            put(
-                o + 2,
-                base + wf * _hw(r)
-                if isinstance(r, int)
-                else f"BASE + WF * _hw32({r})",
-            )
-        elif opc == cy.OP_JUMP:
-            r, old = spec(j, 4), spec(j, 5)
-            put(
-                o + 1,
-                base + wf * _hw(r)
-                if isinstance(r, int)
-                else f"BASE + WF * _hw32({r})",
-            )
-            if isinstance(r, int) and isinstance(old, int):
-                put(o + 2, base + wt * _hw(r ^ old))
-            else:
-                put(o + 2, f"BASE + WT * _hw32({r} ^ {old})")
-        # OP_SYSTEM: fetch cycle only
-
-    width = hi
-    row = np.full(width, base, dtype=np.float64)
-    for col, value in const_cols.items():
-        row[col] = value
-    src = (
-        [
-            "def _em(out, dest0, prev_arg, v):",
-            "    g = dest0.shape[0]",
-            f"    d = _np.empty((g, {width}))",
-            "    d[:] = _ROW",
-        ]
-        + body
-        + ["    out[dest0[:, None] + _COLS] = d"]
-        + tail
-    )
-    namespace = {
-        "_np": np,
-        "_hw32": _hw32,
-        "_PREFIX": _MUL_PREFIX,
-        "_SDOWN": _ENGINE_STEPS_DOWN,
-        "BASE": base,
-        "WD": wd,
-        "WT": wt,
-        "WF": wf,
-        "WE": we,
-        "EOFF": eoff,
-        "_ROW": row,
-        "_COLS": np.arange(width, dtype=np.int64)[None, :],
-    }
-    exec("\n".join(src), namespace)  # noqa: S102 - template JIT
-    return namespace["_em"], np.asarray(offs, dtype=np.int64)

@@ -11,9 +11,7 @@ seed)`` stream is element ``i % NOISE_BLOCK`` of Philox block
 ``i // NOISE_BLOCK``, and every block is keyed independently by
 ``(entropy, seed, block)``.  Any contiguous slice of the stream can
 therefore be generated in one vectorized call, from any offset, by any
-worker, with no sequential state — which is what lets the fused
-lane-major capture pipeline add noise to a whole ``(L, samples)``
-batch in place.
+worker, with no sequential state.
 
 Keying
     The per-stream 128-bit Philox key is
@@ -93,11 +91,11 @@ def add_noise(
 ) -> None:
     """Add ``std``-scaled stream noise to ``out`` in place.
 
-    This is the single noise entry point shared by the threaded
-    per-trace capture path and the fused lane-major path: both add
-    ``standard_noise(...) * std`` with one in-place ``+=``, so the two
-    engines produce bit-identical traces for the same ``(entropy,
-    seed)`` regardless of lane width, worker count or capture order.
+    This is the single noise entry point of the per-trace capture path
+    (:meth:`~repro.power.scope.Oscilloscope.capture_keyed`): it adds
+    ``standard_noise(...) * std`` with one in-place ``+=``, so every
+    engine produces bit-identical traces for the same ``(entropy,
+    seed)`` regardless of worker count or capture order.
     """
     if std > 0 and out.size:
         out += standard_noise(entropy, seed, out.size, offset) * std

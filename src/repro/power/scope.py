@@ -11,7 +11,7 @@ amplifier/quantisation noise and an optional ADC.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -111,39 +111,3 @@ class Oscilloscope:
         noise_stream.add_noise(out, entropy, seed, self.noise_std)
         self._quantize(out)
         return out
-
-    def capture_batch(
-        self,
-        flat: np.ndarray,
-        bounds: np.ndarray,
-        entropy: int,
-        seeds: Sequence[int],
-    ) -> np.ndarray:
-        """Apply the chain in place to a whole lane-major sample arena.
-
-        ``flat`` holds every lane's noiseless samples back to back;
-        ``bounds[i]:bounds[i+1]`` is lane ``i``'s region and ``seeds[i]``
-        keys its noise stream.  The gain is one whole-arena multiply;
-        band limiting, noise and the ADC (whose reference range is
-        per-trace) run per lane *slice*, still in place.  Every float64
-        op matches :meth:`capture_keyed` on the lane's slice alone, so
-        the fused batch is bit-identical to per-trace captures.
-        """
-        if len(seeds) != len(bounds) - 1:
-            raise ParameterError(
-                f"capture_batch got {len(seeds)} seeds for "
-                f"{len(bounds) - 1} lane regions"
-            )
-        if self.gain != 1.0:
-            flat *= self.gain
-        if self.bandwidth_window > 1:
-            kernel = np.ones(self.bandwidth_window) / self.bandwidth_window
-            for lane in range(len(seeds)):
-                lo, hi = int(bounds[lane]), int(bounds[lane + 1])
-                flat[lo:hi] = np.convolve(flat[lo:hi], kernel, mode="same")
-        for lane, seed in enumerate(seeds):
-            lo, hi = int(bounds[lane]), int(bounds[lane + 1])
-            view = flat[lo:hi]
-            noise_stream.add_noise(view, entropy, seed, self.noise_std)
-            self._quantize(view)
-        return flat

@@ -149,7 +149,7 @@ def run_campaign_target(
         first_seed=1,
         workers=workers,
         grain=grain,
-        engine=engine or "lanes",
+        engine=engine,
         campaign_dir=campaign_dir,
         resume=resume,
         shard_size=shard_size,
@@ -238,9 +238,9 @@ def main(argv=None) -> None:
     )
     parser.add_argument(
         "--engine",
-        choices=["interpreter", "threaded", "lanes", "compiled"],
+        choices=["interpreter", "threaded", "compiled"],
         default=None,
-        help="execution engine for table1/table2 attack captures "
+        help="execution engine for table1/table2/campaign attack captures "
         "(default: $REVEAL_ENGINE, then threaded; compiled falls back "
         "to threaded without a C toolchain)",
     )
@@ -281,7 +281,7 @@ def main(argv=None) -> None:
         type=int,
         default=None,
         help="work-stealing grain in seeds for the campaign target "
-        "(default: the lane width)",
+        "(default 32)",
     )
     parser.add_argument(
         "--profile-cache",

@@ -298,20 +298,6 @@ class EventLog(Sequence):
                 return NotImplemented
         return NotImplemented
 
-    @classmethod
-    def from_rows(cls, rows: np.ndarray) -> "EventLog":
-        """Build a log directly from an ``(n, 8)`` event-row matrix.
-
-        The lane engine records all lanes into one shared arena
-        (:class:`repro.riscv.lanes.LaneEventLog`); per-lane logs are
-        materialised from its finalized row slices through this hook.
-        """
-        rows = np.asarray(rows, dtype=np.int64).reshape(-1, cls._NUM_FIELDS)
-        log = cls(capacity=max(rows.shape[0], 1))
-        log._data[: rows.shape[0]] = rows
-        log._length = rows.shape[0]
-        return log
-
     # -- pickling (translated blocks hold unpicklable generated code) --
     def __getstate__(self) -> dict:
         self._flush()

@@ -12,14 +12,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import List, Optional, Sequence
 
 from repro.errors import ParameterError, SimulationError
 from repro.riscv.assembler import assemble
 from repro.riscv.cpu import Cpu, EventLog
-from repro.riscv.lanes import LaneEngine, LaneEventLog
 from repro.riscv.memory import Memory
 from repro.riscv.retire import RetireLog
 from repro.riscv.programs.gaussian import gaussian_sampler_source
@@ -31,7 +28,7 @@ _OUT_BASE = 0x5000
 
 #: Canonical engine names.  ``"interpreter"`` is accepted as a CLI-facing
 #: alias for ``"reference"`` (the scalar seed interpreter).
-ENGINES = ("threaded", "reference", "lanes", "compiled")
+ENGINES = ("threaded", "reference", "compiled")
 
 
 def resolve_engine(engine: Optional[str] = None) -> str:
@@ -92,22 +89,6 @@ class DeviceRun:
     retires: Optional[RetireLog] = None
 
 
-@dataclass
-class LaneBatch:
-    """Result of one lane-vectorized batch execution.
-
-    ``runs[i]`` is the :class:`DeviceRun` for ``seeds[i]``.  ``events``
-    is the shared :class:`LaneEventLog` arena for the whole batch (or
-    ``None`` when event recording was off) — the batched capture path
-    expands it wholesale via ``LeakageModel.expand_lanes`` instead of
-    touching the per-run logs.
-    """
-
-    seeds: List[int]
-    runs: List[DeviceRun]
-    events: Optional[LaneEventLog]
-
-
 class GaussianSamplerDevice:
     """Executes the sampling kernel for a given modulus chain.
 
@@ -144,12 +125,6 @@ class GaussianSamplerDevice:
         # blocks + the generated C extension module) reused across runs.
         # Lazy — built on the first engine="compiled" run.
         self._compiled_program = None
-        # Lane-engine state, also shared across runs: one immutable
-        # memory image and one compiled-block dict per memory size
-        # (the image bakes in the modulus table; the generated block
-        # code bakes in size-derived bounds checks).
-        self._lane_images: Dict[int, np.ndarray] = {}
-        self._lane_block_cache: Dict[int, dict] = {}
         # Most recent retire-recording run's log(s), kept for
         # interactive inspection (None unless a run asked for retires).
         self.last_retires: Optional[List[RetireLog]] = None
@@ -161,8 +136,6 @@ class GaussianSamplerDevice:
         state["_block_cache"] = {}
         state["_code_words"] = set()
         state["_compiled_program"] = None
-        state["_lane_images"] = {}
-        state["_lane_block_cache"] = {}
         state["last_retires"] = None
         return state
 
@@ -185,23 +158,13 @@ class GaussianSamplerDevice:
         ``"compiled"`` (the same translation units lowered to generated
         C via cffi — the fastest engine where a toolchain exists, and a
         silent bit-identical fall-back to threaded where none does),
-        ``"reference"`` (the scalar interpreter, bit-identical but much
-        slower — useful for differential testing) or ``"lanes"`` (the
-        lane-vectorized engine, single-lane here; see :meth:`run_lanes`
-        for actual batching).  ``None`` defers to the ``REVEAL_ENGINE``
+        or ``"reference"`` (the scalar interpreter, bit-identical but
+        much slower — useful for differential testing).  ``None`` defers to the ``REVEAL_ENGINE``
         environment variable, then to ``"threaded"``.
         """
         if count < 1:
             raise SimulationError("count must be >= 1")
         engine = effective_engine(engine)
-        if engine == "lanes":
-            return self.run_lanes(
-                [seed],
-                count,
-                record_events=record_events,
-                max_instructions=max_instructions,
-                record_retires=record_retires,
-            ).runs[0]
         k = len(self.moduli)
         memory = Memory(size_bytes=_next_pow2(_OUT_BASE + 4 * k * count + 4096))
         cpu = Cpu(memory, record_events=record_events, record_retires=record_retires)
@@ -252,94 +215,6 @@ class GaussianSamplerDevice:
     def sample_one(self, seed: int, record_events: bool = True) -> DeviceRun:
         """Sample a single coefficient (the profiling workload)."""
         return self.run(seed, count=1, record_events=record_events)
-
-    # ------------------------------------------------------------------
-    def _lane_image(self, size: int) -> np.ndarray:
-        """The shared initial memory image (code + modulus table)."""
-        image = self._lane_images.get(size)
-        if image is None:
-            image = np.zeros(size, dtype=np.uint8)
-            words = np.asarray(self.program.words, dtype=np.uint32)
-            image[_CODE_BASE : _CODE_BASE + 4 * len(words)] = words.view(np.uint8)
-            table = np.asarray(self.moduli, dtype=np.uint32)
-            image[_MOD_TABLE : _MOD_TABLE + 4 * len(table)] = table.view(np.uint8)
-            image.setflags(write=False)
-            self._lane_images[size] = image
-        return image
-
-    def run_lanes(
-        self,
-        seeds: Sequence[int],
-        count: int,
-        record_events: bool = True,
-        max_instructions: Optional[int] = None,
-        events_per_lane: bool = True,
-        record_retires: bool = False,
-    ) -> LaneBatch:
-        """Sample ``count`` coefficients for every seed in one batch.
-
-        All seeds execute in lock-step on a :class:`LaneEngine` (one
-        lane per seed); per-lane results are bit-identical to
-        :meth:`run`.  ``events_per_lane=False`` leaves each
-        ``DeviceRun.events`` empty and hands back only the shared
-        arena, still in deferred-record form — the fused capture path
-        (``LeakageModel.expand_arena``) consumes the dispatch records
-        directly, so the row-major event matrix is never materialised
-        unless a consumer explicitly asks for per-lane logs.
-        """
-        if count < 1:
-            raise SimulationError("count must be >= 1")
-        seeds = [int(s) for s in seeds]
-        if not seeds:
-            raise SimulationError("need at least one seed")
-        k = len(self.moduli)
-        size = _next_pow2(_OUT_BASE + 4 * k * count + 4096)
-        engine = LaneEngine(
-            self._lane_image(size),
-            lanes=len(seeds),
-            record_events=record_events,
-            record_retires=record_retires,
-            block_cache=self._lane_block_cache.setdefault(size, {}),
-        )
-        engine.write_register(10, _OUT_BASE)  # a0
-        engine.write_register(11, count)  # a1
-        engine.write_register(12, k)  # a2
-        engine.write_register(13, _MOD_TABLE)  # a3
-        engine.write_register(14, [s & 0xFFFFFFFF for s in seeds])  # a4
-        engine.write_register(15, self.max_deviation)  # a5
-        budget = max_instructions if max_instructions else 4000 * count + 10_000
-        engine.run(max_instructions=budget)
-        for lane, error in enumerate(engine.errors):
-            if error is not None:
-                raise SimulationError(f"lane {lane} (seed {seeds[lane]}): {error}")
-
-        out = _OUT_BASE >> 2
-        m32 = engine.memory.view(np.uint32)
-        q0 = self.moduli[0]
-        runs: List[DeviceRun] = []
-        for lane in range(len(seeds)):
-            residues = [
-                m32[lane, out + j * count : out + (j + 1) * count].tolist()
-                for j in range(k)
-            ]
-            values = [r - q0 if r > q0 // 2 else r for r in residues[0]]
-            if record_events and events_per_lane:
-                events = engine.events.lane_log(lane)
-            else:
-                events = EventLog(capacity=1)
-            runs.append(
-                DeviceRun(
-                    values=values,
-                    residues=residues,
-                    events=events,
-                    cycle_count=int(engine.cycle_counts[lane]),
-                    instruction_count=int(engine.instruction_counts[lane]),
-                    retires=engine.retire_log(lane) if record_retires else None,
-                )
-            )
-        if record_retires:
-            self.last_retires = [run.retires for run in runs]
-        return LaneBatch(seeds=seeds, runs=runs, events=engine.events)
 
 
 def _next_pow2(value: int) -> int:

@@ -5,7 +5,7 @@ instruction — program counters before/after, the fetched encoding,
 source/destination register addresses and data, and the memory access —
 so that independently built cores can be diffed instruction by
 instruction instead of "final state happened to match".  This module
-carries the same idea across the repo's three RV32IM engines:
+carries the same idea across the repo's RV32IM engines:
 
 - the scalar reference interpreter emits :class:`RetireLog` rows live
   from inside :meth:`~repro.riscv.cpu.Cpu.step_reference` (the semantic
@@ -14,10 +14,8 @@ carries the same idea across the repo's three RV32IM engines:
 - the threaded engine materialises its rows at the end of a run from
   the event stream through cached **per-block retire plans**
   (:meth:`~repro.riscv.threaded.TranslatedBlock.retire_plan`), the same
-  static/dynamic split its event flush uses;
-- the lane engine projects lane-major rows out of its finalized
-  :class:`~repro.riscv.lanes.LaneEventLog` arena slices, one lane at a
-  time on demand.
+  static/dynamic split its event flush uses; the compiled engine
+  projects its run's event segment the same way at run end.
 
 The field mapping against riscv-formal (what is kept, what is dropped
 and why) is documented in DESIGN.md §5k.  A *trap* retire is appended

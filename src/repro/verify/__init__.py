@@ -33,7 +33,6 @@ from repro.verify.conformance import (
     compare_runs,
     first_retire_divergence,
     random_adversarial_program,
-    run_lane_engine_case,
     run_scalar_engine,
 )
 from repro.verify.oracles import (
@@ -59,7 +58,6 @@ __all__ = [
     "compare_runs",
     "first_retire_divergence",
     "random_adversarial_program",
-    "run_lane_engine_case",
     "run_scalar_engine",
     "Oracle",
     "OracleReport",

@@ -5,8 +5,7 @@ bit-exact against the inline numpy path it replaces or numerically
 equivalent within a declared :class:`~repro.verify.compare.Tolerance`.
 This module turns that promise into registered oracles: for every
 backend whose capability probe succeeds (``native`` when a C compiler
-is present, ``numba`` when importable) it registers one oracle per
-kernel group —
+is present) it registers one oracle per kernel group —
 
 - ``backend.<name>.ntt`` — forward/inverse butterflies and the
   negacyclic pointwise product through :class:`~repro.ring.ntt
@@ -16,13 +15,6 @@ kernel group —
   :meth:`LeakageModel.expand` (bit-exact float64: the compiled kernel
   mirrors the numpy expression trees operation for operation, compiled
   without FMA contraction);
-- ``backend.<name>.expand_arena`` — the fused lane-arena expansion
-  through :meth:`LeakageModel.expand_arena` (bit-exact float64: the
-  block kernel resolves each event's template/dynamic fields and runs
-  the same per-event expansion the generated numpy emitters encode);
-- ``backend.<name>.lane_select`` — the lane engine's warp-scheduling
-  scan vs the numpy ``(wraps << 32) + pc`` argmin selection (bit-exact
-  incl. first-occurrence tie-breaking and the all-parked sentinel);
 - ``backend.<name>.template`` — pooled and per-class Mahalanobis
   log-likelihood matrices (Tolerance: the compiled quadratic form
   necessarily reduces in a different order than ``np.einsum``).
@@ -31,8 +23,8 @@ Each fast side runs inside :func:`repro.backends.use_backend` so the
 kernel under test is actually armed (including non-exact kernels, which
 auto-probe withholds); each reference side pins ``use_backend
 ("reference")`` so the comparison target is always the inline numpy
-path.  Probes that fail register nothing — on a host with neither
-compiler nor numba this module is a no-op and the registry is exactly
+path.  Probes that fail register nothing — on a host without a
+compiler this module is a no-op and the registry is exactly
 the pre-backend set.
 
 Replay a failure like any other oracle::
@@ -42,21 +34,14 @@ Replay a failure like any other oracle::
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
-from repro.backends import (
-    available_backends,
-    get_kernel,
-    kernel_exactness,
-    use_backend,
-)
+from repro.backends import available_backends, kernel_exactness, use_backend
 from repro.verify.compare import EXACT, Tolerance
 from repro.verify.oracles import (
     Oracle,
-    _run_expand_arena,
-    _sample_expand_arena_case,
     _sample_leakage_case,
     _sample_ntt_case,
     register,
@@ -92,64 +77,6 @@ def _ntt_with_backend(case: Dict[str, Any], backend: str) -> Dict[str, Any]:
 def _expand_with_backend(case: Dict[str, Any], backend: str):
     with use_backend(backend):
         return case["model"].expand(case["events"])
-
-
-def _expand_arena_with_backend(case: Dict[str, Any], backend: str):
-    # Re-runs the lane engine and expands its deferred-record arena
-    # with the backend's block kernel armed; the reference side takes
-    # the generated numpy emitters.  (Both sides are in turn equal to
-    # per-lane expand by the ``leakage.expand_arena`` oracle.)
-    with use_backend(backend):
-        return _run_expand_arena(case)
-
-
-# ----------------------------------------------------------------------
-# Lane selection
-# ----------------------------------------------------------------------
-def _sample_lane_select_case(rng: np.random.Generator) -> Dict[str, Any]:
-    """Random warp states, with duplicate pcs and all-parked corners."""
-    lanes = int(rng.integers(1, 33))
-    # Few distinct pcs => plenty of exact ties for the first-occurrence
-    # tie-breaking the kernel must reproduce.
-    pcs = rng.choice(
-        rng.integers(0, 1 << 16, size=4) & ~np.int64(3), size=lanes
-    ).astype(np.int64)
-    wraps = rng.integers(0, 3, size=lanes).astype(np.int64)
-    if rng.random() < 0.1:
-        alive = np.zeros(lanes, dtype=bool)  # all parked: sentinel path
-    else:
-        alive = rng.random(lanes) < 0.7
-    return {"pcs": pcs, "wraps": wraps, "alive": alive}
-
-
-def _lane_select_result(
-    pc: int, group: Optional[np.ndarray]
-) -> Dict[str, Any]:
-    return {
-        "pc": int(pc),
-        "group": None if group is None else np.asarray(group, dtype=np.int64),
-    }
-
-
-def _lane_select_with_backend(
-    case: Dict[str, Any], backend: str
-) -> Dict[str, Any]:
-    with use_backend(backend):
-        kernel = get_kernel("lane_select")
-        pc, group = kernel(case["pcs"], case["wraps"], case["alive"])
-    return _lane_select_result(pc, group)
-
-
-def _lane_select_reference(case: Dict[str, Any]) -> Dict[str, Any]:
-    # The numpy selection from LaneEngine.run, verbatim.
-    pcs, wraps, alive = case["pcs"], case["wraps"], case["alive"]
-    active = np.nonzero(alive)[0]
-    if active.size == 0:
-        return _lane_select_result(-1, None)
-    key = (wraps << 32) + pcs
-    lead = active[np.argmin(key[active])]
-    pc = int(pcs[lead])
-    return _lane_select_result(pc, active[pcs[active] == pc])
 
 
 # ----------------------------------------------------------------------
@@ -223,17 +150,6 @@ _GROUPS: Tuple[Tuple[str, Tuple[str, ...], str], ...] = (
         "leakage event expansion vs the vectorized numpy emitter",
     ),
     (
-        "expand_arena",
-        ("expand_block",),
-        "fused lane-arena expansion vs the generated per-block numpy "
-        "emitters",
-    ),
-    (
-        "lane_select",
-        ("lane_select",),
-        "warp-scheduling lane selection vs the numpy argmin scan",
-    ),
-    (
         "template",
         ("template_quad",),
         "pooled/per-class Mahalanobis log-likelihood matrices vs "
@@ -269,32 +185,6 @@ def _register_backend_oracles() -> None:
                 )
                 sample = _sample_leakage_case
                 summarize = lambda case: f"{len(case['events'])} events"
-            elif suffix == "expand_arena":
-                fast = (
-                    lambda case, b=backend: _expand_arena_with_backend(
-                        case, b
-                    )
-                )
-                reference = (
-                    lambda case: _expand_arena_with_backend(
-                        case, "reference"
-                    )
-                )
-                sample = _sample_expand_arena_case
-                summarize = (
-                    lambda case: f"{len(case['seeds'])} lanes, "
-                    f"count={case['count']}, q={case['modulus']}"
-                )
-            elif suffix == "lane_select":
-                fast = (
-                    lambda case, b=backend: _lane_select_with_backend(case, b)
-                )
-                reference = _lane_select_reference
-                sample = _sample_lane_select_case
-                summarize = (
-                    lambda case: f"{len(case['pcs'])} lanes, "
-                    f"{int(np.count_nonzero(case['alive']))} alive"
-                )
             else:  # template
                 fast = (
                     lambda case, b=backend: _template_with_backend(case, b)

@@ -1,16 +1,14 @@
 """Cross-engine conformance harness built on the RVFI-style retire log.
 
-All four RV32IM engines (the scalar reference interpreter, the
-threaded-code engine, the compiled-C engine and the lane-vectorized
-engine) emit the same
+All three RV32IM engines (the scalar reference interpreter, the
+threaded-code engine and the compiled-C engine) emit the same
 16-column retire record per committed instruction (see
 :mod:`repro.riscv.retire`).  This module is the single differential
 oracle over those records:
 
-- :func:`run_scalar_engine` / :func:`run_lane_engine_case` execute one
-  case on a named engine and capture the complete comparable state
-  (registers, pc, counters, error string, event columns, retire rows)
-  as an :class:`EngineRun`;
+- :func:`run_scalar_engine` executes one case on a named engine and
+  captures the complete comparable state (registers, pc, counters,
+  error string, event columns, retire rows) as an :class:`EngineRun`;
 - :func:`first_retire_divergence` reports the *first* retire record
   where two runs disagree — retire order, disassembled instruction and
   the exact fields that differ — which is the diagnostic the fuzz
@@ -39,20 +37,15 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.riscv.retire import RETIRE_FIELDS
 
-#: Engines runnable through :func:`run_scalar_engine`.
-SCALAR_ENGINES = ("reference", "threaded", "compiled")
-
-#: Every engine the conformance sweeps know about.
-ALL_ENGINES = ("reference", "threaded", "compiled", "lanes")
+#: Every engine the conformance sweeps know about, all runnable
+#: through :func:`run_scalar_engine`.
+ALL_ENGINES = ("reference", "threaded", "compiled")
 
 #: Every comparable engine pairing the ``cpu.retire_log`` oracle sweeps.
 ENGINE_PAIRS = (
     ("reference", "threaded"),
     ("reference", "compiled"),
     ("threaded", "compiled"),
-    ("reference", "lanes"),
-    ("threaded", "lanes"),
-    ("compiled", "lanes"),
 )
 
 #: Optional engine subset applied by :func:`active_engines`
@@ -152,10 +145,10 @@ def run_scalar_engine(
     from repro.riscv.cpu import Cpu
     from repro.riscv.memory import Memory
 
-    if engine not in SCALAR_ENGINES:
+    if engine not in ALL_ENGINES:
         raise SimulationError(
-            f"unknown scalar engine {engine!r} (choose from "
-            f"{', '.join(SCALAR_ENGINES)})"
+            f"unknown engine {engine!r} (choose from "
+            f"{', '.join(ALL_ENGINES)})"
         )
     memory = Memory(size_bytes=memory_size)
     cpu = Cpu(
@@ -192,59 +185,6 @@ def run_scalar_engine(
         retires=cpu.retires.rows().copy(),
         cpu=cpu,
     )
-
-
-def run_lane_engine_case(
-    words: Sequence[int],
-    register_files: Sequence[Dict[int, int]],
-    *,
-    max_instructions: int = 10_000,
-    memory_size: int = 1 << 16,
-    record_retires: bool = True,
-) -> List[EngineRun]:
-    """Run ``words`` across one lane per register file; one run per lane.
-
-    Per-lane guest faults surface as each run's ``error`` string, never
-    as an exception — matching :func:`run_scalar_engine` so lane runs
-    compare directly against scalar runs of the same register file.
-    """
-    from repro.riscv.lanes import LaneEngine
-
-    code = np.asarray(list(words), dtype=np.uint32)
-    image = np.zeros(memory_size, dtype=np.uint8)
-    image[: 4 * code.size] = code.view(np.uint8)
-    engine = LaneEngine(
-        image,
-        lanes=len(register_files),
-        record_events=True,
-        record_retires=record_retires,
-    )
-    for index in range(1, 32):
-        values = [file.get(index, 0) for file in register_files]
-        if any(values):
-            engine.write_register(index, values)
-    engine.run(max_instructions=max_instructions)
-    runs = []
-    for lane in range(len(register_files)):
-        runs.append(
-            EngineRun(
-                engine="lanes",
-                registers=engine.lane_registers(lane),
-                pc=int(engine.pcs[lane]),
-                cycle_count=int(engine.cycle_counts[lane]),
-                instruction_count=int(engine.instruction_counts[lane]),
-                halted=bool(engine.halted[lane]),
-                error=engine.errors[lane],
-                events=engine.events.lane_rows(lane).T.copy(),
-                retires=(
-                    engine.retire_rows(lane).copy()
-                    if record_retires
-                    else np.zeros((0, 16), dtype=np.int64)
-                ),
-                cpu=engine,
-            )
-        )
-    return runs
 
 
 # ----------------------------------------------------------------------

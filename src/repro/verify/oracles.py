@@ -8,13 +8,8 @@ driven by the same harness:
 - ``riscv.cpu.run`` — threaded-code engine vs the scalar interpreter,
   on randomized RV32IM programs (full machine state + EventLog + error
   parity);
-- ``riscv.cpu.run_lanes`` — lane-vectorized engine vs per-lane threaded
-  runs, on randomized divergent programs (every lane's registers, pc,
-  cycles, events and error string must match bit-for-bit);
 - ``power.leakage.expand`` — vectorized trace synthesis vs the scalar
   expansion (bit-exact float64);
-- ``power.leakage.expand_lanes`` — batched multi-lane expansion vs
-  per-lane :meth:`expand` calls (bit-exact float64 per lane);
 - ``attack.segmentation.moving_average`` — cumulative-sum sliding mean
   vs ``np.convolve`` (input-scaled envelope: both reassociate float
   sums, with error proportional to ``eps * sum(|x|)``);
@@ -313,64 +308,6 @@ def _run_engine(case: Dict[str, Any], threaded: bool) -> Dict[str, Any]:
     }
 
 
-def random_lane_program(rng: np.random.Generator) -> Dict[str, Any]:
-    """One randomized multi-lane case for the lane-engine oracle.
-
-    The same program runs in every lane, but each lane starts from its
-    own register file — so data-dependent branches, loop trip counts,
-    memory faults and budget exhaustion all diverge across lanes, which
-    is exactly the reconvergence/fallback machinery the lane engine
-    must get bit-exact.
-    """
-    case = random_program(rng)
-    lanes = int(rng.integers(2, 9))
-    case["register_files"] = [_random_register_file(rng) for _ in range(lanes)]
-    del case["registers"]
-    return case
-
-
-def _run_lane_engine(case: Dict[str, Any]) -> List[Dict[str, Any]]:
-    from repro.riscv.assembler import assemble
-    from repro.riscv.lanes import LaneEngine
-
-    words = np.asarray(assemble(case["source"]).words, dtype=np.uint32)
-    image = np.zeros(1 << 16, dtype=np.uint8)
-    image[: 4 * words.size] = words.view(np.uint8)
-    files = case["register_files"]
-    engine = LaneEngine(image, lanes=len(files), record_events=True)
-    for index in range(1, 32):
-        values = [file.get(index, 0) for file in files]
-        if any(values):
-            engine.write_register(index, values)
-    engine.run(max_instructions=case["max_instructions"])
-    return [
-        {
-            "registers": engine.lane_registers(lane),
-            "pc": int(engine.pcs[lane]),
-            "cycle_count": int(engine.cycle_counts[lane]),
-            "instruction_count": int(engine.instruction_counts[lane]),
-            "halted": bool(engine.halted[lane]),
-            "error": engine.errors[lane],
-            "events": engine.events.lane_rows(lane).T.copy(),
-        }
-        for lane in range(len(files))
-    ]
-
-
-def _run_lane_reference(case: Dict[str, Any]) -> List[Dict[str, Any]]:
-    return [
-        _run_engine(
-            {
-                "source": case["source"],
-                "registers": file,
-                "max_instructions": case["max_instructions"],
-            },
-            threaded=True,
-        )
-        for file in case["register_files"]
-    ]
-
-
 # ----------------------------------------------------------------------
 # Retire-log conformance (the cross-engine fuzz oracle)
 # ----------------------------------------------------------------------
@@ -400,15 +337,15 @@ def _retire_state(run: Any) -> Dict[str, Any]:
 
 #: ``state`` payload preference when several engines ran (the first
 #: active engine in this order supplies the machine state).
-_RETIRE_STATE_PRIORITY = ("threaded", "compiled", "reference", "lanes")
+_RETIRE_STATE_PRIORITY = ("threaded", "compiled", "reference")
 
 
 def _retire_fast(case: Dict[str, Any]) -> Dict[str, Any]:
     """Run every active engine pair; report per-pair retire divergence.
 
     The pair set comes from :func:`repro.verify.conformance.
-    active_engine_pairs` — all six pairings of reference / threaded /
-    compiled / lanes by default, minus ``compiled`` where no C
+    active_engine_pairs` — all three pairings of reference / threaded /
+    compiled by default, minus ``compiled`` where no C
     toolchain probes, minus anything outside the ``--engines`` filter.
     The payload's ``state`` comes from the first active engine in
     :data:`_RETIRE_STATE_PRIORITY`, so diffing against
@@ -421,30 +358,18 @@ def _retire_fast(case: Dict[str, Any]) -> Dict[str, Any]:
 
     words = assemble(case["source"]).words
     kwargs = {"max_instructions": case["max_instructions"]}
-    engines = conformance.active_engines()
     runs = {
         engine: conformance.run_scalar_engine(
             words, case["registers"], engine=engine, **kwargs
         )
-        for engine in engines
-        if engine in conformance.SCALAR_ENGINES
+        for engine in conformance.active_engines()
     }
     divergence: Dict[str, Optional[str]] = {}
-    if "lanes" in engines:
-        # Two identical lanes: lane parity catches lane-indexed
-        # bookkeeping bugs that a single lane cannot.
-        lanes = conformance.run_lane_engine_case(
-            words, [case["registers"], case["registers"]], **kwargs
-        )
-        runs["lanes"] = lanes[0]
     for left, right in conformance.active_engine_pairs():
         mismatches = conformance.compare_runs(runs[left], runs[right])
         divergence[f"{left}_vs_{right}"] = (
             "; ".join(mismatches) if mismatches else None
         )
-    if "lanes" in engines:
-        mirror = conformance.compare_runs(lanes[0], lanes[1])
-        divergence["lane0_vs_lane1"] = "; ".join(mirror) if mirror else None
     state_engine = next(e for e in _RETIRE_STATE_PRIORITY if e in runs)
     return {"divergence": divergence, "state": _retire_state(runs[state_engine])}
 
@@ -459,13 +384,10 @@ def _retire_reference(case: Dict[str, Any]) -> Dict[str, Any]:
         engine="reference",
         max_instructions=case["max_instructions"],
     )
-    engines = conformance.active_engines()
     divergence: Dict[str, Optional[str]] = {
         f"{left}_vs_{right}": None
         for left, right in conformance.active_engine_pairs()
     }
-    if "lanes" in engines:
-        divergence["lane0_vs_lane1"] = None
     return {"divergence": divergence, "state": _retire_state(run)}
 
 
@@ -503,150 +425,6 @@ def _sample_leakage_case(rng: np.random.Generator) -> Dict[str, Any]:
             baseline=float(rng.uniform(0.0, 10.0)),
         )
     return {"model": model, "events": sample_events(rng)}
-
-
-def _sample_expand_lanes_case(rng: np.random.Generator) -> Dict[str, Any]:
-    case = _sample_leakage_case(rng)
-    del case["events"]
-    lanes = int(rng.integers(1, 7))
-    case["lane_events"] = [sample_events(rng, max_events=40) for _ in range(lanes)]
-    return case
-
-
-def _run_expand_lanes(case: Dict[str, Any]) -> List[Any]:
-    merged: List[Any] = []
-    for events in case["lane_events"]:
-        merged.extend(events)
-    counts = [len(events) for events in case["lane_events"]]
-    return [
-        {"samples": samples, "starts": starts}
-        for samples, starts in case["model"].expand_lanes(merged, counts)
-    ]
-
-
-def _run_expand_per_lane(case: Dict[str, Any]) -> List[Any]:
-    return [
-        dict(zip(("samples", "starts"), case["model"].expand(events)))
-        for events in case["lane_events"]
-    ]
-
-
-#: Bench devices for the arena/capture oracles, one per modulus.  The
-#: device (and its compiled block cache) is deterministic state, so
-#: reusing it across cases only skips recompilation.
-_ORACLE_DEVICES: Dict[int, Any] = {}
-
-
-def _oracle_device(modulus: int):
-    if modulus not in _ORACLE_DEVICES:
-        from repro.riscv.device import GaussianSamplerDevice
-
-        _ORACLE_DEVICES[modulus] = GaussianSamplerDevice([modulus])
-    return _ORACLE_DEVICES[modulus]
-
-
-def _sample_expand_arena_case(rng: np.random.Generator) -> Dict[str, Any]:
-    case = _sample_leakage_case(rng)
-    del case["events"]
-    case["modulus"] = int(rng.choice([PAPER_Q, 0xFFC4001]))
-    case["seeds"] = [
-        int(s) for s in rng.integers(1, 1 << 31, size=int(rng.integers(1, 9)))
-    ]
-    case["count"] = int(rng.integers(1, 4))
-    return case
-
-
-def _arena_batch(case: Dict[str, Any]):
-    return _oracle_device(case["modulus"]).run_lanes(
-        case["seeds"], case["count"], events_per_lane=False
-    )
-
-
-def _run_expand_arena(case: Dict[str, Any]) -> List[Any]:
-    batch = _arena_batch(case)
-    flat, bounds, starts = case["model"].expand_arena(
-        batch.events, [run.cycle_count for run in batch.runs]
-    )
-    return [
-        {
-            "samples": flat[int(bounds[lane]) : int(bounds[lane + 1])],
-            "starts": starts[lane],
-        }
-        for lane in range(len(case["seeds"]))
-    ]
-
-
-def _run_expand_arena_reference(case: Dict[str, Any]) -> List[Any]:
-    batch = _arena_batch(case)
-    return [
-        dict(
-            zip(
-                ("samples", "starts"),
-                case["model"].expand(batch.events.lane_log(lane)),
-            )
-        )
-        for lane in range(len(case["seeds"]))
-    ]
-
-
-def _sample_fused_capture_case(rng: np.random.Generator) -> Dict[str, Any]:
-    from repro.power.scope import Oscilloscope
-
-    case = _sample_expand_arena_case(rng)
-    case["scope"] = Oscilloscope(
-        noise_std=float(rng.uniform(0.0, 2.0)),
-        gain=float(rng.choice([1.0, 1.0, 0.75, 1.5])),
-        bandwidth_window=int(rng.choice([1, 1, 3])),
-        adc_bits=None if rng.random() < 0.7 else int(rng.integers(6, 13)),
-    )
-    case["entropy"] = int(rng.integers(0, 1 << 63))
-    return case
-
-
-def _captures_as_dicts(captures) -> List[Dict[str, Any]]:
-    return [
-        {
-            "samples": c.trace.samples,
-            "starts": c.event_starts,
-            "values": c.values,
-            "cycles": c.cycle_count,
-        }
-        for c in captures
-    ]
-
-
-def _run_fused_capture(case: Dict[str, Any]) -> List[Dict[str, Any]]:
-    from repro.power.capture import _capture_lane_chunk
-
-    return _captures_as_dicts(
-        _capture_lane_chunk(
-            _oracle_device(case["modulus"]),
-            case["model"],
-            case["scope"],
-            case["seeds"],
-            case["count"],
-            case["entropy"],
-        )
-    )
-
-
-def _run_threaded_capture(case: Dict[str, Any]) -> List[Dict[str, Any]]:
-    from repro.power.capture import _capture_one
-
-    device = _oracle_device(case["modulus"])
-    return _captures_as_dicts(
-        [
-            _capture_one(
-                device,
-                case["model"],
-                case["scope"],
-                seed,
-                case["count"],
-                case["entropy"],
-            )
-            for seed in case["seeds"]
-        ]
-    )
 
 
 def _sample_noise_v2_case(rng: np.random.Generator) -> Dict[str, Any]:
@@ -1018,7 +796,7 @@ def _run_orchestrated_case(case: Dict[str, Any]) -> Dict[str, Any]:
             first_seed=case["first_seed"],
             workers=case["workers"],
             grain=case["grain"],
-            engine="lanes",
+            engine="compiled",
         )
         return _campaign_payload(report)
     # Interrupted flavour: cancel an in-flight checkpointed job at an
@@ -1027,7 +805,7 @@ def _run_orchestrated_case(case: Dict[str, Any]) -> Dict[str, Any]:
     # "after completion", which exercises the pure checkpoint reload).
     with tempfile.TemporaryDirectory() as tmp:
         with Orchestrator(
-            attack, workers=case["workers"], grain=case["grain"], engine="lanes"
+            attack, workers=case["workers"], grain=case["grain"], engine="compiled"
         ) as orchestrator:
             job = orchestrator.submit(
                 case["trace_count"],
@@ -1049,7 +827,7 @@ def _run_orchestrated_case(case: Dict[str, Any]) -> Dict[str, Any]:
             first_seed=case["first_seed"],
             workers=case["workers"],
             grain=case["grain"],
-            engine="lanes",
+            engine="compiled",
             campaign_dir=tmp,
             resume=True,
             shard_size=max(4, case["grain"]),
@@ -1091,32 +869,15 @@ register(
 register(
     Oracle(
         name="cpu.retire_log",
-        description="RVFI-style retire streams across all four engines "
-        "(reference vs threaded vs compiled vs lanes, plus mirrored-lane "
-        "parity; honors the fuzz --engines filter)",
+        description="RVFI-style retire streams across all three engines "
+        "(reference vs threaded vs compiled; honors the fuzz --engines "
+        "filter)",
         sample=sample_retire_case,
         fast=_retire_fast,
         reference=_retire_reference,
         fuzzable=True,
         summarize=lambda case: (
             f"kind={case.get('kind', 'random')}, "
-            f"{len(case['source'].splitlines())} source lines, "
-            f"budget {case['max_instructions']}"
-        ),
-    )
-)
-
-register(
-    Oracle(
-        name="cpu.run_lanes",
-        description="lane-vectorized RV32IM engine vs per-lane threaded "
-        "runs (registers, pc, cycles, events, faults for every lane)",
-        sample=random_lane_program,
-        fast=_run_lane_engine,
-        reference=_run_lane_reference,
-        fuzzable=True,
-        summarize=lambda case: (
-            f"{len(case['register_files'])} lanes, "
             f"{len(case['source'].splitlines())} source lines, "
             f"budget {case['max_instructions']}"
         ),
@@ -1132,21 +893,6 @@ register(
         fast=lambda case: case["model"].expand(case["events"]),
         reference=lambda case: case["model"].expand_reference(case["events"]),
         summarize=lambda case: f"{len(case['events'])} events",
-    )
-)
-
-register(
-    Oracle(
-        name="leakage.expand_lanes",
-        description="batched multi-lane leakage expansion vs per-lane "
-        "expand calls (bit-exact float64 per lane)",
-        sample=_sample_expand_lanes_case,
-        fast=_run_expand_lanes,
-        reference=_run_expand_per_lane,
-        summarize=lambda case: (
-            f"{len(case['lane_events'])} lanes, "
-            f"{sum(len(e) for e in case['lane_events'])} events"
-        ),
     )
 )
 
@@ -1327,44 +1073,8 @@ register(
     )
 )
 
-register(
-    Oracle(
-        name="leakage.expand_arena",
-        description="fused deferred-record arena expansion (compiled "
-        "per-block emitters) vs per-lane materialize-then-expand on real "
-        "kernel batches (bit-exact)",
-        sample=_sample_expand_arena_case,
-        fast=_run_expand_arena,
-        reference=_run_expand_arena_reference,
-        summarize=lambda case: (
-            f"{len(case['seeds'])} lanes x count={case['count']}, "
-            f"q={case['modulus']}"
-        ),
-    )
-)
-
-register(
-    Oracle(
-        name="capture.fused",
-        description="fused lane-major capture (expand_arena + batched "
-        "scope chain) vs the per-trace threaded capture path, same "
-        "keyed noise streams (bit-exact)",
-        sample=_sample_fused_capture_case,
-        fast=_run_fused_capture,
-        reference=_run_threaded_capture,
-        summarize=lambda case: (
-            f"{len(case['seeds'])} lanes x count={case['count']}, "
-            f"noise_std={case['scope'].noise_std:.2f}, "
-            f"gain={case['scope'].gain}, "
-            f"window={case['scope'].bandwidth_window}, "
-            f"adc_bits={case['scope'].adc_bits}"
-        ),
-    )
-)
-
-# Per-backend kernel oracles (backend.native.*, backend.numba.*): one
-# oracle per (available backend, kernel group), probing the compute
-# backends on import.  Registered last so the module can reuse the
-# samplers above; a host with neither C compiler nor numba registers
-# nothing extra.
+# Per-backend kernel oracles (backend.native.*): one oracle per
+# (available backend, kernel group), probing the compute backends on
+# import.  Registered last so the module can reuse the samplers above;
+# a host without a C compiler registers nothing extra.
 from repro.verify import backend_oracles as _backend_oracles  # noqa: E402,F401

@@ -93,19 +93,6 @@ class TestProtocolErrors:
             SliceArena()
 
 
-class TestScratch:
-    def test_scratch_spans_payload(self, arena):
-        view = arena.scratch(1)
-        assert view.dtype == np.float64
-        assert view.size == 4096 // 8
-
-    def test_scratch_aliases_shared_memory(self, arena):
-        arena.scratch(1)[:4] = [1.0, 2.0, 3.0, 4.0]
-        np.testing.assert_array_equal(
-            arena.scratch(1)[:4], [1.0, 2.0, 3.0, 4.0]
-        )
-
-
 def _child_writer(name, slot, result_queue):
     arena = SliceArena(name=name)
     try:

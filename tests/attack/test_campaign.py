@@ -12,7 +12,7 @@ from repro.attack.pipeline import SingleTraceAttack
 from repro.errors import AttackError
 from repro.power.capture import TraceAcquisition
 from repro.power.scope import Oscilloscope
-from repro.riscv.device import GaussianSamplerDevice
+from repro.riscv.device import GaussianSamplerDevice, effective_engine
 
 PAPER_Q = 132120577
 
@@ -76,30 +76,31 @@ class TestRunCampaign:
         stats = result.hint_statistics()
         assert 0.0 <= stats["perfect_fraction"] <= 1.0
 
-    def test_lanes_bit_identical_to_threaded(self, profiled_attack):
+    def test_compiled_bit_identical_to_threaded(self, profiled_attack):
         threaded = run_campaign(
             profiled_attack, trace_count=10, coeffs_per_trace=4, first_seed=1
         )
-        lanes = run_campaign(
+        compiled = run_campaign(
             profiled_attack, trace_count=10, coeffs_per_trace=4, first_seed=1,
-            engine="lanes", lanes=4,
+            engine="compiled",
         )
-        assert lanes.engine == "lanes" and threaded.engine == "threaded"
-        assert [o[:3] for o in threaded.outcomes] == [o[:3] for o in lanes.outcomes]
-        for a, b in zip(threaded.outcomes, lanes.outcomes):
+        assert threaded.engine == "threaded"
+        assert compiled.engine == effective_engine("compiled")
+        assert [o[:3] for o in threaded.outcomes] == [o[:3] for o in compiled.outcomes]
+        for a, b in zip(threaded.outcomes, compiled.outcomes):
             assert a[3] == b[3]
-        assert threaded.sign_accuracy == lanes.sign_accuracy
-        assert threaded.value_accuracy == lanes.value_accuracy
-        assert "lanes engine" in lanes.format_timings()
+        assert threaded.sign_accuracy == compiled.sign_accuracy
+        assert threaded.value_accuracy == compiled.value_accuracy
+        assert f"{compiled.engine} engine" in compiled.format_timings()
 
-    def test_lanes_pool_bit_identical_to_lanes_serial(self, profiled_attack):
+    def test_compiled_pool_bit_identical_to_compiled_serial(self, profiled_attack):
         serial = run_campaign(
             profiled_attack, trace_count=8, coeffs_per_trace=3, first_seed=1,
-            engine="lanes", lanes=2,
+            engine="compiled",
         )
         pooled = run_campaign(
             profiled_attack, trace_count=8, coeffs_per_trace=3, first_seed=1,
-            engine="lanes", lanes=2, workers=2,
+            engine="compiled", workers=2,
         )
         assert pooled.workers == 2
         assert [o[:3] for o in serial.outcomes] == [o[:3] for o in pooled.outcomes]

@@ -154,8 +154,7 @@ class TestMessagePickleBudget:
             entropy=2**63 - 1,
             grain=64,
             min_steal=8,
-            engine="lanes",
-            lanes=64,
+            engine="compiled",
             n_labels=83,
             backend="numpy-kernels",
         ),

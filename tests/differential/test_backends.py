@@ -2,8 +2,7 @@
 
 One parametrized sweep: every kernel-group oracle of every backend that
 probes available on this host (``backend.native.*`` wherever a C
-compiler exists, ``backend.numba.*`` on the CI job that installs
-numba), each driven over a deterministic quick-tier seed range (deep
+compiler exists), each driven over a deterministic quick-tier seed range (deep
 tier widens it).  The oracles themselves pin the comparison contract —
 bit-exact for the integer/mirrored-float kernels, declared tolerance
 for the template quadratic form — so this file only has to drive them
@@ -56,10 +55,6 @@ def test_every_available_backend_has_full_oracle_coverage():
             expected.add("ntt")
         if "expand_events" in exactness:
             expected.add("expand")
-        if "expand_block" in exactness:
-            expected.add("expand_arena")
-        if "lane_select" in exactness:
-            expected.add("lane_select")
         if "template_quad" in exactness:
             expected.add("template")
         assert registered == expected

@@ -2,7 +2,7 @@
 
 Every committed instruction must produce the identical 16-field retire
 record on the scalar interpreter, the threaded-code engine and the
-lane-vectorized engine — including the terminal trap record on faults,
+compiled-C engine — including the terminal trap record on faults,
 the *absence* of one on budget exhaustion, and the exact instruction
 word retired at a self-modified pc.  The ``cpu.retire_log`` oracle runs
 all three engines per case; Hypothesis shrinks random programs, the
@@ -20,7 +20,6 @@ from repro.verify.conformance import (
     assert_engines_match,
     compare_runs,
     first_retire_divergence,
-    run_lane_engine_case,
     run_scalar_engine,
 )
 from repro.verify.oracles import get_oracle
@@ -54,13 +53,8 @@ def _all_engines(source, registers=None, max_instructions=10_000):
         run_scalar_engine(
             words, registers, engine=engine, max_instructions=max_instructions
         )
-        for engine in ("reference", "threaded")
+        for engine in ("reference", "threaded", "compiled")
     ]
-    runs.append(
-        run_lane_engine_case(
-            words, [registers or {}], max_instructions=max_instructions
-        )[0]
-    )
     for left in runs:
         for right in runs:
             if left is not right:
@@ -110,30 +104,6 @@ def test_smc_patch_ahead_retires_patched_word():
     assert run.registers[4] == 77
 
 
-def test_divergent_lanes_each_match_their_solo_run():
-    source = (
-        "loop:\naddi x1, x1, -1\nadd x3, x3, x1\nbnez x1, loop\nebreak"
-    )
-    files = [{1: 3}, {1: 17}, {1: 1}, {1: 60}]
-    words = assemble(source).words
-    lanes = run_lane_engine_case(words, files)
-    for file, lane_run in zip(files, lanes):
-        solo = run_scalar_engine(words, file, engine="reference")
-        assert_engines_match(solo, lane_run)
-
-
-def test_per_lane_faults_keep_retire_streams_isolated():
-    source = "sw x2, 0(x1)\nadd x3, x1, x2\nebreak"
-    files = [{1: 0x8000, 2: 7}, {1: 0x200000, 2: 7}, {1: 0x8001, 2: 7}]
-    words = assemble(source).words
-    lanes = run_lane_engine_case(words, files)
-    assert lanes[0].error is None and lanes[0].retires.shape[0] == 3
-    for lane in (1, 2):
-        solo = run_scalar_engine(words, files[lane], engine="threaded")
-        assert_engines_match(solo, lanes[lane])
-        assert lanes[lane].retires[-1, 10] == 1
-
-
 def test_divergence_report_is_structural():
     words = assemble("addi x1, x0, 7\nebreak").words
     a = run_scalar_engine(words, engine="reference")
@@ -154,7 +124,7 @@ def test_oracle_reports_every_engine_pair():
     payload = ORACLE.fast(
         {"source": "addi x1, x0, 3\nebreak", "registers": {}, "max_instructions": 100}
     )
-    expected = {f"{a}_vs_{b}" for a, b in ENGINE_PAIRS} | {"lane0_vs_lane1"}
+    expected = {f"{a}_vs_{b}" for a, b in ENGINE_PAIRS}
     assert set(payload["divergence"]) == expected
     assert all(value is None for value in payload["divergence"].values())
     assert payload["state"]["retire_count"] == 2

@@ -1,11 +1,9 @@
-"""Noise stream v2: counter-based keying and the fused capture contract.
+"""Noise stream v2: counter-based keying and the batch capture contract.
 
 The stream-v2 migration replaced the per-trace sequential generator
-with counter-based Philox streams keyed by ``(batch entropy, seed)``,
-which is what lets the fused lane-major pipeline noise a whole batch in
-one pass.  These tests pin the guarantees the rest of the bench builds
-on: bit-identical output across engines, worker counts, lane widths and
-capture order; addressable offsets (mid-stream re-entry equals the
+with counter-based Philox streams keyed by ``(batch entropy, seed)``.
+These tests pin the guarantees the rest of the bench builds on:
+bit-identical output across engines, worker counts and capture order; addressable offsets (mid-stream re-entry equals the
 one-shot draw, including across block boundaries); and the explicit
 refusal to derive a batch entropy from caller-owned generator state.
 """
@@ -95,22 +93,22 @@ class TestStreamAddressing:
         assert abs(float(x.var()) - 1.0) < 0.02
 
 
-class TestFusedCaptureDeterminism:
+class TestCaptureDeterminism:
     def test_worker_count_invariant(self, device):
-        serial = make_bench(device, engine="lanes").capture_batch(
+        serial = make_bench(device, engine="compiled").capture_batch(
             12, coeffs_per_trace=2, first_seed=50
         )
-        pooled = make_bench(device, engine="lanes", lanes=4).capture_batch(
+        pooled = make_bench(device, engine="compiled").capture_batch(
             12, coeffs_per_trace=2, first_seed=50, workers=3
         )
         assert_batches_identical(serial, pooled)
 
-    def test_lane_width_invariant(self, device):
+    def test_engine_invariant(self, device):
         batches = [
-            make_bench(device, engine="lanes", lanes=width).capture_batch(
+            make_bench(device, engine=engine).capture_batch(
                 9, coeffs_per_trace=1, first_seed=200
             )
-            for width in (1, 4, 9, 16)
+            for engine in ("threaded", "compiled", "reference")
         ]
         for other in batches[1:]:
             assert_batches_identical(batches[0], other)
@@ -118,24 +116,24 @@ class TestFusedCaptureDeterminism:
     def test_capture_order_invariant(self, device):
         # Seed 105 captured alone, in a later chunk, or mid-batch must
         # carry the same noise: the stream is keyed, not positional.
-        wide = make_bench(device, engine="lanes").capture_batch(
+        wide = make_bench(device, engine="compiled").capture_batch(
             8, first_seed=100
         )
-        alone = make_bench(device, engine="lanes").capture_batch(
+        alone = make_bench(device, engine="compiled").capture_batch(
             1, first_seed=105
         )
         np.testing.assert_array_equal(
             wide[5].trace.samples, alone[0].trace.samples
         )
 
-    def test_fused_matches_threaded(self, device):
-        fused = make_bench(device, engine="lanes").capture_batch(
+    def test_compiled_matches_threaded(self, device):
+        compiled = make_bench(device, engine="compiled").capture_batch(
             6, coeffs_per_trace=2, first_seed=31
         )
         threaded = make_bench(device, engine="threaded").capture_batch(
             6, coeffs_per_trace=2, first_seed=31
         )
-        assert_batches_identical(fused, threaded)
+        assert_batches_identical(compiled, threaded)
 
 
 class TestBatchEntropyContract:
@@ -160,7 +158,7 @@ class TestBatchEntropyContract:
 class TestReferencePath:
     def test_reference_preserves_ground_truth(self, device):
         v1 = make_bench(device).capture_reference(3, coeffs_per_trace=2)
-        v2 = make_bench(device, engine="lanes").capture_batch(
+        v2 = make_bench(device, engine="compiled").capture_batch(
             3, coeffs_per_trace=2
         )
         for a, b in zip(v1, v2):

@@ -1,7 +1,7 @@
 """Property-based checks of the counter-based noise stream keying.
 
 The ``(entropy, seed, offset)`` addressing of :mod:`repro.power.noise`
-is what makes the fused capture pipeline order-free: any consumer may
+is what makes batch capture order-free: any consumer may
 draw any contiguous span of any trace's stream, in any order, and the
 result must match the one-shot draw bit for bit.  Hypothesis sweeps the
 keying space — arbitrary split points (including block boundaries),

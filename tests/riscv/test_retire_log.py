@@ -17,7 +17,6 @@ from repro.errors import SimulationError
 from repro.riscv.assembler import assemble
 from repro.riscv.cpu import Cpu
 from repro.riscv.device import GaussianSamplerDevice
-from repro.riscv.lanes import LaneEngine
 from repro.riscv.memory import Memory
 from repro.riscv.retire import (
     RETIRE_FIELDS,
@@ -259,24 +258,13 @@ def test_record_retires_defaults_off_everywhere():
     assert Cpu(Memory()).record_retires is False
     device = GaussianSamplerDevice(MODULI)
     assert device.run(3, count=1).retires is None
-    assert device.run_lanes([3], count=1).runs[0].retires is None
+    assert device.run(3, count=1, engine="compiled").retires is None
     assert device.last_retires is None
-    engine = LaneEngine(np.zeros(64, dtype=np.uint8), lanes=1)
-    assert engine.record_retires is False
-    with pytest.raises(SimulationError, match="record_retires"):
-        engine.retire_rows(0)
 
 
 def test_record_retires_requires_events():
     with pytest.raises(SimulationError, match="requires record_events"):
         Cpu(Memory(), record_events=False, record_retires=True)
-    with pytest.raises(SimulationError, match="requires record_events"):
-        LaneEngine(
-            np.zeros(64, dtype=np.uint8),
-            lanes=1,
-            record_events=False,
-            record_retires=True,
-        )
     cpu = Cpu(Memory())
     with pytest.raises(SimulationError, match="requires record_events"):
         cpu.record_events = False
@@ -308,10 +296,10 @@ def test_run_matches_reference_retires_on_device_kernel():
     device = GaussianSamplerDevice(MODULI)
     threaded = device.run(9, count=2, record_retires=True)
     reference = device.run(9, count=2, engine="reference", record_retires=True)
-    lanes = device.run(9, count=2, engine="lanes", record_retires=True)
+    compiled = device.run(9, count=2, engine="compiled", record_retires=True)
     assert threaded.retires == reference.retires
-    assert lanes.retires == reference.retires
-    assert device.last_retires == [lanes.retires]
+    assert compiled.retires == reference.retires
+    assert device.last_retires == [compiled.retires]
 
 
 def test_field_names_are_rvfi_order():
@@ -330,7 +318,7 @@ def test_device_pickle_unchanged_by_retire_runs():
     fresh = len(pickle.dumps(GaussianSamplerDevice(MODULI)))
     device = GaussianSamplerDevice(MODULI)
     device.run(5, count=2, record_retires=True)
-    device.run_lanes([5, 6], count=2, record_retires=True)
+    device.run(6, count=2, engine="compiled", record_retires=True)
     assert device.last_retires and all(
         len(log) > 0 for log in device.last_retires
     )

@@ -126,30 +126,6 @@ def rv32im_programs(draw):
     }
 
 
-@st.composite
-def lane_programs(draw):
-    """A case payload for the ``cpu.run_lanes`` oracle.
-
-    One shrinking ``rv32im_programs`` source shared by 2–6 lanes whose
-    register files differ, so data-dependent branches and faults
-    diverge across lanes and the counterexample shrinks toward the one
-    divergent opcode that breaks lock-step parity.
-    """
-    case = draw(rv32im_programs())
-    register_files = draw(
-        st.lists(
-            st.dictionaries(st.integers(1, 15), word32, max_size=15),
-            min_size=2,
-            max_size=6,
-        )
-    )
-    return {
-        "source": case["source"],
-        "register_files": register_files,
-        "max_instructions": case["max_instructions"],
-    }
-
-
 # ----------------------------------------------------------------------
 # Leakage / traces
 # ----------------------------------------------------------------------

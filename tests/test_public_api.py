@@ -100,7 +100,6 @@ SUBMODULES = [
     "repro.riscv.device",
     "repro.riscv.disasm",
     "repro.riscv.isa",
-    "repro.riscv.lanes",
     "repro.riscv.memory",
     "repro.riscv.threaded",
     "repro.riscv.programs.gaussian",

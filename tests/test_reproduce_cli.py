@@ -3,6 +3,7 @@
 import pytest
 
 from repro.reproduce import main, run_table3, run_table4
+from repro.riscv.device import effective_engine
 
 
 class TestCli:
@@ -37,14 +38,16 @@ class TestCli:
         assert "threaded engine" in out
 
     def test_table1_engine_flag(self, capsys):
-        main(["table1", "--traces", "8", "--engine", "lanes"])
+        main(["table1", "--traces", "8", "--engine", "compiled"])
         out = capsys.readouterr().out
         assert "Table I" in out
-        assert "lanes engine" in out
+        assert f"{effective_engine('compiled')} engine" in out
 
     def test_rejects_unknown_engine(self):
         with pytest.raises(SystemExit):
             main(["table1", "--engine", "warp"])
+        with pytest.raises(SystemExit):
+            main(["table1", "--engine", "lanes"])
 
     def test_rejects_unknown_backend(self):
         with pytest.raises(SystemExit):
