@@ -5,9 +5,9 @@ Measures the three layers the campaign engine accelerates:
 - **profiling**: the materialized capture-everything reference
   (``SingleTraceAttack.profile_reference``) vs the one-pass streaming
   path (``profile``), serial and with worker-side segmentation;
-- **attack campaign**: the legacy per-trace serial evaluator
-  (``repro.attack.evaluation.run_campaign``) vs the campaign engine
-  (``repro.attack.campaign.run_campaign``), serial and pooled;
+- **attack campaign**: the campaign engine
+  (``repro.attack.campaign.run_campaign``), serial and on the
+  orchestrator's worker pool;
 - the campaign engine's per-stage timing counters.
 
 Worker numbers depend on core count; on a 1-vCPU container the pool
@@ -30,7 +30,6 @@ import sys
 import time
 from typing import Dict, Optional
 
-from repro.attack import evaluation
 from repro.attack.campaign import run_campaign
 from repro.attack.pipeline import SingleTraceAttack
 from repro.power.capture import TraceAcquisition
@@ -85,16 +84,7 @@ def bench_profiling(traces: int, coeffs: int, workers: Optional[int]) -> Dict:
 def bench_campaign(
     attack: SingleTraceAttack, traces: int, coeffs: int, workers: Optional[int]
 ) -> Dict:
-    coefficients = traces * coeffs
     results: Dict = {"traces": traces, "coeffs_per_trace": coeffs}
-
-    start = time.perf_counter()
-    evaluation.run_campaign(
-        attack, trace_count=traces, coeffs_per_trace=coeffs, first_seed=1
-    )
-    legacy_s = time.perf_counter() - start
-    results["legacy_serial_s"] = round(legacy_s, 3)
-    results["legacy_serial_coeffs_per_s"] = round(coefficients / legacy_s, 1)
 
     report = run_campaign(
         attack, trace_count=traces, coeffs_per_trace=coeffs, first_seed=1
@@ -106,7 +96,6 @@ def bench_campaign(
     results["engine_stage_s"] = {
         k: round(v, 3) for k, v in report.timings.items()
     }
-    results["engine_speedup_vs_legacy"] = round(legacy_s / report.wall_seconds, 2)
 
     if workers:
         pooled = run_campaign(
@@ -177,11 +166,8 @@ def main(argv=None) -> int:
               f"({profiling[key + '_slices_per_s']:,.0f} slices/s)")
 
     print(f"Campaign ({args.attack_traces} traces x {args.coeffs} coefficients):")
-    print(f"  legacy serial evaluator  {campaign['legacy_serial_s']:>8.3f} s  "
-          f"({campaign['legacy_serial_coeffs_per_s']:,.0f} coeffs/s)")
     print(f"  campaign engine, serial  {campaign['engine_serial_s']:>8.3f} s  "
-          f"({campaign['engine_serial_coeffs_per_s']:,.0f} coeffs/s, "
-          f"{campaign['engine_speedup_vs_legacy']:.2f}x)")
+          f"({campaign['engine_serial_coeffs_per_s']:,.0f} coeffs/s)")
     stages = "  ".join(
         f"{k} {v:.2f}s" for k, v in campaign["engine_stage_s"].items()
     )

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import scaled
-from repro.attack.evaluation import run_campaign
+from repro.attack.campaign import run_campaign
 from repro.attack.pipeline import SingleTraceAttack
 from repro.hints.estimator import beta_for_dbdd, bikz_to_bits
 from repro.hints.security import higher_security_parameters, make_dbdd

@@ -20,24 +20,24 @@ Stages, in order:
    (Table I).
 
 Supporting tools: :mod:`repro.attack.search` (best-first exploration of
-the remaining space), :mod:`repro.attack.evaluation` (serial
-attack-campaign orchestration), :mod:`repro.attack.campaign` (the
-parallel campaign engine with streaming statistics and a profile
-cache), :mod:`repro.attack.orchestrator` (the shared-memory
-work-stealing campaign service with checkpoint/resume, backed by
-:mod:`repro.attack.arena` and :mod:`repro.attack.checkpoint`),
-:mod:`repro.attack.profile_store` (multi-tenant LRU profile store),
+the remaining space), :mod:`repro.attack.campaign` (the campaign entry
+point :func:`run_campaign`, its one aggregation fold and a profile
+cache), :mod:`repro.attack.orchestrator` (the parallel campaign
+executor: futures on a warm process pool, with checkpoint/resume
+through :mod:`repro.attack.checkpoint`), :mod:`repro.attack.evaluation`
+(hint statistics and bikz estimates from a campaign's probability
+tables), :mod:`repro.attack.profile_store` (multi-tenant LRU profile store),
 :mod:`repro.attack.cpa` (unprofiled correlation analysis) and
 :mod:`repro.attack.persistence` (profile once, attack later).
 """
 
-from repro.attack.arena import SliceArena
 from repro.attack.branch import BranchClassifier
 from repro.attack.campaign import (
     CampaignReport,
     aggregate_outcomes,
     profile_cache_key,
     profiled_attack_cached,
+    run_campaign,
 )
 from repro.attack.checkpoint import CampaignCheckpoint, campaign_fingerprint
 from repro.attack.orchestrator import (
@@ -48,7 +48,6 @@ from repro.attack.orchestrator import (
 )
 from repro.attack.profile_store import ProfileEntry, ProfileStore
 from repro.attack.cpa import correlation_trace, locate_value_leakage
-from repro.attack.evaluation import CampaignResult, run_campaign
 from repro.attack.metrics import ConfusionMatrix
 from repro.attack.persistence import load_attack, save_attack
 from repro.attack.pipeline import AttackResult, SingleTraceAttack
@@ -70,12 +69,10 @@ __all__ = [
     "CampaignJob",
     "CampaignProgress",
     "CampaignReport",
-    "CampaignResult",
     "ConfusionMatrix",
     "Orchestrator",
     "ProfileEntry",
     "ProfileStore",
-    "SliceArena",
     "aggregate_outcomes",
     "campaign_fingerprint",
     "run_orchestrated",

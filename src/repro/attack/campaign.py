@@ -1,21 +1,22 @@
-"""Campaign-scale parallel end-to-end attack evaluation.
+"""Campaign-scale end-to-end attack evaluation.
 
 The paper profiles with 220,000 device executions and evaluates on tens
-of thousands of attack traces; :mod:`repro.attack.evaluation` runs that
-loop serially in the parent process.  This module is the throughput
-path:
+of thousands of attack traces.  This module is the campaign entry
+point:
 
-- :func:`run_campaign` fans ``capture -> segment -> classify -> score``
-  for N victim seeds across a process pool.  Every worker does the
-  whole chain locally and ships back only per-coefficient outcomes (a
-  few hundred bytes per trace).  Every trace's measurement noise is a
-  pure function of ``(batch entropy, seed)`` under the counter-based
-  stream of :mod:`repro.power.noise` — so the report is **identical**
-  for any worker count, engine or pool scheduling order.
-- :class:`CampaignReport` aggregates accuracies, the confusion matrix,
-  the probability tables (the LWE-with-hints input) and **per-stage
-  wall-time counters**, the honest end-to-end throughput trajectory
-  BENCH_core.json tracks.
+- :func:`run_campaign` runs ``capture -> segment -> classify -> score``
+  for N victim seeds: in-process when serial, and on the warm worker
+  pool of :mod:`repro.attack.orchestrator` for ``workers > 1``.  Every
+  trace's measurement noise is a pure function of ``(batch entropy,
+  seed)`` under the counter-based stream of :mod:`repro.power.noise` —
+  so the report is **identical** for any worker count, engine or
+  completion order.
+- :func:`aggregate_outcomes` is the one fold from per-seed outcomes to
+  a :class:`CampaignReport`: accuracies, the confusion matrix, the
+  probability tables (the LWE-with-hints input, with
+  :meth:`~CampaignReport.hint_statistics` and
+  :meth:`~CampaignReport.estimate_bikz` on top) and **per-stage
+  wall-time counters**.
 - :func:`profiled_attack_cached` keys a profiled attack archive
   (:mod:`repro.attack.persistence`) by a hash of the full attack +
   profiling + bench configuration, so a campaign profiles once per
@@ -29,16 +30,15 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.attack import evaluation
 from repro.attack.branch import sign_of
 from repro.backends import backend_id
-from repro.attack.evaluation import CampaignResult
 from repro.attack.metrics import ConfusionMatrix
 from repro.attack.pipeline import ProfilingReport, SingleTraceAttack
 from repro.errors import AttackError
@@ -88,10 +88,10 @@ class CampaignReport:
     #: are comparable but not necessarily bit-identical when a
     #: non-exact kernel (template matching) was armed.
     backend: str = "reference"
-    #: Orchestrated runs attach their data-plane counters here (grain
-    #: size, steals, checkpoint shards written, arena bytes, worker
-    #: deaths survived) — :meth:`format_timings` shows them.  ``None``
-    #: for plain :func:`run_campaign` reports.  Deliberately excluded
+    #: Orchestrated runs attach their executor counters here (grain
+    #: size, grains folded, checkpoint shards written, worker deaths
+    #: survived) — :meth:`format_timings` shows them.  ``None`` for
+    #: serial :func:`run_campaign` reports.  Deliberately excluded
     #: from the determinism contract: the *outcomes* are bit-identical
     #: across schedules, the schedule itself is not.
     orchestrator: Optional[Dict[str, int]] = None
@@ -105,16 +105,14 @@ class CampaignReport:
     def probability_tables(self) -> List[Dict[int, float]]:
         return [table for _, _, _, table in self.outcomes]
 
-    def to_result(self) -> CampaignResult:
-        """The legacy :class:`~repro.attack.evaluation.CampaignResult`
-        view (hint statistics, bikz estimation)."""
-        return CampaignResult(
-            confusion=self.confusion,
-            sign_accuracy=self.sign_accuracy,
-            value_accuracy=self.value_accuracy,
-            coefficients_attacked=self.coefficients_attacked,
-            probability_tables=self.probability_tables,
-        )
+    def hint_statistics(self) -> Dict[str, float]:
+        """Perfect-hint fraction and mean posterior variance."""
+        return evaluation.hint_statistics(self.probability_tables)
+
+    def estimate_bikz(self, params=None) -> float:
+        """bikz of the SEAL-128 primal attack given this campaign's
+        hints (see :func:`repro.attack.evaluation.estimate_bikz`)."""
+        return evaluation.estimate_bikz(self.probability_tables, params)
 
     def format_timings(self) -> str:
         """Per-stage timing table (summed worker seconds + wall clock)."""
@@ -138,9 +136,7 @@ class CampaignReport:
                 f"grain={meta.get('grain', 0)} "
                 f"shard_size={meta.get('shard_size', 0)} "
                 f"grains={meta.get('grains', 0)} "
-                f"steals={meta.get('steals', 0)} "
                 f"checkpoints={meta.get('checkpoints', 0)} "
-                f"arena={meta.get('arena_bytes', 0) / 1e6:.1f} MB "
                 f"worker_deaths={meta.get('workers_died', 0)}"
             )
         return "\n".join(lines)
@@ -228,23 +224,6 @@ def _attack_captured(
     return outcome
 
 
-# Worker-process state: the profiled attack is shipped once via the
-# pool initializer instead of being pickled into every task.
-_CAMPAIGN_STATE: dict = {}
-
-
-def _campaign_init(attack: SingleTraceAttack, entropy: int) -> None:
-    _CAMPAIGN_STATE["attack"] = attack
-    _CAMPAIGN_STATE["entropy"] = entropy
-
-
-def _campaign_worker(args) -> SeedOutcome:
-    seed, count, engine = args
-    return _attack_seed(
-        _CAMPAIGN_STATE["attack"], seed, count, _CAMPAIGN_STATE["entropy"], engine
-    )
-
-
 def run_campaign(
     attack: SingleTraceAttack,
     trace_count: int,
@@ -255,12 +234,13 @@ def run_campaign(
 ) -> CampaignReport:
     """Attack ``trace_count`` fresh executions, optionally in parallel.
 
-    The attack must already be profiled.  Noise is drawn from the
-    bench's batch-entropy streams (per-seed), so the report is
-    bit-identical for any ``workers`` value and any pool completion
-    order.  Traces that fail to segment are recorded in
-    ``report.failures`` and excluded from the statistics, as in the
-    serial :func:`repro.attack.evaluation.run_campaign`.
+    The attack must already be profiled.  ``workers > 1`` runs the
+    campaign on :func:`repro.attack.orchestrator.run_orchestrated`'s
+    warm pool; otherwise it runs in this process.  Noise is drawn from
+    the bench's batch-entropy streams (per-seed), so the report is
+    bit-identical for any ``workers`` value and any completion order.
+    Traces that fail to segment are recorded in ``report.failures`` and
+    excluded from the statistics.
 
     ``engine`` picks the capture execution engine (``None`` defers to
     the bench's setting, then ``REVEAL_ENGINE``, then threaded); every
@@ -274,28 +254,25 @@ def run_campaign(
     engine = effective_engine(
         engine if engine is not None else getattr(acquisition, "engine", None)
     )
+    if workers is not None and workers > 1 and trace_count > 1:
+        from repro.attack.orchestrator import run_orchestrated
+
+        return run_orchestrated(
+            attack,
+            trace_count,
+            coeffs_per_trace=coeffs_per_trace,
+            first_seed=first_seed,
+            workers=min(workers, trace_count, (os.cpu_count() or 1) * 4),
+            engine=engine,
+        )
     entropy = acquisition.batch_entropy()
     start = time.perf_counter()
-    tasks = [
-        (first_seed + i, coeffs_per_trace, engine) for i in range(trace_count)
+    results = [
+        _attack_seed(attack, first_seed + i, coeffs_per_trace, entropy, engine)
+        for i in range(trace_count)
     ]
-    if workers is None or workers <= 1 or trace_count <= 1:
-        pool_size = 1
-        results = [
-            _attack_seed(attack, seed, count, entropy, task_engine)
-            for seed, count, task_engine in tasks
-        ]
-    else:
-        pool_size = min(workers, trace_count, (os.cpu_count() or 1) * 4)
-        with ProcessPoolExecutor(
-            max_workers=pool_size,
-            initializer=_campaign_init,
-            initargs=(attack, entropy),
-        ) as pool:
-            chunk = max(1, trace_count // (pool_size * 4))
-            results = list(pool.map(_campaign_worker, tasks, chunksize=chunk))
     wall = time.perf_counter() - start
-    return aggregate_outcomes(results, trace_count, wall, pool_size, engine)
+    return aggregate_outcomes(results, trace_count, wall, 1, engine)
 
 
 def aggregate_outcomes(
@@ -310,11 +287,11 @@ def aggregate_outcomes(
     """Fold seed-ordered :class:`SeedOutcome`\\ s into a report.
 
     This is the single aggregation path shared by :func:`run_campaign`
-    and the shared-memory orchestrator — the report's deterministic
+    and the orchestrator — the report's deterministic
     payload (outcomes, confusion, accuracies, failures) depends only on
     the per-seed outcomes, never on who computed them.
     ``base_timings`` seeds the per-stage counters for callers that
-    accumulated worker time out of band (the orchestrator's arena
+    accumulated worker time out of band (the orchestrator's grain
     records, resumed checkpoint shards).
     """
     confusion = ConfusionMatrix()

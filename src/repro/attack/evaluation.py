@@ -1,119 +1,47 @@
-"""Attack-campaign evaluation: run many single-trace attacks, aggregate.
+"""Attack-campaign evaluation: from probability tables to hardness.
 
-The paper evaluates with 25,000 attack traces; this module packages the
-loop the benchmarks perform - capture, attack, score, convert to hints,
-estimate bikz - behind one call, so downstream users reproduce the
-whole evaluation with a few lines.
+The paper turns its 25,000 attack traces into LWE-with-hints and
+re-estimates SEAL-128's hardness.  These functions do that last step
+for a campaign's per-coefficient probability tables;
+:class:`~repro.attack.campaign.CampaignReport` exposes them as
+``hint_statistics()`` and ``estimate_bikz()``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
-from repro.attack.branch import sign_of
-from repro.attack.metrics import ConfusionMatrix
-from repro.attack.pipeline import SingleTraceAttack
 from repro.errors import AttackError
-from repro.hints.estimator import beta_for_dbdd, bikz_to_bits
-from repro.hints.hintgen import hints_from_probability_tables
+from repro.hints.estimator import beta_for_dbdd
+from repro.hints.hintgen import apply_hints, hints_from_probability_tables
 from repro.hints.security import make_dbdd, seal_128_parameters
 
 
-@dataclass
-class CampaignResult:
-    """Aggregated outcome of an attack campaign."""
-
-    confusion: ConfusionMatrix
-    sign_accuracy: float
-    value_accuracy: float
-    coefficients_attacked: int
-    probability_tables: List[Dict[int, float]] = field(repr=False)
-
-    def hint_statistics(self) -> Dict[str, float]:
-        """Perfect-hint fraction and mean posterior variance."""
-        hints = hints_from_probability_tables(self.probability_tables)
-        perfect = sum(1 for h in hints if h.is_perfect)
-        variances = [h.variance for h in hints if not h.is_perfect]
-        return {
-            "perfect_fraction": perfect / max(len(hints), 1),
-            "mean_approximate_variance": float(np.mean(variances)) if variances else 0.0,
-        }
-
-    def estimate_bikz(self, params=None) -> float:
-        """bikz of the SEAL-128 primal attack given this campaign's hints.
-
-        Tables are tiled/truncated to the instance's error dimension.
-        """
-        params = params if params is not None else seal_128_parameters()
-        if not self.probability_tables:
-            raise AttackError("campaign produced no probability tables")
-        tables = list(self.probability_tables)
-        while len(tables) < params.m:
-            tables.extend(self.probability_tables)
-        hints = hints_from_probability_tables(tables[: params.m])
-        instance = make_dbdd(params)
-        from repro.hints.hintgen import apply_hints
-
-        apply_hints(instance, hints, params.n)
-        return beta_for_dbdd(instance)
-
-    def summary(self) -> str:
-        """Human-readable multi-line summary."""
-        stats = self.hint_statistics()
-        beta = self.estimate_bikz()
-        return "\n".join(
-            [
-                f"coefficients attacked : {self.coefficients_attacked}",
-                f"sign accuracy         : {100 * self.sign_accuracy:.2f}%",
-                f"value accuracy        : {100 * self.value_accuracy:.2f}%",
-                f"perfect hints         : {100 * stats['perfect_fraction']:.1f}%",
-                f"SEAL-128 with hints   : {beta:.2f} bikz "
-                f"(2^{bikz_to_bits(beta):.1f})",
-            ]
-        )
+def hint_statistics(tables: List[Dict[int, float]]) -> Dict[str, float]:
+    """Perfect-hint fraction and mean posterior variance."""
+    hints = hints_from_probability_tables(tables)
+    perfect = sum(1 for h in hints if h.is_perfect)
+    variances = [h.variance for h in hints if not h.is_perfect]
+    return {
+        "perfect_fraction": perfect / max(len(hints), 1),
+        "mean_approximate_variance": float(np.mean(variances)) if variances else 0.0,
+    }
 
 
-def run_campaign(
-    attack: SingleTraceAttack,
-    trace_count: int,
-    coeffs_per_trace: int = 8,
-    first_seed: int = 1,
-) -> CampaignResult:
-    """Capture and attack ``trace_count`` fresh executions.
+def estimate_bikz(tables: List[Dict[int, float]], params=None) -> float:
+    """bikz of the SEAL-128 primal attack given these tables' hints.
 
-    The attack must already be profiled.  Traces that fail to segment
-    are skipped (and counted against nothing, as in a real campaign).
+    Tables are tiled/truncated to the instance's error dimension.
     """
-    if attack.templates is None:
-        raise AttackError("profile() must run before a campaign")
-    confusion = ConfusionMatrix()
-    tables: List[Dict[int, float]] = []
-    sign_hits = value_hits = total = 0
-    for seed in range(first_seed, first_seed + trace_count):
-        captured = attack.acquisition.capture(seed, coeffs_per_trace)
-        try:
-            result = attack.attack(captured)
-        except AttackError:
-            continue
-        if len(result.estimates) != len(captured.values):
-            continue
-        for value, sign, estimate, table in zip(
-            captured.values, result.signs, result.estimates, result.probabilities
-        ):
-            total += 1
-            sign_hits += sign_of(value) == sign
-            value_hits += estimate == value
-            confusion.record(value, estimate)
-            tables.append(table)
-    if total == 0:
-        raise AttackError("no trace in the campaign could be attacked")
-    return CampaignResult(
-        confusion=confusion,
-        sign_accuracy=sign_hits / total,
-        value_accuracy=value_hits / total,
-        coefficients_attacked=total,
-        probability_tables=tables,
-    )
+    params = params if params is not None else seal_128_parameters()
+    if not tables:
+        raise AttackError("campaign produced no probability tables")
+    tiled = list(tables)
+    while len(tiled) < params.m:
+        tiled.extend(tables)
+    hints = hints_from_probability_tables(tiled[: params.m])
+    instance = make_dbdd(params)
+    apply_hints(instance, hints, params.n)
+    return beta_for_dbdd(instance)

@@ -1,67 +1,53 @@
-"""Shared-memory, work-stealing campaign orchestrator.
+"""Warm-pool campaign orchestrator with checkpoint/resume.
 
-:func:`repro.attack.campaign.run_campaign` is a one-shot function: it
-spins a fresh process pool per call, ships every task through pickled
-queue messages, and a killed run loses everything.  This module is the
-service layer ROADMAP item 2 asks for — a persistent campaign engine
-where **no trace, slice or result array is ever pickled**:
+:class:`Orchestrator` is the package's one parallel attack executor:
+:func:`repro.attack.campaign.run_campaign` with ``workers > 1`` and the
+``campaign`` CLI target both run through it.
 
-- **Workers are persistent.**  :class:`Orchestrator` forks its worker
-  processes once; every later :meth:`~Orchestrator.submit` reuses them
-  warm (no pool spin-up, no re-pickled profiled attack).
-- **Work stealing over seed ranges.**  A job's victim seeds live in a
-  shared-memory :class:`WorkTable` of ``[lo, hi, cursor, owner)`` rows.
-  A worker advances its own row's cursor a *grain* at a time; when its
-  row drains it claims a free row, and when none remain it steals a
-  grain **from the top** of the fullest row (``hi -= grain``) — the
-  fixed-capacity analogue of Chase–Lev deques, so a slow shard never
-  gates the tail and the table never grows.
-- **Results cross via the arena.**  A worker packs each grain's
-  per-seed records (values / signs / estimates / dense probability
-  tables / timings / error strings) into one of its two dedicated
-  :class:`~repro.attack.arena.SliceArena` slots and sends only a
-  ~100-byte :class:`GrainResult` header down its own result pipe; the
-  parent folds the arrays straight out of shared memory and releases
-  the slot.
+- **Futures on a warm pool.**  The orchestrator forks one process pool
+  (:func:`repro.utils.pool.process_pool`) on its first
+  :meth:`~Orchestrator.submit`; the pool initializer hands every worker
+  the profiled attack once, and later submits reuse the same warm
+  workers.  A job's unfolded victim seeds are cut into *grains* of at
+  most ``grain`` consecutive seeds.  Each grain is one future: it runs
+  the per-seed chain (:func:`~repro.attack.campaign._attack_seed`) and
+  returns the grain's records as the dense arrays checkpoint shards
+  store (:func:`_pack_record`).
+- **Driver fold.**  A driver thread folds futures as they complete into
+  the job's seed-indexed arrays and serves the :class:`CampaignJob`
+  handle's progress, cancel and result calls.
 - **Checkpoint / resume.**  Folded seeds complete fixed-size checkpoint
   shards; each finished shard is written atomically
   (:mod:`repro.attack.checkpoint`) so a killed campaign resumes from
   the last completed shard under a fingerprint guard.
-- **Worker death is survivable.**  The parent monitors its workers;
-  a dead worker's result pipe is drained to its end, its rows and
-  recorded in-flight range are re-queued and a replacement is forked
-  with a fresh pipe.  Each worker writes only its own pipe, with
-  synchronous sends, so a SIGKILL can neither strand a sent result in
-  a feeder thread nor wedge the other workers' channels.  Duplicated
-  grains re-fold bit-identical records, so recovery never changes the
-  report.
+- **Worker death is survivable.**  A dead worker breaks the pool
+  (``BrokenProcessPool``).  The driver counts the break, forks a fresh
+  pool and resubmits every grain it has not folded, so a break costs at
+  most the grains in flight.
 
 The determinism contract is the campaign one: per-seed outcomes are a
 pure function of ``(attack, seed, coeffs, batch entropy)``, so the
 assembled :class:`~repro.attack.campaign.CampaignReport` is
-seed-ordered, worker-count-invariant, steal-schedule-invariant and
-bit-identical to ``run_campaign`` — pinned by the
-``campaign.orchestrated`` oracle and the kill/resume tests.
+seed-ordered, worker-count-invariant, completion-order-invariant and
+bit-identical to the serial ``run_campaign`` — rerun grains fold the
+same bits.  The ``campaign.orchestrated`` oracle and the kill/resume
+tests pin it.
 """
 
 from __future__ import annotations
 
-import fcntl
 import json
-import multiprocessing
 import os
-import tempfile
 import threading
 import time
-from contextlib import contextmanager
+from concurrent.futures import FIRST_COMPLETED, Future, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from multiprocessing.connection import wait as wait_for_channels
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.attack.arena import SliceArena, _note_created, _untrack_attached
 from repro.attack.branch import ZERO, sign_of
 from repro.attack.campaign import (
     STAGES,
@@ -72,348 +58,24 @@ from repro.attack.campaign import (
 )
 from repro.attack.checkpoint import CampaignCheckpoint, campaign_fingerprint
 from repro.attack.pipeline import SingleTraceAttack
-from repro.errors import AttackError, ParameterError, VerificationError
-from repro.riscv.device import resolve_engine
+from repro.backends import get_backend, set_backend
+from repro.errors import AttackError
+from repro.riscv.device import effective_engine
+from repro.utils.pool import process_pool
 
-try:  # pragma: no cover - always present on CPython >= 3.8
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover
-    _shared_memory = None
-
-_TABLE_MAGIC = 0x5245_5645_414C_5754  # work-table header tag
+Grain = Tuple[int, int]
 
 
 # ----------------------------------------------------------------------
-# Channel messages — each a few hundred bytes, never any array payload.
-# The pickle-size regression test pins this (< 1 KB per message), which
-# also keeps every result-pipe write below PIPE_BUF and hence atomic.
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class JobSpec:
-    """One campaign broadcast to the workers (work lives in the table)."""
-
-    job: int
-    first_seed: int
-    trace_count: int
-    count: int  # coefficients per trace
-    entropy: int
-    grain: int
-    min_steal: int
-    engine: str
-    n_labels: int
-    backend: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class GrainResult:
-    """\"Your arrays are in arena slot ``slot`` at ``generation``\"."""
-
-    worker: int
-    job: int
-    slot: int
-    generation: int
-
-
-@dataclass(frozen=True)
-class WorkerIdle:
-    """The worker found the table empty and went back to its mailbox."""
-
-    worker: int
-    job: int
-
-
-@dataclass(frozen=True)
-class WorkerFailed:
-    """An unexpected exception escaped the worker's job loop."""
-
-    worker: int
-    job: int
-    message: str
-
-
-# ----------------------------------------------------------------------
-# Work-stealing table
-# ----------------------------------------------------------------------
-class WorkTable:
-    """Shared-memory seed ranges with grain-at-a-time stealing.
-
-    Layout (int64 words): an 8-word header ``[magic, capacity, n_rows,
-    steals, epoch, workers, grains, stop]``, then ``capacity`` rows of
-    ``[lo, hi, cursor, owner]`` (absolute victim seeds, half-open;
-    ``owner == -1`` means unclaimed), then per-worker in-flight words
-    ``[lo, hi)`` recording the grain a worker has claimed but not yet
-    completed — what the parent re-queues when that worker dies.
-
-    Every mutation happens under :meth:`locked`, held for microseconds;
-    the claim policy is owner-from-the-bottom (``cursor += grain``),
-    thief-from-the-top (``hi -= grain``), and a thief never takes a
-    victim's last ``min_steal`` seeds (the owner finishes its own tail
-    faster than a steal round-trips).  The lock is a POSIX record lock,
-    which the kernel releases when its holder dies, and a claim records
-    the in-flight grain *before* it moves any row bound — so a worker
-    SIGKILLed mid-claim leaves at worst a duplicated grain, never a
-    locked table or a lost one.  The ``stop`` word is read lock-free.
-    """
-
-    _HEADER = 8
-    _ROW = 4
-
-    def __init__(
-        self,
-        capacity: Optional[int] = None,
-        workers: Optional[int] = None,
-        name: Optional[str] = None,
-    ) -> None:
-        if _shared_memory is None:  # pragma: no cover
-            raise ParameterError("multiprocessing.shared_memory unavailable")
-        if name is None:
-            if capacity is None or workers is None:
-                raise ParameterError("WorkTable() needs capacity and workers")
-            if capacity < max(workers, 1):
-                raise ParameterError(
-                    f"table capacity {capacity} < workers {workers}"
-                )
-            words = self._HEADER + capacity * self._ROW + workers * 2
-            self._owner = True
-            self._shm = _shared_memory.SharedMemory(
-                create=True, size=words * 8
-            )
-            view = self._view(words)
-            view[:] = 0
-            view[0] = _TABLE_MAGIC
-            view[1] = capacity
-            view[5] = workers
-            _note_created(self._shm.name)
-            self._lock_fd = os.open(
-                self._lock_path(), os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600
-            )
-        else:
-            self._owner = False
-            self._shm = _shared_memory.SharedMemory(name=name)
-            _untrack_attached(self._shm)
-            head = np.ndarray(
-                self._HEADER, dtype=np.int64, buffer=self._shm.buf[: 8 * 8]
-            )
-            if head[0] != _TABLE_MAGIC:
-                raise VerificationError(
-                    f"shared segment {name!r} is not a WorkTable"
-                )
-            capacity = int(head[1])
-            workers = int(head[5])
-            self._lock_fd = os.open(self._lock_path(), os.O_RDWR)
-        self.capacity = int(capacity)
-        self.workers = int(workers)
-        self._closed = False
-
-    def _view(self, words: Optional[int] = None) -> np.ndarray:
-        if words is None:
-            words = self._HEADER + self.capacity * self._ROW + self.workers * 2
-        return np.ndarray(words, dtype=np.int64, buffer=self._shm.buf[: words * 8])
-
-    @property
-    def name(self) -> str:
-        return self._shm.name
-
-    def _lock_path(self) -> str:
-        return os.path.join(tempfile.gettempdir(), f"{self.name}.lock")
-
-    @contextmanager
-    def locked(self) -> Iterator[None]:
-        """Hold the table lock (exclusive across processes, not threads)."""
-        fcntl.lockf(self._lock_fd, fcntl.LOCK_EX)
-        try:
-            yield
-        finally:
-            fcntl.lockf(self._lock_fd, fcntl.LOCK_UN)
-
-    def request_stop(self) -> None:
-        """Ask every worker to stop at its next grain boundary."""
-        self._view()[7] = 1
-
-    def stop_requested(self) -> bool:
-        return bool(self._view()[7])
-
-    def __getstate__(self) -> dict:
-        return {"name": self.name}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(name=state["name"])
-
-    # -- all methods below assume the caller holds the table lock ------
-    def _rows(self) -> np.ndarray:
-        base = self._HEADER * 8
-        count = self.capacity * self._ROW
-        return np.ndarray(
-            (self.capacity, self._ROW),
-            dtype=np.int64,
-            buffer=self._shm.buf[base : base + count * 8],
-        )
-
-    def _inflight(self) -> np.ndarray:
-        base = (self._HEADER + self.capacity * self._ROW) * 8
-        return np.ndarray(
-            (self.workers, 2),
-            dtype=np.int64,
-            buffer=self._shm.buf[base : base + self.workers * 16],
-        )
-
-    def reset(self, ranges: Sequence[Tuple[int, int]]) -> None:
-        """Load a fresh job's seed ranges; clears counters, in-flight
-        grains and any stop request."""
-        if len(ranges) > self.capacity:
-            raise ParameterError(
-                f"{len(ranges)} work ranges exceed table capacity "
-                f"{self.capacity}"
-            )
-        view = self._view()
-        rows = self._rows()
-        rows[:] = 0
-        rows[:, 3] = -1
-        for i, (lo, hi) in enumerate(ranges):
-            rows[i, 0] = rows[i, 2] = int(lo)
-            rows[i, 1] = int(hi)
-        view[2] = len(ranges)
-        view[3] = 0  # steals
-        view[4] += 1  # epoch
-        view[6] = 0  # grains
-        view[7] = 0  # stop
-        self._inflight()[:] = 0
-
-    def _take(self, rows: np.ndarray, row: int, worker: int, grain: int) -> Tuple[int, int]:
-        cursor, hi = int(rows[row, 2]), int(rows[row, 1])
-        size = min(grain, hi - cursor)
-        self._inflight()[worker] = (cursor, cursor + size)
-        rows[row, 3] = worker
-        rows[row, 2] = cursor + size
-        self._view()[6] += 1
-        return cursor, cursor + size
-
-    def claim(self, worker: int, grain: int, min_steal: int) -> Optional[Tuple[int, int]]:
-        """Claim the next grain for ``worker`` (own row, then a free
-        row, then a steal from the top of the fullest row)."""
-        view = self._view()
-        rows = self._rows()
-        n = int(view[2])
-        live = rows[:n]
-        open_rows = live[:, 2] < live[:, 1]
-        if not open_rows.any():
-            self.complete(worker)
-            return None
-        for owner_match in (live[:, 3] == worker, live[:, 3] == -1):
-            hits = np.nonzero(open_rows & owner_match)[0]
-            if hits.size:
-                return self._take(rows, int(hits[0]), worker, grain)
-        remaining = np.where(open_rows, live[:, 1] - live[:, 2], 0)
-        victim = int(np.argmax(remaining))
-        left = int(remaining[victim])
-        if left <= min_steal:
-            self.complete(worker)
-            return None
-        size = min(grain, max(left // 2, min_steal))
-        hi = int(rows[victim, 1])
-        self._inflight()[worker] = (hi - size, hi)
-        rows[victim, 1] = hi - size
-        view[3] += 1  # steals
-        view[6] += 1  # grains
-        return hi - size, hi
-
-    def complete(self, worker: int) -> None:
-        """The worker's claimed grain has been fully reported."""
-        self._inflight()[worker] = 0
-
-    def requeue_dead(self, worker: int) -> None:
-        """Return a dead worker's rows and in-flight grain to the pool."""
-        view = self._view()
-        rows = self._rows()
-        n = int(view[2])
-        owned = rows[:n, 3] == worker
-        rows[:n, 3] = np.where(owned, -1, rows[:n, 3])
-        inflight = self._inflight()
-        lo, hi = int(inflight[worker, 0]), int(inflight[worker, 1])
-        inflight[worker] = 0
-        if hi > lo:
-            if n >= self.capacity:
-                raise AttackError(
-                    "work table is full; cannot re-queue the in-flight "
-                    "range of a dead worker"
-                )
-            rows[n, 0] = rows[n, 2] = lo
-            rows[n, 1] = hi
-            rows[n, 3] = -1
-            view[2] = n + 1
-
-    def remaining(self) -> int:
-        view = self._view()
-        rows = self._rows()[: int(view[2])]
-        return int(np.maximum(rows[:, 1] - rows[:, 2], 0).sum())
-
-    def counters(self) -> Dict[str, int]:
-        view = self._view()
-        return {"steals": int(view[3]), "grains": int(view[6])}
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        os.close(self._lock_fd)
-        self._shm.close()
-        if self._owner:
-            for unlink in (self._shm.unlink, lambda: os.unlink(self._lock_path())):
-                try:
-                    unlink()
-                except FileNotFoundError:  # pragma: no cover
-                    pass
-
-    def __del__(self) -> None:  # pragma: no cover - GC ordering varies
-        try:
-            self.close()
-        except Exception:
-            pass
-
-
-# ----------------------------------------------------------------------
-# Grain record packing (worker side) and folding (parent side)
+# Grain record packing (worker side) and unpacking (parent side)
 # ----------------------------------------------------------------------
 def _sign_groups(labels: Sequence[int]) -> Dict[int, List[Tuple[int, int]]]:
     """``sign -> [(column, label), ...]`` in template-bank label order —
-    the dense layout both ends of the arena protocol agree on."""
+    the dense table layout both ends of a grain record agree on."""
     groups: Dict[int, List[Tuple[int, int]]] = {}
     for column, label in enumerate(int(l) for l in labels):
         groups.setdefault(sign_of(label), []).append((column, label))
     return groups
-
-
-def _record_cost(outcome: SeedOutcome, coeffs: int, n_labels: int) -> int:
-    cost = 1 + 3 * 8 * coeffs + 8 * coeffs * n_labels
-    if not outcome.ok:
-        cost += len(json.dumps([outcome.seed, outcome.error])) + 2
-    return cost
-
-
-def _chunk_outcomes(
-    outcomes: List[SeedOutcome], slot_bytes: int, coeffs: int, n_labels: int
-) -> List[List[SeedOutcome]]:
-    """Split a grain's consecutive outcomes into runs that each fit a
-    record slot (headroom for the meta/timings arrays and alignment)."""
-    budget = slot_bytes - 512
-    chunks: List[List[SeedOutcome]] = []
-    current: List[SeedOutcome] = []
-    used = 0
-    for outcome in outcomes:
-        cost = _record_cost(outcome, coeffs, n_labels)
-        if current and used + cost > budget:
-            chunks.append(current)
-            current, used = [], 0
-        if cost > budget and not current:
-            raise ParameterError(
-                f"one seed record needs {cost} B but record slots hold "
-                f"{slot_bytes} B; raise record_slot_bytes"
-            )
-        current.append(outcome)
-        used += cost
-    if current:
-        chunks.append(current)
-    return chunks
 
 
 def _pack_record(
@@ -422,7 +84,7 @@ def _pack_record(
     groups: Dict[int, List[Tuple[int, int]]],
     n_labels: int,
 ) -> List[np.ndarray]:
-    """One contiguous run of per-seed outcomes as arena arrays.
+    """One contiguous run of per-seed outcomes as dense arrays.
 
     Probability tables go dense: ``tables[i, j, column]`` is the
     probability of the template-bank label at ``column``.  Together
@@ -481,80 +143,30 @@ def _rebuild_tables(
 # ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
-def _worker_main(
-    worker_id: int,
-    attack: SingleTraceAttack,
-    control,
-    outbox,
-    table: WorkTable,
-    record_arena: SliceArena,
-    record_slots: Tuple[int, int],
-    slot_sem,
-) -> None:
-    """Persistent worker: block on the mailbox, run jobs until ``None``."""
-    while True:
-        spec = control.get()
-        if spec is None:
-            return
-        try:
-            _worker_job(
-                worker_id,
-                attack,
-                spec,
-                outbox,
-                table,
-                record_arena,
-                record_slots,
-                slot_sem,
-            )
-        except Exception as exc:  # pragma: no cover - defensive
-            outbox.send(
-                WorkerFailed(
-                    worker_id, spec.job, f"{type(exc).__name__}: {exc}"[:400]
-                )
-            )
-        outbox.send(WorkerIdle(worker_id, spec.job))
+# Worker-process state: the profiled attack arrives once through the
+# pool initializer instead of being pickled into every grain.
+_WORKER: dict = {}
 
 
-def _worker_job(
-    worker_id: int,
-    attack: SingleTraceAttack,
-    spec: JobSpec,
-    outbox,
-    table: WorkTable,
-    record_arena: SliceArena,
-    record_slots: Tuple[int, int],
-    slot_sem,
-) -> None:
-    if spec.backend is not None:
-        from repro.backends import get_backend, set_backend
+def _worker_init(attack: SingleTraceAttack) -> None:
+    _WORKER["attack"] = attack
+    _WORKER["groups"] = _sign_groups(attack.templates.labels)
 
-        if get_backend().name != spec.backend:
-            set_backend(spec.backend)
-    labels = [int(l) for l in attack.templates.labels]
-    groups = _sign_groups(labels)
-    toggle = 0
-    while not table.stop_requested():
-        with table.locked():
-            claim = table.claim(worker_id, spec.grain, spec.min_steal)
-        if claim is None:
-            return
-        lo, hi = claim
-        outcomes = [
-            _attack_seed(attack, seed, spec.count, spec.entropy, spec.engine)
-            for seed in range(lo, hi)
-        ]
-        for chunk in _chunk_outcomes(
-            outcomes, record_arena.slot_bytes, spec.count, spec.n_labels
-        ):
-            arrays = _pack_record(chunk, spec.count, groups, spec.n_labels)
-            slot_sem.acquire()
-            slot = record_slots[toggle]
-            toggle ^= 1
-            generation = record_arena.write(slot, arrays)
-            outbox.send(GrainResult(worker_id, spec.job, slot, generation))
-        with table.locked():
-            table.complete(worker_id)
+
+def _run_grain(
+    lo: int, hi: int, count: int, entropy: int, engine: str, backend: str
+) -> List[np.ndarray]:
+    """Attack victim seeds ``[lo, hi)`` in a warm worker; return the
+    grain's packed record."""
+    if get_backend().name != backend:
+        set_backend(backend)
+    attack = _WORKER["attack"]
+    outcomes = [
+        _attack_seed(attack, seed, count, entropy, engine) for seed in range(lo, hi)
+    ]
+    return _pack_record(
+        outcomes, count, _WORKER["groups"], len(attack.templates.labels)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -569,7 +181,6 @@ class CampaignProgress:
     seeds_total: int
     shards_done: int
     shards_total: int
-    steals: int
     grains: int
     checkpoints: int
     workers_alive: int
@@ -588,25 +199,34 @@ class CampaignJob:
     def __init__(
         self,
         orchestrator: "Orchestrator",
-        spec: JobSpec,
+        trace_count: int,
+        count: int,
+        first_seed: int,
+        entropy: int,
+        backend: str,
         checkpoint: Optional[CampaignCheckpoint],
     ) -> None:
         self._orchestrator = orchestrator
-        self.spec = spec
+        self.trace_count = trace_count
+        self.count = count  # coefficients per trace
+        self.first_seed = first_seed
+        self.entropy = entropy
+        self.backend = backend
         self.checkpoint = checkpoint
-        n, coeffs = spec.trace_count, spec.count
+        n, n_labels = trace_count, len(orchestrator._labels)
         self.folded = np.zeros(n, dtype=bool)
         self.ok = np.zeros(n, dtype=np.uint8)
-        self.values = np.zeros((n, coeffs), dtype=np.int64)
-        self.signs = np.zeros((n, coeffs), dtype=np.int64)
-        self.estimates = np.zeros((n, coeffs), dtype=np.int64)
-        self.tables = np.zeros((n, coeffs, spec.n_labels), dtype=np.float64)
+        self.values = np.zeros((n, count), dtype=np.int64)
+        self.signs = np.zeros((n, count), dtype=np.int64)
+        self.estimates = np.zeros((n, count), dtype=np.int64)
+        self.tables = np.zeros((n, count, n_labels), dtype=np.float64)
         self.errors: Dict[int, str] = {}
         self.timings = {stage: 0.0 for stage in STAGES}
         self.base_counters: Dict[str, int] = {}
+        self.grains = 0
         self.checkpoints_written = 0
         self.workers_died = 0
-        self.messages = 0
+        self._grains_at_break: Optional[int] = None
         self._status = "pending"
         self._error: Optional[str] = None
         self._report: Optional[CampaignReport] = None
@@ -627,18 +247,15 @@ class CampaignJob:
         return self._orchestrator.worker_pids()
 
     def progress(self) -> CampaignProgress:
-        counters = self._orchestrator._table_counters()
-        shard_size = self.checkpoint.shard_size if self.checkpoint else 0
         return CampaignProgress(
             status=self._status,
             seeds_done=int(self.folded.sum()),
-            seeds_total=self.spec.trace_count,
+            seeds_total=self.trace_count,
             shards_done=len(self.checkpoint.shards_done) if self.checkpoint else 0,
             shards_total=self.checkpoint.shards_total if self.checkpoint else 0,
-            steals=self.base_counters.get("steals", 0) + counters.get("steals", 0),
-            grains=self.base_counters.get("grains", 0) + counters.get("grains", 0),
+            grains=self.base_counters.get("grains", 0) + self.grains,
             checkpoints=self.checkpoints_written,
-            workers_alive=self._orchestrator.workers_alive(),
+            workers_alive=len(self._orchestrator.worker_pids()),
             workers_died=self.workers_died,
             wall_seconds=time.perf_counter() - self._started,
         )
@@ -648,7 +265,6 @@ class CampaignJob:
         checkpointed, so a later ``resume`` picks up from here."""
         if not self._done.is_set():
             self._cancel.set()
-            self._orchestrator._table.request_stop()
 
     def result(self, timeout: Optional[float] = None) -> CampaignReport:
         if not self._done.wait(timeout):
@@ -671,12 +287,12 @@ class CampaignJob:
 # Orchestrator
 # ----------------------------------------------------------------------
 class Orchestrator:
-    """A persistent, shared-memory campaign engine over one attack.
+    """A persistent campaign engine over one profiled attack.
 
-    Workers fork once (carrying the profiled attack by copy-on-write;
-    under ``spawn`` the attack pickles through the slim
-    ``__getstate__`` payloads) and then serve any number of submitted
-    campaigns.  See the module docstring for the data-plane design.
+    The worker pool forks on the first :meth:`submit` (carrying the
+    profiled attack by copy-on-write; under ``spawn`` the attack pickles
+    once per worker) and then serves any number of submitted campaigns.
+    See the module docstring for the design.
     """
 
     def __init__(
@@ -684,39 +300,24 @@ class Orchestrator:
         attack: SingleTraceAttack,
         workers: Optional[int] = None,
         grain: Optional[int] = None,
-        min_steal: int = 8,
         engine: Optional[str] = None,
-        record_slot_bytes: Optional[int] = None,
-        start_method: Optional[str] = None,
-        respawn: bool = True,
     ) -> None:
         if attack.templates is None or attack.branch_classifier is None:
             raise AttackError("profile() must run before a campaign")
         self.attack = attack
-        acquisition = attack.acquisition
         self.workers = max(1, int(workers) if workers else min(4, os.cpu_count() or 1))
-        self.engine = resolve_engine(
-            engine if engine is not None else getattr(acquisition, "engine", None)
+        # effective_engine: "compiled" degrades to "threaded" without a C
+        # toolchain, and the report records the engine that actually ran.
+        self.engine = effective_engine(
+            engine if engine is not None else getattr(attack.acquisition, "engine", None)
         )
         self.grain = max(1, int(grain) if grain else 32)
-        self.min_steal = max(1, int(min_steal))
-        self.record_slot_bytes = record_slot_bytes
-        self.respawn = respawn
-        methods = multiprocessing.get_all_start_methods()
-        if start_method is None:
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(start_method)
         self._labels = [int(l) for l in attack.templates.labels]
         self._groups = _sign_groups(self._labels)
-        self._started = False
+        self._pool = None
         self._closed = False
-        self._job_counter = 0
         self._active: Optional[CampaignJob] = None
         self._submit_lock = threading.Lock()
-        self._procs: Dict[int, multiprocessing.Process] = {}
-        self._controls: Dict[int, object] = {}
-        self._inboxes: Dict[int, object] = {}
-        self._sems: Dict[int, object] = {}
 
     # ------------------------------------------------------------------
     def __enter__(self) -> "Orchestrator":
@@ -726,92 +327,12 @@ class Orchestrator:
         self.close()
 
     def worker_pids(self) -> List[int]:
-        return [p.pid for p in self._procs.values() if p.is_alive()]
-
-    def workers_alive(self) -> int:
-        return sum(1 for p in self._procs.values() if p.is_alive())
-
-    def _table_counters(self) -> Dict[str, int]:
-        if not self._started or self._closed:
-            return {}
-        return self._table.counters()
-
-    # ------------------------------------------------------------------
-    def _ensure_started(self, coeffs: int) -> None:
-        if self._started:
-            return
-        record_bytes = self.record_slot_bytes
-        if record_bytes is None:
-            per_seed = 1 + 24 * coeffs + 8 * coeffs * len(self._labels) + 64
-            record_bytes = max(64 << 10, self.grain * per_seed + (8 << 10))
-        self.record_slot_bytes = int(record_bytes)
-        capacity = max(256, self.workers * 16)
-        self._table = WorkTable(capacity=capacity, workers=self.workers)
-        self._record_arena = SliceArena(
-            slots=2 * self.workers, slot_bytes=self.record_slot_bytes
-        )
-        self._started = True
-        for worker in range(self.workers):
-            self._spawn(worker)
-
-    def _spawn(self, worker: int) -> None:
-        control = self._ctx.Queue()
-        inbox, outbox = self._ctx.Pipe(duplex=False)
-        sem = self._ctx.BoundedSemaphore(2)
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(
-                worker,
-                self.attack,
-                control,
-                outbox,
-                self._table,
-                self._record_arena,
-                (2 * worker, 2 * worker + 1),
-                sem,
-            ),
-            daemon=True,
-        )
-        proc.start()
-        # The worker now holds the pipe's only write end, so its death
-        # reads as end-of-file once everything it sent is consumed.
-        outbox.close()
-        self._procs[worker] = proc
-        self._controls[worker] = control
-        self._inboxes[worker] = inbox
-        self._sems[worker] = sem
-
-    def _receive(self, timeout: float) -> List[object]:
-        """Wait up to ``timeout`` for worker messages; at most one per
-        ready pipe.  A pipe at end-of-file belongs to a dead worker and
-        is dropped here, so it cannot keep the wait spinning."""
-        messages = []
-        for inbox in wait_for_channels(list(self._inboxes.values()), timeout):
-            try:
-                messages.append(inbox.recv())
-            except (EOFError, OSError):
-                self._drop_inbox(inbox)
-        return messages
-
-    def _drop_inbox(self, inbox) -> None:
-        for worker, candidate in list(self._inboxes.items()):
-            if candidate is inbox:
-                del self._inboxes[worker]
-        inbox.close()
-
-    def _drain_dead(self, worker: int) -> List[object]:
-        """Everything a dead worker sent, up to its pipe's end-of-file."""
-        inbox = self._inboxes.pop(worker, None)
-        messages: List[object] = []
-        if inbox is None:
-            return messages
-        while True:
-            try:
-                messages.append(inbox.recv())
-            except (EOFError, OSError):
-                break
-        inbox.close()
-        return messages
+        if self._pool is None:
+            return []
+        # ProcessPoolExecutor has no public view of its workers; its
+        # ``_processes`` map (pid -> Process) is None after shutdown.
+        processes = self._pool._processes or {}
+        return [p.pid for p in list(processes.values()) if p.is_alive()]
 
     # ------------------------------------------------------------------
     def submit(
@@ -843,7 +364,6 @@ class Orchestrator:
             fingerprint = campaign_fingerprint(
                 first_seed, trace_count, coeffs_per_trace, entropy, self._labels
             )
-            self._ensure_started(coeffs_per_trace)
             checkpoint = None
             if campaign_dir is not None:
                 if resume:
@@ -858,34 +378,26 @@ class Orchestrator:
                         shard_size,
                     )
                     checkpoint.write_manifest()
-            self._job_counter += 1
-            backend_name = None
-            try:
-                from repro.backends import get_backend
-
-                backend_name = get_backend().name
-            except Exception:  # pragma: no cover - probing never fails here
-                pass
-            spec = JobSpec(
-                job=self._job_counter,
-                first_seed=first_seed,
-                trace_count=trace_count,
-                count=coeffs_per_trace,
-                entropy=entropy,
-                grain=self.grain,
-                min_steal=self.min_steal,
-                engine=self.engine,
-                n_labels=len(self._labels),
-                backend=backend_name,
+            job = CampaignJob(
+                self,
+                trace_count,
+                coeffs_per_trace,
+                first_seed,
+                entropy,
+                get_backend().name,
+                checkpoint,
             )
-            job = CampaignJob(self, spec, checkpoint)
             if checkpoint is not None and resume:
                 self._preload(job)
+            # Submitting here forks a cold pool from the caller's thread,
+            # before the driver thread exists.
+            futures = self._submit_grains(job, self._grains(job))
+            if futures:
+                job._status = "running"
             self._active = job
             thread = threading.Thread(
-                target=self._run_job, args=(job,), daemon=True
+                target=self._run_job, args=(job, futures), daemon=True
             )
-            job._thread = thread
             thread.start()
             return job
 
@@ -894,7 +406,7 @@ class Orchestrator:
         checkpoint = job.checkpoint
         for shard in checkpoint.shards_done:
             seeds = checkpoint.shard_range(shard)
-            lo = seeds.start - job.spec.first_seed
+            lo = seeds.start - job.first_seed
             hi = lo + len(seeds)
             arrays = checkpoint.load_shard(shard)
             job.ok[lo:hi] = arrays["ok"]
@@ -912,81 +424,68 @@ class Orchestrator:
                 job.base_counters[key] = int(value)
 
     # ------------------------------------------------------------------
-    def _work_ranges(self, job: CampaignJob) -> List[Tuple[int, int]]:
-        """Contiguous unfolded seed ranges, coalesced to fit the table
-        (a gap swallowed by coalescing just re-folds identical bits)."""
-        first = job.spec.first_seed
-        ranges: List[Tuple[int, int]] = []
-        run_start: Optional[int] = None
-        for i, folded in enumerate(job.folded):
-            if not folded and run_start is None:
-                run_start = i
-            elif folded and run_start is not None:
-                ranges.append((first + run_start, first + i))
-                run_start = None
-        if run_start is not None:
-            ranges.append((first + run_start, first + len(job.folded)))
-        limit = self._table.capacity - self.workers * 4
-        while len(ranges) > limit:
-            gaps = [
-                (ranges[i + 1][0] - ranges[i][1], i)
-                for i in range(len(ranges) - 1)
-            ]
-            _, i = min(gaps)
-            ranges[i : i + 2] = [(ranges[i][0], ranges[i + 1][1])]
-        return ranges
+    def _grains(self, job: CampaignJob) -> List[Grain]:
+        """The job's unfolded seeds as ``[lo, hi)`` runs of at most
+        ``grain`` consecutive seeds."""
+        grains: List[Grain] = []
+        for index in np.flatnonzero(~job.folded):
+            seed = job.first_seed + int(index)
+            if grains and grains[-1][1] == seed and seed - grains[-1][0] < self.grain:
+                grains[-1] = (grains[-1][0], seed + 1)
+            else:
+                grains.append((seed, seed + 1))
+        return grains
 
-    def _run_job(self, job: CampaignJob) -> None:
+    def _submit_grains(
+        self, job: CampaignJob, grains: List[Grain]
+    ) -> Dict[Future, Grain]:
+        """One future per grain on the warm pool (forked on first use).
+
+        A pool that broke while idle refuses new work; that refusal
+        becomes a failed future, so the driver's break recovery covers
+        it like any other."""
+        if grains and self._pool is None:
+            self._pool = process_pool(self.workers, _worker_init, (self.attack,))
+        futures: Dict[Future, Grain] = {}
+        for lo, hi in grains:
+            try:
+                future = self._pool.submit(
+                    _run_grain, lo, hi, job.count, job.entropy, self.engine, job.backend
+                )
+            except BrokenProcessPool as exc:
+                future = Future()
+                future.set_exception(exc)
+            futures[future] = (lo, hi)
+        return futures
+
+    def _run_job(self, job: CampaignJob, futures: Dict[Future, Grain]) -> None:
         try:
-            self._drive(job)
-        except Exception as exc:  # pragma: no cover - defensive
-            job._error = f"{type(exc).__name__}: {exc}"
+            self._drive(job, futures)
+        # Nothing above the driver thread catches: fail the job, never hang.
+        except Exception as exc:
+            job._error = str(exc) if isinstance(exc, AttackError) else (
+                f"{type(exc).__name__}: {exc}"
+            )
             job._status = "failed"
             job._done.set()
 
-    def _drive(self, job: CampaignJob) -> None:
-        spec = job.spec
-        ranges = self._work_ranges(job)
-        idle: set = set()
-        with self._table.locked():
-            self._table.reset(ranges)
-        if ranges:
-            job._status = "running"
-            for worker, control in self._controls.items():
-                control.put(spec)
-        else:
-            idle = set(self._procs)
-        finishing = not ranges
-        while True:
-            if job._cancel.is_set():
-                break
-            messages = self._receive(timeout=0.2)
-            if not messages:
-                if self._check_deaths(job, spec, idle) is False:
-                    return
-                if finishing and idle >= set(self._procs):
-                    break
-                continue
-            for message in messages:
-                job.messages += 1
-                if isinstance(message, WorkerFailed):
-                    if message.job == spec.job:
-                        job._error = (
-                            f"worker {message.worker} failed: {message.message}"
-                        )
-                        self._table.request_stop()
-                        self._drain_to_idle(idle)
-                        job._status = "failed"
-                        job._done.set()
-                        return
-                else:
-                    self._handle(job, message, idle)
-            if not finishing and bool(job.folded.all()):
-                finishing = True
-            if finishing and idle >= set(self._procs):
-                break
+    def _drive(self, job: CampaignJob, futures: Dict[Future, Grain]) -> None:
+        try:
+            while futures and not job._cancel.is_set():
+                done, _ = wait(futures, timeout=0.2, return_when=FIRST_COMPLETED)
+                lost: List[Grain] = []
+                for future in done:
+                    grain = futures.pop(future)
+                    if not self._settle(job, future, grain):
+                        lost.append(grain)
+                if lost:
+                    futures = self._recover(job, futures, lost)
+        finally:
+            # Grains of a cancelled or failed job must not hold the
+            # pool; ones already running finish and are dropped.
+            for future in futures:
+                future.cancel()
         if job._cancel.is_set() and not bool(job.folded.all()):
-            self._drain_to_idle(idle)
             self._finalize_checkpoint(job)
             job._status = "cancelled"
             job._error = "campaign cancelled"
@@ -998,35 +497,48 @@ class Orchestrator:
         job._status = "completed"
         job._done.set()
 
-    def _handle(self, job: CampaignJob, message, idle: set) -> None:
-        """Fold a result or note an idle worker (stale jobs' slots are
-        freed without folding)."""
-        if isinstance(message, GrainResult):
-            if message.job == job.spec.job:
-                self._fold(job, message)
-            else:  # stale slot from a cancelled job: free it anyway
-                self._release(message)
-        elif isinstance(message, WorkerIdle) and message.job == job.spec.job:
-            idle.add(message.worker)
+    def _settle(self, job: CampaignJob, future: Future, grain: Grain) -> bool:
+        """Fold a finished grain; ``False`` if the pool broke under it."""
+        error = future.exception()
+        if isinstance(error, BrokenProcessPool):
+            return False
+        if error is not None:
+            lo, hi = grain
+            raise AttackError(
+                f"seeds [{lo}, {hi}) failed in a worker: "
+                f"{type(error).__name__}: {error}"
+            ) from error
+        self._fold(job, future.result())
+        return True
 
-    def _release(self, message: GrainResult) -> None:
-        try:
-            self._record_arena.read(message.slot, message.generation)
-        except VerificationError:
-            pass
-        sem = self._sems.get(message.worker)
-        if sem is not None:
-            try:
-                sem.release()
-            except ValueError:  # pragma: no cover - respawned semaphore
-                pass
+    def _recover(
+        self,
+        job: CampaignJob,
+        futures: Dict[Future, Grain],
+        lost: List[Grain],
+    ) -> Dict[Future, Grain]:
+        """A worker died and broke the pool: fold what finished, fork a
+        fresh pool and resubmit every unfolded grain."""
+        job.workers_died += 1
+        if job._grains_at_break == job.grains:
+            raise AttackError(
+                "the worker pool broke twice without completing a grain; "
+                "a grain may be killing its worker"
+            )
+        job._grains_at_break = job.grains
+        # Shutting the broken pool down waits for its manager thread,
+        # which has failed every future that had not finished.
+        self._pool.shutdown(wait=True)
+        self._pool = None
+        for future, grain in futures.items():
+            if not self._settle(job, future, grain):
+                lost.append(grain)
+        return self._submit_grains(job, sorted(lost))
 
-    def _fold(self, job: CampaignJob, message: GrainResult) -> None:
-        arrays = self._record_arena.read(message.slot, message.generation)
-        self._release_sem(message.worker)
+    def _fold(self, job: CampaignJob, arrays: List[np.ndarray]) -> None:
         meta, ok, values, signs, estimates, tables, timings, error_blob = arrays
-        lo = int(meta[0]) - job.spec.first_seed
-        hi = int(meta[1]) - job.spec.first_seed
+        lo = int(meta[0]) - job.first_seed
+        hi = int(meta[1]) - job.first_seed
         job.ok[lo:hi] = ok
         job.values[lo:hi] = values
         job.signs[lo:hi] = signs
@@ -1036,18 +548,11 @@ class Orchestrator:
             job.timings[stage] += float(timings[stage_index])
         for seed, text in json.loads(error_blob.tobytes().decode() or "[]"):
             job.errors[int(seed)] = str(text)
+        job.grains += 1
         newly = ~job.folded[lo:hi]
         job.folded[lo:hi] = True
         if job.checkpoint is not None and bool(newly.any()):
             self._maybe_checkpoint(job, lo, hi)
-
-    def _release_sem(self, worker: int) -> None:
-        sem = self._sems.get(worker)
-        if sem is not None:
-            try:
-                sem.release()
-            except ValueError:  # pragma: no cover - respawned semaphore
-                pass
 
     def _maybe_checkpoint(self, job: CampaignJob, lo: int, hi: int) -> None:
         checkpoint = job.checkpoint
@@ -1056,7 +561,7 @@ class Orchestrator:
             if shard in checkpoint.shards_done:
                 continue
             seeds = checkpoint.shard_range(shard)
-            a = seeds.start - job.spec.first_seed
+            a = seeds.start - job.first_seed
             b = a + len(seeds)
             if not bool(job.folded[a:b].all()):
                 continue
@@ -1083,10 +588,8 @@ class Orchestrator:
         checkpoint = job.checkpoint
         if checkpoint is None:
             return
-        counters = self._table.counters()
         merged = dict(job.base_counters)
-        for key, value in counters.items():
-            merged[key] = merged.get(key, 0) + value
+        merged["grains"] = job.base_counters.get("grains", 0) + job.grains
         merged["checkpoints"] = (
             job.base_counters.get("checkpoints", 0) + job.checkpoints_written
         )
@@ -1101,65 +604,13 @@ class Orchestrator:
         if job.checkpoint is None:
             return
         self._sync_counters(job)
-        job.checkpoint.counters["checkpoints"] = (
-            job.base_counters.get("checkpoints", 0) + job.checkpoints_written
-        )
         job.checkpoint.write_manifest()
-
-    def _drain_to_idle(self, idle: set, timeout: float = 30.0) -> None:
-        """After stop/cancel: keep releasing slots until workers idle."""
-        deadline = time.monotonic() + timeout
-        while idle < set(self._procs) and time.monotonic() < deadline:
-            alive = {w for w, p in self._procs.items() if p.is_alive()}
-            if idle >= alive:
-                break
-            for message in self._receive(timeout=0.2):
-                if isinstance(message, GrainResult):
-                    self._release(message)
-                elif isinstance(message, WorkerIdle):
-                    idle.add(message.worker)
-
-    def _check_deaths(self, job: CampaignJob, spec: JobSpec, idle: set):
-        """Detect SIGKILLed workers; re-queue their work and respawn."""
-        dead = [
-            w
-            for w, p in self._procs.items()
-            if not p.is_alive()
-        ]
-        if not dead:
-            return True
-        for worker in dead:
-            job.workers_died += 1
-            # Fold everything the worker sent before touching the table,
-            # so re-queued ranges shrink to what was actually lost.
-            for message in self._drain_dead(worker):
-                self._handle(job, message, idle)
-            with self._table.locked():
-                self._table.requeue_dead(worker)
-            idle.discard(worker)
-            self._procs.pop(worker).join(timeout=0.1)
-            if self.respawn:
-                self._spawn(worker)
-                self._controls[worker].put(spec)
-        if not self.workers_alive():
-            job._error = "all campaign workers died"
-            job._status = "failed"
-            job._done.set()
-            return False
-        # Wake any idle workers: the re-queued ranges are claimable.
-        for worker in sorted(idle):
-            control = self._controls.get(worker)
-            if control is not None:
-                control.put(spec)
-        idle.clear()
-        return True
 
     # ------------------------------------------------------------------
     def _assemble(self, job: CampaignJob, wall: float) -> CampaignReport:
-        spec = job.spec
         results: List[SeedOutcome] = []
-        for i in range(spec.trace_count):
-            seed = spec.first_seed + i
+        for i in range(job.trace_count):
+            seed = job.first_seed + i
             if job.ok[i]:
                 results.append(
                     SeedOutcome(
@@ -1185,56 +636,40 @@ class Orchestrator:
                         error=job.errors.get(seed, "worker did not report"),
                     )
                 )
-        counters = self._table.counters()
         metadata = {
             "grain": self.grain,
             "shard_size": job.checkpoint.shard_size if job.checkpoint else 0,
-            "steals": job.base_counters.get("steals", 0) + counters["steals"],
-            "grains": job.base_counters.get("grains", 0) + counters["grains"],
+            "grains": job.base_counters.get("grains", 0) + job.grains,
             "checkpoints": job.checkpoints_written,
-            "arena_bytes": self._record_arena.total_bytes,
             "workers_died": job.workers_died,
-            "messages": job.messages,
         }
         return aggregate_outcomes(
             results,
-            spec.trace_count,
+            job.trace_count,
             wall,
             self.workers,
-            spec.engine,
+            self.engine,
             base_timings=job.timings,
             orchestrator=metadata,
         )
 
     # ------------------------------------------------------------------
     def close(self) -> None:
+        """Stop any active job and shut the pool down; workers exit
+        normally, so their exit handlers run."""
         if self._closed:
             return
         self._closed = True
         if self._active is not None and not self._active.done:
             self._active.cancel()
             self._active._done.wait(timeout=10.0)
-        if self._started:
-            self._table.request_stop()
-            for control in self._controls.values():
-                try:
-                    control.put(None)
-                except Exception:  # pragma: no cover
-                    pass
-            for proc in self._procs.values():
-                proc.join(timeout=2.0)
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(timeout=1.0)
-            for inbox in self._inboxes.values():
-                inbox.close()
-            self._record_arena.close()
-            self._table.close()
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
 
     def __del__(self) -> None:  # pragma: no cover - GC ordering varies
         try:
             self.close()
-        except Exception:
+        except Exception:  # interpreter teardown may have freed what close() needs
             pass
 
 
@@ -1248,7 +683,6 @@ def run_orchestrated(
     first_seed: int = 1,
     workers: Optional[int] = None,
     grain: Optional[int] = None,
-    min_steal: int = 8,
     engine: Optional[str] = None,
     campaign_dir: Optional[Union[str, Path]] = None,
     resume: bool = False,
@@ -1257,11 +691,7 @@ def run_orchestrated(
     """One-shot orchestrated campaign (the ``run_campaign`` signature
     plus checkpointing) — submit, wait, tear down."""
     with Orchestrator(
-        attack,
-        workers=workers,
-        grain=grain,
-        min_steal=min_steal,
-        engine=engine,
+        attack, workers=workers, grain=grain, engine=engine
     ) as orchestrator:
         job = orchestrator.submit(
             trace_count,

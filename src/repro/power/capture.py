@@ -23,7 +23,6 @@ The pre-stream-v1 sequential-generator contract survives as
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional
 
@@ -34,6 +33,7 @@ from repro.power.leakage import LeakageModel
 from repro.power.scope import Oscilloscope
 from repro.power.trace import Trace
 from repro.riscv.device import GaussianSamplerDevice, resolve_engine
+from repro.utils.pool import process_pool
 from repro.utils.rng import new_rng
 
 
@@ -202,40 +202,30 @@ def _segment_one(
     )
 
 
-# Worker-process state: the bench components are shipped once via the
-# pool initializer instead of being pickled into every task.
+# Worker-process state: the bench components (and, for segmented
+# batches, the segmenter) are shipped once via the pool initializer
+# instead of being pickled into every task.
 _POOL_BENCH: dict = {}
 
 
 def _pool_init(
-    device: GaussianSamplerDevice, leakage: LeakageModel, scope: Oscilloscope
-) -> None:
-    _POOL_BENCH["parts"] = (device, leakage, scope)
-
-
-def _pool_capture(args) -> CapturedTrace:
-    seed, count, batch_entropy, return_traces, engine = args
-    device, leakage, scope = _POOL_BENCH["parts"]
-    return _capture_one(
-        device, leakage, scope, seed, count, batch_entropy, return_traces, engine
-    )
-
-
-def _pool_init_segmented(
     device: GaussianSamplerDevice,
     leakage: LeakageModel,
     scope: Oscilloscope,
-    segmenter,
-    refiner,
+    segmenter=None,
+    refiner=None,
 ) -> None:
-    _POOL_BENCH["parts"] = (device, leakage, scope)
-    _POOL_BENCH["segmentation"] = (segmenter, refiner)
+    _POOL_BENCH["parts"] = (device, leakage, scope, segmenter, refiner)
 
 
-def _pool_capture_segmented(args) -> SegmentedCapture:
-    seed, count, batch_entropy, engine = args
-    device, leakage, scope = _POOL_BENCH["parts"]
-    segmenter, refiner = _POOL_BENCH["segmentation"]
+def _pool_task(args):
+    """Capture one trace; segment it too when the pool has a segmenter."""
+    seed, count, batch_entropy, return_traces, engine = args
+    device, leakage, scope, segmenter, refiner = _POOL_BENCH["parts"]
+    if segmenter is None:
+        return _capture_one(
+            device, leakage, scope, seed, count, batch_entropy, return_traces, engine
+        )
     return _segment_one(
         device, leakage, scope, segmenter, refiner, seed, count, batch_entropy, engine
     )
@@ -415,14 +405,7 @@ class TraceAcquisition:
                 _capture_one(self.device, self.leakage, self.scope, *task)
                 for task in tasks
             ]
-        pool_size = min(workers, trace_count, (os.cpu_count() or 1) * 4)
-        with ProcessPoolExecutor(
-            max_workers=pool_size,
-            initializer=_pool_init,
-            initargs=(self.device, self.leakage, self.scope),
-        ) as pool:
-            chunk = max(1, trace_count // (pool_size * 4))
-            return list(pool.map(_pool_capture, tasks, chunksize=chunk))
+        return list(self._pool_map(tasks, workers))
 
     def capture_segmented_batch(
         self,
@@ -454,21 +437,34 @@ class TraceAcquisition:
             raise ValueError("capture_segmented_batch requires a segmenter")
         entropy = self.batch_entropy()
         engine = resolve_engine(engine if engine is not None else self.engine)
-        tasks = [
-            (first_seed + i, coeffs_per_trace, entropy, engine)
-            for i in range(trace_count)
-        ]
         if workers is None or workers <= 1 or trace_count <= 1:
-            for task in tasks:
+            for i in range(trace_count):
                 yield _segment_one(
-                    self.device, self.leakage, self.scope, segmenter, refiner, *task
+                    self.device,
+                    self.leakage,
+                    self.scope,
+                    segmenter,
+                    refiner,
+                    first_seed + i,
+                    coeffs_per_trace,
+                    entropy,
+                    engine,
                 )
             return
-        pool_size = min(workers, trace_count, (os.cpu_count() or 1) * 4)
-        with ProcessPoolExecutor(
-            max_workers=pool_size,
-            initializer=_pool_init_segmented,
-            initargs=(self.device, self.leakage, self.scope, segmenter, refiner),
+        tasks = [
+            (first_seed + i, coeffs_per_trace, entropy, True, engine)
+            for i in range(trace_count)
+        ]
+        yield from self._pool_map(tasks, workers, segmenter, refiner)
+
+    def _pool_map(self, tasks, workers: int, segmenter=None, refiner=None):
+        """Run :func:`_pool_task` over ``tasks`` on a process pool,
+        yielding results in task (seed) order."""
+        pool_size = min(workers, len(tasks), (os.cpu_count() or 1) * 4)
+        with process_pool(
+            pool_size,
+            _pool_init,
+            (self.device, self.leakage, self.scope, segmenter, refiner),
         ) as pool:
-            chunk = max(1, trace_count // (pool_size * 4))
-            yield from pool.map(_pool_capture_segmented, tasks, chunksize=chunk)
+            chunk = max(1, len(tasks) // (pool_size * 4))
+            yield from pool.map(_pool_task, tasks, chunksize=chunk)

@@ -280,7 +280,7 @@ def main(argv=None) -> None:
         "--grain",
         type=int,
         default=None,
-        help="work-stealing grain in seeds for the campaign target "
+        help="seeds per worker task (grain) for the campaign target "
         "(default 32)",
     )
     parser.add_argument(

@@ -1039,9 +1039,9 @@ register(
 register(
     Oracle(
         name="campaign.orchestrated",
-        description="shared-memory work-stealing orchestrator (persistent "
-        "workers, arena records, random grain, optional cancel+resume "
-        "through the checkpoint) vs serial run_campaign — bit-identical "
+        description="warm-pool orchestrator (persistent workers, grain "
+        "futures, random grain, optional cancel+resume through the "
+        "checkpoint) vs serial run_campaign — bit-identical "
         "deterministic report payload; expensive",
         sample=_sample_orchestrated_case,
         fast=_run_orchestrated_case,

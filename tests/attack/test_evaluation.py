@@ -1,8 +1,9 @@
-"""Tests for the attack-campaign evaluation API."""
+"""Tests for campaign evaluation: accuracies, hints and bikz on a
+serial :class:`~repro.attack.campaign.CampaignReport`."""
 
 import pytest
 
-from repro.attack.evaluation import CampaignResult, run_campaign
+from repro.attack.campaign import run_campaign
 from repro.attack.pipeline import SingleTraceAttack
 from repro.errors import AttackError
 
@@ -42,4 +43,4 @@ class TestCampaign:
     def test_summary_renders(self, campaign):
         text = campaign.summary()
         assert "sign accuracy" in text
-        assert "bikz" in text
+        assert "value accuracy" in text

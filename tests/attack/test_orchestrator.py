@@ -1,26 +1,16 @@
-"""Tests for the shared-memory, work-stealing campaign orchestrator."""
+"""Tests for the warm-pool campaign orchestrator."""
 
 import asyncio
-import dataclasses
 import os
-import pickle
 import signal
 import time
 
-import numpy as np
 import pytest
 
+from repro.attack import orchestrator
 from repro.attack.campaign import run_campaign
-from repro.attack.orchestrator import (
-    GrainResult,
-    JobSpec,
-    Orchestrator,
-    WorkerFailed,
-    WorkerIdle,
-    WorkTable,
-    run_orchestrated,
-)
-from repro.errors import AttackError, ParameterError
+from repro.attack.orchestrator import Orchestrator, run_orchestrated
+from repro.errors import AttackError
 
 PAPER_Q = 132120577
 
@@ -34,149 +24,6 @@ def assert_reports_identical(a, b):
     assert a.value_accuracy == b.value_accuracy
     assert a.confusion.counts() == b.confusion.counts()
     assert a.failures == b.failures
-
-
-class TestWorkTable:
-    def test_owner_claims_bottom_up(self):
-        table = WorkTable(capacity=8, workers=2)
-        try:
-            table.reset([(0, 10)])
-            assert table.claim(0, grain=4, min_steal=2) == (0, 4)
-            assert table.claim(0, grain=4, min_steal=2) == (4, 8)
-            assert table.claim(0, grain=4, min_steal=2) == (8, 10)
-            assert table.remaining() == 0
-            assert table.counters()["grains"] == 3
-            assert table.counters()["steals"] == 0
-        finally:
-            table.close()
-
-    def test_free_row_then_steal_from_top(self):
-        table = WorkTable(capacity=8, workers=2)
-        try:
-            table.reset([(0, 8), (100, 120)])
-            assert table.claim(0, grain=4, min_steal=2) == (0, 4)
-            # Worker 1 takes the remaining free row.
-            assert table.claim(1, grain=4, min_steal=2) == (100, 104)
-            # Worker 0 drains its own row, then must steal from the top
-            # of worker 1's row (the fullest).
-            assert table.claim(0, grain=4, min_steal=2) == (4, 8)
-            assert table.claim(0, grain=4, min_steal=2) == (116, 120)
-            assert table.counters()["steals"] == 1
-            # The victim's row shrank: its owner continues below the cut.
-            assert table.claim(1, grain=20, min_steal=2) == (104, 116)
-        finally:
-            table.close()
-
-    def test_thief_leaves_min_steal_tail(self):
-        table = WorkTable(capacity=8, workers=2)
-        try:
-            table.reset([(0, 10)])
-            assert table.claim(0, grain=8, min_steal=4) == (0, 8)
-            # Two seeds remain on worker 0's row: under min_steal, so a
-            # thief backs off rather than racing the owner's tail.
-            assert table.claim(1, grain=8, min_steal=4) is None
-            assert table.claim(0, grain=8, min_steal=4) == (8, 10)
-        finally:
-            table.close()
-
-    def test_empty_table_returns_none(self):
-        table = WorkTable(capacity=4, workers=1)
-        try:
-            table.reset([])
-            assert table.claim(0, grain=4, min_steal=2) is None
-        finally:
-            table.close()
-
-    def test_requeue_dead_returns_inflight_grain(self):
-        table = WorkTable(capacity=8, workers=2)
-        try:
-            table.reset([(0, 10)])
-            assert table.claim(0, grain=4, min_steal=2) == (0, 4)
-            assert table.remaining() == 6
-            table.requeue_dead(0)
-            # The in-flight grain came back as a fresh free row.
-            assert table.remaining() == 10
-            spans = set()
-            while True:
-                claim = table.claim(1, grain=16, min_steal=2)
-                if claim is None:
-                    break
-                spans.add(claim)
-            assert spans == {(4, 10), (0, 4)}
-        finally:
-            table.close()
-
-    def test_complete_clears_inflight(self):
-        table = WorkTable(capacity=8, workers=2)
-        try:
-            table.reset([(0, 4)])
-            table.claim(0, grain=4, min_steal=2)
-            table.complete(0)
-            table.requeue_dead(0)  # nothing in flight: no new row
-            assert table.remaining() == 0
-        finally:
-            table.close()
-
-    def test_capacity_overflow_rejected(self):
-        table = WorkTable(capacity=2, workers=1)
-        try:
-            with pytest.raises(ParameterError):
-                table.reset([(0, 1), (2, 3), (4, 5)])
-        finally:
-            table.close()
-
-    def test_pickle_reattaches_by_name(self):
-        table = WorkTable(capacity=4, workers=2)
-        try:
-            table.reset([(7, 9)])
-            clone = pickle.loads(pickle.dumps(table))
-            try:
-                assert clone.name == table.name
-                assert clone.capacity == 4
-                assert clone.claim(0, grain=4, min_steal=1) == (7, 9)
-                # The mutation happened in the shared segment.
-                assert table.remaining() == 0
-            finally:
-                clone.close()
-        finally:
-            table.close()
-
-
-class TestMessagePickleBudget:
-    """Satellite: the queue carries headers, never arrays (< 1 KB)."""
-
-    MESSAGES = [
-        JobSpec(
-            job=3,
-            first_seed=1,
-            trace_count=1_000_000,
-            count=8,
-            entropy=2**63 - 1,
-            grain=64,
-            min_steal=8,
-            engine="compiled",
-            n_labels=83,
-            backend="numpy-kernels",
-        ),
-        GrainResult(worker=7, job=3, slot=15, generation=2**40),
-        WorkerIdle(worker=7, job=3),
-        WorkerFailed(worker=7, job=3, message="x" * 400),
-    ]
-
-    @pytest.mark.parametrize(
-        "message", MESSAGES, ids=lambda m: type(m).__name__
-    )
-    def test_under_one_kilobyte(self, message):
-        assert len(pickle.dumps(message)) < 1024
-
-    @pytest.mark.parametrize(
-        "message", MESSAGES, ids=lambda m: type(m).__name__
-    )
-    def test_no_array_payloads(self, message):
-        for field in dataclasses.fields(message):
-            assert not isinstance(
-                getattr(message, field.name), np.ndarray
-            ), f"{type(message).__name__}.{field.name} smuggles an array"
 
 
 class TestOrchestrated:
@@ -220,18 +67,15 @@ class TestOrchestrated:
         meta = report.orchestrator
         assert meta is not None
         for key in (
-            "grain", "shard_size", "steals", "grains", "checkpoints",
-            "arena_bytes", "workers_died", "messages",
+            "grain", "shard_size", "grains", "checkpoints", "workers_died",
         ):
             assert key in meta
         assert meta["grain"] == 2
         assert meta["grains"] >= 3
-        assert meta["arena_bytes"] > 0
         assert meta["workers_died"] == 0
         text = report.format_timings()
         assert "orchestrator:" in text
-        assert "steals=" in text
-        assert "arena=" in text
+        assert "grains=" in text
 
     def test_warm_resubmit_reuses_workers(self, profiled_attack):
         with Orchestrator(profiled_attack, workers=2, grain=2) as orch:
@@ -257,6 +101,34 @@ class TestOrchestrated:
         assert progress.seeds_done == progress.seeds_total == 6
         assert progress.workers_died == 0
         assert progress.wall_seconds > 0
+
+    def test_crashing_grain_fails_job_then_pool_serves_next(
+        self, profiled_attack, monkeypatch
+    ):
+        """A non-AttackError raised inside a worker grain fails the job
+        with a typed error naming the exception and the grain's seeds;
+        the same orchestrator then completes a fresh campaign."""
+        real = orchestrator._attack_seed
+
+        def crash_on_seed_5(attack, seed, *args):
+            if seed == 5:
+                raise RuntimeError("injected grain crash")
+            return real(attack, seed, *args)
+
+        # Patched before the pool forks, so the workers inherit it.
+        monkeypatch.setattr(orchestrator, "_attack_seed", crash_on_seed_5)
+        with Orchestrator(profiled_attack, workers=2, grain=2) as orch:
+            job = orch.submit(8, coeffs_per_trace=4, first_seed=1)
+            with pytest.raises(AttackError, match=r"\[5, 7\).*RuntimeError"):
+                job.result(timeout=60)
+            assert job.status == "failed"
+            report = orch.submit(
+                6, coeffs_per_trace=4, first_seed=100
+            ).result(timeout=60)
+        baseline = run_campaign(
+            profiled_attack, trace_count=6, coeffs_per_trace=4, first_seed=100
+        )
+        assert_reports_identical(baseline, report)
 
     def test_awaitable_from_asyncio(self, profiled_attack):
         async def drive():
@@ -385,3 +257,22 @@ class TestCheckpointResume:
             report = job.result(timeout=120)
         assert report.orchestrator["workers_died"] == 1
         assert_reports_identical(baseline, report)
+
+    def test_worker_killed_between_jobs_recovers(self, profiled_attack):
+        """A worker that dies while the pool is idle breaks it; the next
+        submit forks a fresh pool instead of failing."""
+        with Orchestrator(profiled_attack, workers=2, grain=2) as orch:
+            first = orch.submit(6, coeffs_per_trace=4, first_seed=1).result(
+                timeout=60
+            )
+            victim = orch.worker_pids()[0]
+            os.kill(victim, signal.SIGKILL)
+            deadline = time.monotonic() + 30
+            while victim in orch.worker_pids() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            second = orch.submit(6, coeffs_per_trace=4, first_seed=1).result(
+                timeout=60
+            )
+            assert victim not in orch.worker_pids()
+        assert second.orchestrator["workers_died"] == 1
+        assert_reports_identical(first, second)

@@ -10,7 +10,7 @@ recover the encryption sample, and equation (3) yields the plaintext.
 import numpy as np
 import pytest
 
-from repro.attack.evaluation import run_campaign
+from repro.attack.campaign import run_campaign
 from repro.attack.pipeline import SingleTraceAttack
 from repro.bfv.decryptor import Decryptor
 from repro.bfv.device_encryptor import DeviceBackedEncryptor
