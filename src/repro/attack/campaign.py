@@ -205,7 +205,7 @@ def _attack_captured(
 
     tick = time.perf_counter()
     try:
-        result = attack.attack_aligned(np.vstack(aligned))
+        result = attack.attack_aligned(aligned)
     except AttackError as exc:
         timings["classify"] = time.perf_counter() - tick
         return SeedOutcome(seed, captured.values, [], [], [], timings, str(exc))

@@ -204,7 +204,7 @@ class SingleTraceAttack:
                     timings["segment"] += time.perf_counter() - tick
                     continue  # a profiling trace may rarely fail to segment
                 if len(aligned) == len(captured.values):
-                    accumulate(self._normalise_matrix(np.vstack(aligned)),
+                    accumulate(self._normalise_matrix(aligned),
                                captured.values)
                 timings["segment"] += time.perf_counter() - tick
         else:
@@ -363,10 +363,9 @@ class SingleTraceAttack:
         """
         if self.templates is None or self.branch_classifier is None:
             raise AttackError("profile() must run before attack()")
-        aligned = self.segmenter.aligned_slices(samples, refiner=self.refiner)
-        if not len(aligned):
-            return AttackResult(signs=[], estimates=[], probabilities=[])
-        return self.attack_aligned(np.vstack(aligned))
+        return self.attack_aligned(
+            self.segmenter.aligned_slices(samples, refiner=self.refiner)
+        )
 
     def attack_aligned(self, slices: np.ndarray) -> AttackResult:
         """Attack pre-segmented aligned slices (an ``(n, slice_len)``

@@ -21,6 +21,7 @@ On our device those peaks are:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -58,12 +59,88 @@ def _moving_average_reference(x: np.ndarray, window: int) -> np.ndarray:
     return np.convolve(x, kernel, mode="same")
 
 
-def _moving_average(x: np.ndarray, window: int) -> np.ndarray:
+def _moving_average_gather(x: np.ndarray, window: int) -> np.ndarray:
+    """Index-gather cumulative-sum sliding mean; kept as the bit-exact
+    reference for :func:`_moving_average` (and used by
+    :func:`_windows_reference`)."""
+    if window <= 1:
+        return x
+    n = len(x)
+    if window > n:
+        return _moving_average_reference(x, window)
+    csum = np.empty(n + 1, dtype=np.float64)
+    csum[0] = 0.0
+    np.cumsum(x, dtype=np.float64, out=csum[1:])
+    mid = np.arange(n) + (window - 1) // 2
+    lo = np.maximum(mid - window + 1, 0)
+    hi = np.minimum(mid, n - 1) + 1
+    return (csum[hi] - csum[lo]) / window
+
+
+def _windows_reference(
+    segmenter: "Segmenter", samples: np.ndarray
+) -> List["CoefficientWindow"]:
+    """Original :meth:`Segmenter.windows`: gather sliding means, two
+    percentile passes per threshold and a scan of every engine burst per
+    window (O(windows * bursts)); kept as its bit-exact reference."""
+    cfg = segmenter.config
+    samples = np.asarray(samples, dtype=np.float64)
+    if samples.size == 0:
+        raise AttackError("cannot segment an empty trace")
+    if not np.isfinite(samples).all():
+        raise AttackError("cannot segment a trace with non-finite samples")
+
+    def threshold(envelope: np.ndarray, fraction: float) -> float:
+        lo = float(np.percentile(envelope, 10))
+        hi = float(np.percentile(envelope, 90))
+        return lo + fraction * (hi - lo)
+
+    envelope = _moving_average_gather(samples, cfg.envelope_window)
+    frac_envelope = _moving_average_gather(samples, cfg.frac_window)
+    frac_mask = frac_envelope > threshold(frac_envelope, 0.35)
+    frac_bursts = _active_regions(frac_mask, cfg.frac_merge_gap, cfg.frac_min_length)
+    if not frac_bursts:
+        raise AttackError("no distribution-call bursts found in trace")
+    engine_mask = envelope > threshold(envelope, 0.5)
+    bursts = _active_regions(engine_mask, cfg.burst_merge_gap, cfg.burst_min_length)
+    result = []
+    starts = [s for (s, _) in frac_bursts] + [len(samples)]
+    for i in range(len(frac_bursts)):
+        w_start, w_end = starts[i], starts[i + 1]
+        inside = [b for b in bursts if w_start <= b[0] < w_end]
+        anchor = segmenter._find_anchor(inside, w_end, i == len(frac_bursts) - 1)
+        if anchor is None:
+            raise AttackError(
+                f"no value-burst anchor found in window {i} [{w_start}, {w_end})"
+            )
+        result.append(CoefficientWindow(i, w_start, w_end, anchor))
+    return result
+
+
+def _padded_prefix_sum(x: np.ndarray, pad: int) -> np.ndarray:
+    """``[0] * pad + csum + [csum[n]] * pad`` with ``csum[k] = sum(x[:k])``.
+
+    The padding turns the edge clipping of every sliding mean with
+    ``window // 2 <= pad`` into plain slicing (see :func:`_moving_average`),
+    so one prefix sum serves several window sizes.
+    """
+    n = len(x)
+    padded = np.zeros(n + 1 + 2 * pad, dtype=np.float64)
+    np.cumsum(x, dtype=np.float64, out=padded[pad + 1 : pad + 1 + n])
+    padded[pad + 1 + n :] = padded[pad + n]
+    return padded
+
+
+def _moving_average(
+    x: np.ndarray, window: int, prefix: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Cumulative-sum sliding mean, O(n) regardless of window size.
 
     Matches ``np.convolve(x, ones(w)/w, mode="same")`` — same centering
     and same zero-padded edges — up to float reassociation (the
     reference multiplies by 1/w before summing; this sums first).
+    ``prefix`` is an optional ``_padded_prefix_sum(x, pad)`` with
+    ``pad >= window // 2``, shared between calls on the same ``x``.
     """
     if window <= 1:
         return x
@@ -73,13 +150,16 @@ def _moving_average(x: np.ndarray, window: int) -> np.ndarray:
         # the input, changing the output length; defer to the reference
         # for that degenerate shape.
         return _moving_average_reference(x, window)
-    csum = np.empty(n + 1, dtype=np.float64)
-    csum[0] = 0.0
-    np.cumsum(x, dtype=np.float64, out=csum[1:])
-    mid = np.arange(n) + (window - 1) // 2
-    lo = np.maximum(mid - window + 1, 0)
-    hi = np.minimum(mid, n - 1) + 1
-    return (csum[hi] - csum[lo]) / window
+    if prefix is None:
+        prefix = _padded_prefix_sum(x, window // 2)
+    # output i sums x[i + h - window + 1 : i + h + 1], h = (window - 1) // 2,
+    # clipped to the trace: csum[i + h + 1] - csum[i + h + 1 - window],
+    # with the clipped ends read from the padding
+    pad = (len(prefix) - n - 1) // 2
+    lo = pad - window // 2
+    total = prefix[lo + window : lo + window + n] - prefix[lo : lo + n]
+    total /= window
+    return total
 
 
 def _active_regions(mask: np.ndarray, merge_gap: int, min_length: int) -> List[Tuple[int, int]]:
@@ -120,8 +200,7 @@ class Segmenter:
         ``fraction`` picks where (the coarse log-burst envelope averages
         bursts with their gaps, so it uses a lower point).
         """
-        lo = float(np.percentile(envelope, 10))
-        hi = float(np.percentile(envelope, 90))
+        lo, hi = (float(v) for v in np.percentile(envelope, [10, 90]))
         return lo + fraction * (hi - lo)
 
     def windows(self, samples: np.ndarray) -> List[CoefficientWindow]:
@@ -132,13 +211,16 @@ class Segmenter:
             raise AttackError("cannot segment an empty trace")
         if not np.isfinite(samples).all():
             raise AttackError("cannot segment a trace with non-finite samples")
-        envelope = _moving_average(samples, cfg.envelope_window)
+        prefix = _padded_prefix_sum(
+            samples, max(cfg.envelope_window, cfg.frac_window) // 2
+        )
+        envelope = _moving_average(samples, cfg.envelope_window, prefix)
         threshold = self._engine_threshold(envelope)
 
         # 1. the long binary-log bursts delimit coefficients; their
         # *starts* are the window boundaries (everything a coefficient
         # leaks happens between its log burst and the next one's).
-        frac_envelope = _moving_average(samples, cfg.frac_window)
+        frac_envelope = _moving_average(samples, cfg.frac_window, prefix)
         frac_mask = frac_envelope > self._engine_threshold(frac_envelope, fraction=0.35)
         frac_bursts = _active_regions(frac_mask, cfg.frac_merge_gap, cfg.frac_min_length)
         if not frac_bursts:
@@ -149,10 +231,15 @@ class Segmenter:
         bursts = _active_regions(engine_mask, cfg.burst_merge_gap, cfg.burst_min_length)
 
         result: List[CoefficientWindow] = []
+        # bursts come sorted by start, so the bursts with
+        # w_start <= start < w_end are one slice, found by bisection
+        burst_starts = [start for (start, _) in bursts]
         starts = [s for (s, _) in frac_bursts] + [len(samples)]
         for i in range(len(frac_bursts)):
             w_start, w_end = starts[i], starts[i + 1]
-            inside = [b for b in bursts if w_start <= b[0] < w_end]
+            inside = bursts[
+                bisect_left(burst_starts, w_start) : bisect_left(burst_starts, w_end)
+            ]
             is_last = i == len(frac_bursts) - 1
             anchor = self._find_anchor(inside, w_end, is_last)
             if anchor is None:
@@ -196,28 +283,27 @@ class Segmenter:
     # ------------------------------------------------------------------
     def aligned_slices(
         self, samples: np.ndarray, refiner: Optional["AnchorRefiner"] = None
-    ) -> List[np.ndarray]:
-        """Fixed-length aligned sub-traces, one per coefficient.
+    ) -> np.ndarray:
+        """Fixed-length aligned sub-traces, one row per coefficient.
 
-        Each slice spans ``[anchor - slice_before, anchor + slice_after)``
-        and is zero-padded at trace edges so all slices have equal
-        length.  With a ``refiner``, each window's anchor is re-aligned
-        by matched filtering first (see :class:`AnchorRefiner`).
+        Row ``i`` spans ``[anchor - slice_before, anchor + slice_after)``
+        of window ``i`` and is zero-padded at trace edges, so the result
+        is one ``(n, slice_length)`` matrix.  With a ``refiner``, each
+        window's anchor is re-aligned by matched filtering first (see
+        :class:`AnchorRefiner`).
         """
         cfg = self.config
         samples = np.asarray(samples, dtype=np.float64)
-        slices = []
-        for window in self.windows(samples):
+        windows = self.windows(samples)
+        slices = np.zeros((len(windows), self.slice_length))
+        for row, window in zip(slices, windows):
             anchor = window.anchor
             if refiner is not None:
                 anchor = refiner.refine(samples, window)
             lo = anchor - cfg.slice_before
-            hi = anchor + cfg.slice_after
-            piece = np.zeros(cfg.slice_before + cfg.slice_after)
             src_lo = max(lo, 0)
-            src_hi = min(hi, len(samples))
-            piece[src_lo - lo : src_hi - lo] = samples[src_lo:src_hi]
-            slices.append(piece)
+            src_hi = min(anchor + cfg.slice_after, len(samples))
+            row[src_lo - lo : src_hi - lo] = samples[src_lo:src_hi]
         return slices
 
     @property

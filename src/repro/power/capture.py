@@ -190,12 +190,8 @@ def _segment_one(
             cycle_count=captured.cycle_count,
             error=str(exc),
         )
-    if aligned:
-        slices = np.vstack(aligned)
-    else:
-        slices = np.empty((0, segmenter.slice_length), dtype=np.float64)
     return SegmentedCapture(
-        slices=slices,
+        slices=aligned,
         values=captured.values,
         seed=captured.seed,
         cycle_count=captured.cycle_count,

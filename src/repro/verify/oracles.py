@@ -13,6 +13,9 @@ driven by the same harness:
 - ``attack.segmentation.moving_average`` — cumulative-sum sliding mean
   vs ``np.convolve`` (input-scaled envelope: both reassociate float
   sums, with error proportional to ``eps * sum(|x|)``);
+- ``segmentation.windows`` — the linear window/anchor scan vs the
+  original per-window burst scan, on synthetic burst traces
+  (bit-exact);
 - ``ring.ntt`` — level-order vectorized butterflies vs the per-group
   loops, plus the inverse∘forward identity;
 - ``ring.negacyclic_multiply`` — NTT-domain product vs a schoolbook
@@ -511,6 +514,52 @@ def _sample_moving_average_case(rng: np.random.Generator) -> Dict[str, Any]:
     return {"x": x, "window": window}
 
 
+def _sample_windows_case(rng: np.random.Generator) -> Dict[str, Any]:
+    """Synthetic burst trace: per coefficient, one long log burst, then
+    engine bursts separated by random (sometimes too short) quiet gaps.
+
+    Half the cases segment with unsmoothed envelopes (``window = 1``), so
+    rectangular bursts are detected at their exact first sample: each
+    log burst is then also an engine burst starting exactly at its
+    window's ``w_start`` and at the previous window's ``w_end``, the two
+    edges of the ``w_start <= start < w_end`` rule.
+    """
+    from repro.attack.segmentation import SegmenterConfig
+
+    if rng.random() < 0.5:
+        config = SegmenterConfig(envelope_window=1, frac_window=1)
+    else:
+        config = SegmenterConfig(
+            envelope_window=int(rng.choice([2, 3, 16, 17])),
+            frac_window=int(rng.choice([33, 64, 65])),
+        )
+    pieces = [np.zeros(int(rng.integers(50, 400)))]
+    for _ in range(int(rng.integers(1, 13))):
+        pieces.append(np.ones(int(rng.integers(650, 1400))))
+        for _ in range(int(rng.integers(0, 5))):
+            pieces.append(np.zeros(int(rng.integers(5, 160))))
+            pieces.append(np.ones(int(rng.integers(20, 130))))
+        pieces.append(np.zeros(int(rng.integers(0, 300))))
+    samples = np.concatenate(pieces)
+    samples += rng.normal(0.0, float(rng.choice([0.0, 0.02, 0.1])), samples.size)
+    return {"samples": samples, "config": config}
+
+
+def _windows_with(case: Dict[str, Any], reference: bool) -> Dict[str, Any]:
+    from repro.attack import segmentation
+    from repro.errors import AttackError
+
+    segmenter = segmentation.Segmenter(case["config"])
+    try:
+        if reference:
+            windows = segmentation._windows_reference(segmenter, case["samples"])
+        else:
+            windows = segmenter.windows(case["samples"])
+    except AttackError as exc:
+        return {"error": str(exc)}
+    return {"windows": [(w.index, w.start, w.end, w.anchor) for w in windows]}
+
+
 #: Small NTT-friendly (q, n) pairs used by the ring oracles.  Built
 #: lazily so importing the registry stays cheap.
 _NTT_PAIRS: List = []
@@ -931,6 +980,23 @@ register(
         )._moving_average_reference(case["x"], case["window"]),
         tolerance=_moving_average_tolerance,
         summarize=lambda case: f"n={len(case['x'])}, window={case['window']}",
+    )
+)
+
+
+register(
+    Oracle(
+        name="segmentation.windows",
+        description="bisected burst lookup, shared prefix sum and one "
+        "percentile pass vs the original per-window burst scan "
+        "(bit-exact windows and anchors)",
+        sample=_sample_windows_case,
+        fast=lambda case: _windows_with(case, reference=False),
+        reference=lambda case: _windows_with(case, reference=True),
+        summarize=lambda case: (
+            f"{case['samples'].size} samples, "
+            f"windows {case['config'].envelope_window}/{case['config'].frac_window}"
+        ),
     )
 )
 

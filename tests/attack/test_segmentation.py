@@ -10,7 +10,10 @@ from repro.attack.segmentation import (
     SegmenterConfig,
     _active_regions,
     _moving_average,
+    _moving_average_gather,
     _moving_average_reference,
+    _padded_prefix_sum,
+    _windows_reference,
 )
 from repro.errors import AttackError
 from repro.riscv import cycles as cy
@@ -105,12 +108,102 @@ class TestMovingAverageParity:
         cap = bench.capture(123, 5)
         fast = Segmenter().windows(cap.trace.samples)
         monkeypatch.setattr(
-            segmentation, "_moving_average", _moving_average_reference
+            segmentation,
+            "_moving_average",
+            lambda x, window, prefix=None: _moving_average_reference(x, window),
         )
         slow = Segmenter().windows(cap.trace.samples)
         assert [(w.start, w.end, w.anchor) for w in fast] == [
             (w.start, w.end, w.anchor) for w in slow
         ]
+
+
+class TestMovingAverageBitExact:
+    """The sliced prefix-sum mean is bit-identical to the index-gather
+    formula it replaced: a last-bit change can move an anchor."""
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 16, 17, 64])
+    def test_matches_gather_formula(self, window):
+        rng = np.random.default_rng(window)
+        for n in (window, window + 1, 257, 5000):
+            x = rng.normal(40.0, 3.0, n)
+            np.testing.assert_array_equal(
+                _moving_average(x, window), _moving_average_gather(x, window)
+            )
+
+    @pytest.mark.parametrize("window", [2, 3, 16, 17, 64])
+    def test_window_equal_to_length(self, window):
+        x = np.random.default_rng(1).normal(0.0, 5.0, window)
+        np.testing.assert_array_equal(
+            _moving_average(x, window), _moving_average_gather(x, window)
+        )
+
+    @pytest.mark.parametrize("window", [3, 16, 17, 64])
+    def test_input_within_half_window(self, window):
+        for n in range(1, (window - 1) // 2 + 1):
+            x = np.random.default_rng(n).normal(0.0, 5.0, n)
+            np.testing.assert_array_equal(
+                _moving_average(x, window), _moving_average_gather(x, window)
+            )
+
+    @pytest.mark.parametrize("window", [2, 3, 16, 17, 64])
+    def test_shared_wider_prefix(self, window):
+        x = np.random.default_rng(2).normal(40.0, 3.0, 3000)
+        for pad in (window // 2, 32, 100):
+            np.testing.assert_array_equal(
+                _moving_average(x, window, _padded_prefix_sum(x, pad)),
+                _moving_average_gather(x, window),
+            )
+
+
+class TestWindowsReference:
+    """The linear window scan against the original per-window burst scan
+    on one long captured trace (identical windows, anchors and slices)."""
+
+    @pytest.fixture(scope="class")
+    def long_trace(self, bench):
+        return bench.capture(4242, 256).trace.samples
+
+    @staticmethod
+    def _reference_slices(segmenter, samples, refiner=None):
+        cfg = segmenter.config
+        pieces = []
+        for window in _windows_reference(segmenter, samples):
+            anchor = window.anchor
+            if refiner is not None:
+                anchor = refiner.refine(samples, window)
+            lo, hi = anchor - cfg.slice_before, anchor + cfg.slice_after
+            piece = np.zeros(segmenter.slice_length)
+            src_lo, src_hi = max(lo, 0), min(hi, len(samples))
+            piece[src_lo - lo : src_hi - lo] = samples[src_lo:src_hi]
+            pieces.append(piece)
+        return np.vstack(pieces)
+
+    def test_identical_windows(self, long_trace):
+        seg = Segmenter()
+        fast = seg.windows(long_trace)
+        slow = _windows_reference(seg, long_trace)
+        assert len(fast) == 256
+        assert [(w.start, w.end, w.anchor) for w in fast] == [
+            (w.start, w.end, w.anchor) for w in slow
+        ]
+
+    def test_identical_slices(self, long_trace):
+        seg = Segmenter()
+        slices = seg.aligned_slices(long_trace)
+        assert slices.shape == (256, seg.slice_length)
+        np.testing.assert_array_equal(
+            slices, self._reference_slices(seg, long_trace)
+        )
+
+    def test_identical_refined_slices(self, bench, long_trace):
+        seg = Segmenter()
+        pool = [bench.capture(800 + i, 4).trace.samples for i in range(10)]
+        refiner = AnchorRefiner.learn(seg, pool)
+        np.testing.assert_array_equal(
+            seg.aligned_slices(long_trace, refiner=refiner),
+            self._reference_slices(seg, long_trace, refiner),
+        )
 
 
 class TestWindows:

@@ -20,6 +20,7 @@ EXPECTED_ORACLES = {
     "cpu.run",
     "leakage.expand",
     "segmentation.moving_average",
+    "segmentation.windows",
     "ring.ntt",
     "ring.negacyclic_multiply",
     "attack.persistence",

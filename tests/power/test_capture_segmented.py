@@ -55,9 +55,7 @@ class TestSegmentedBatch:
             assert seg.seed == cap.seed
             assert seg.values == cap.values
             assert seg.cycle_count == cap.cycle_count
-            parent = np.vstack(
-                segmenter.aligned_slices(cap.trace.samples, refiner=refiner)
-            )
+            parent = segmenter.aligned_slices(cap.trace.samples, refiner=refiner)
             np.testing.assert_array_equal(seg.slices, parent)
 
     def test_pool_bit_identical_to_serial(self, device, segmentation):
