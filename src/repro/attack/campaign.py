@@ -243,8 +243,8 @@ def run_campaign(
     excluded from the statistics.
 
     ``engine`` picks the capture execution engine (``None`` defers to
-    the bench's setting, then ``REVEAL_ENGINE``, then threaded); every
-    engine produces the identical report.
+    the bench's setting, then ``REVEAL_ENGINE``, then compiled, threaded
+    without a C toolchain); every engine produces the identical report.
     """
     if attack.templates is None or attack.branch_classifier is None:
         raise AttackError("profile() must run before a campaign")

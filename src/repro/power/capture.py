@@ -247,9 +247,10 @@ class TraceAcquisition:
     engine:
         Default execution engine for this bench's captures
         (``"interpreter"``/``"threaded"``/``"compiled"``);
-        ``None`` defers to ``REVEAL_ENGINE``, then ``"threaded"``.
-        Batch methods can override it per call; ``"compiled"`` falls
-        back to ``"threaded"`` where no C toolchain exists.
+        ``None`` defers to ``REVEAL_ENGINE``, then ``"compiled"``,
+        threaded without a C toolchain.  Batch methods can override it
+        per call; ``"compiled"`` falls back to ``"threaded"`` where no C
+        toolchain exists.
     """
 
     def __init__(

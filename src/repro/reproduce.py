@@ -212,6 +212,17 @@ def run_table4() -> None:
           f"recover the message")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1 (a clean usage error otherwise)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(
         prog="python -m repro.reproduce",
@@ -225,7 +236,7 @@ def main(argv=None) -> None:
     )
     parser.add_argument(
         "--traces",
-        type=int,
+        type=_positive_int,
         default=60,
         help="attack/profiling trace budget for table1/table2 (default 60)",
     )
@@ -241,8 +252,8 @@ def main(argv=None) -> None:
         choices=["interpreter", "threaded", "compiled"],
         default=None,
         help="execution engine for table1/table2/campaign attack captures "
-        "(default: $REVEAL_ENGINE, then threaded; compiled falls back "
-        "to threaded without a C toolchain)",
+        "(default: $REVEAL_ENGINE, then compiled, threaded without a "
+        "C toolchain)",
     )
     parser.add_argument(
         "--backend",

@@ -9,10 +9,14 @@ rules of :func:`repro.riscv.threaded.translate` — and lowers each
 :class:`~repro.riscv.threaded.TranslatedBlock` to a C function instead
 of a Python one.  The block functions plus a dispatch driver are
 compiled into one extension module per program through the same cffi
-API-mode toolchain as :mod:`repro.backends.native` (``-O3
--ffp-contract=off``, disk-cached by source SHA in
+API-mode toolchain as :mod:`repro.backends.native` (``-O1
+-ffp-contract=off``, disk-cached by the SHA of flags and source in
 ``$REVEAL_NATIVE_CACHE``), so a given program compiles once per
-machine and every later run is a plain extension load.
+machine and every later run is a plain extension load.  A
+:class:`~repro.riscv.threaded.TranslatedBlock` compiles its Python
+functions only on their first call, so the blocks the C path runs
+never pay bytecode compilation and set-up costs no more than the
+threaded engine's.
 
 Execution stays in C — registers, memory, cycle accounting and bulk
 :class:`~repro.riscv.cpu.EventLog` row emission — and returns to Python
@@ -68,6 +72,12 @@ _MASK32 = 0xFFFFFFFF
 
 #: Block-discovery cap per compile: bounds one-time codegen/gcc cost.
 MAX_COMPILED_BLOCKS = 512
+
+#: gcc flags for the ``_reveal_cpu_*`` modules, part of the module
+#: digest.  The engine is integer-only, so the optimisation level cannot
+#: change a result; ``-O1`` builds the ~2 MB Gaussian-kernel module in
+#: well under half the ``-O3`` time and runs it as fast (DESIGN.md 5l).
+_CFLAGS = ("-O1", "-ffp-contract=off")
 
 # ----------------------------------------------------------------------
 # C <-> Python protocol
@@ -609,7 +619,9 @@ def _compile_module(source: str):
     """
     from repro.backends.native import _cache_dir, _load_extension
 
-    digest = hashlib.sha256((_CDEF + source).encode()).hexdigest()[:12]
+    digest = hashlib.sha256(
+        (" ".join(_CFLAGS) + _CDEF + source).encode()
+    ).hexdigest()[:12]
     module = _MODULES.get(digest)
     if module is not None:
         return module
@@ -630,7 +642,7 @@ def _compile_module(source: str):
         ffi.cdef(_CDEF)
         ffi.set_source(
             modname, source,
-            extra_compile_args=["-O3", "-ffp-contract=off"],
+            extra_compile_args=list(_CFLAGS),
         )
         build_dir = tempfile.mkdtemp(prefix="build-", dir=cache_dir)
         try:

@@ -35,15 +35,17 @@ def resolve_engine(engine: Optional[str] = None) -> str:
     """Resolve an engine selection to its canonical name.
 
     ``None`` falls back to the ``REVEAL_ENGINE`` environment variable,
-    then to ``"threaded"``.  The CLI alias ``"interpreter"`` maps to
-    ``"reference"``.  Anything else — including a bad ``REVEAL_ENGINE``
-    value — raises :class:`~repro.errors.ParameterError` listing the
-    valid options at parse time, instead of surfacing later as a
-    ``KeyError`` deep in dispatch.
+    then to ``"compiled"`` (:func:`effective_engine` degrades it to
+    ``"threaded"`` without a C toolchain).  The CLI alias
+    ``"interpreter"`` maps to ``"reference"``.  Anything else —
+    including a bad ``REVEAL_ENGINE`` value — raises
+    :class:`~repro.errors.ParameterError` listing the valid options at
+    parse time, instead of surfacing later as a ``KeyError`` deep in
+    dispatch.
     """
     source = "engine"
     if engine is None:
-        engine = os.environ.get("REVEAL_ENGINE", "").strip() or "threaded"
+        engine = os.environ.get("REVEAL_ENGINE", "").strip() or "compiled"
         source = "REVEAL_ENGINE"
     if engine == "interpreter":
         engine = "reference"
@@ -153,14 +155,15 @@ class GaussianSamplerDevice:
 
         ``record_events=False`` skips event collection for functional-only
         runs (about 2x faster).  ``engine`` selects the execution engine:
-        ``"threaded"`` (the default block-translating engine, reusing
-        this device's warm translation cache across runs),
-        ``"compiled"`` (the same translation units lowered to generated
-        C via cffi — the fastest engine where a toolchain exists, and a
-        silent bit-identical fall-back to threaded where none does),
-        or ``"reference"`` (the scalar interpreter, bit-identical but
-        much slower — useful for differential testing).  ``None`` defers to the ``REVEAL_ENGINE``
-        environment variable, then to ``"threaded"``.
+        ``"compiled"`` (the default: block translation units lowered to
+        generated C via cffi, the fastest engine where a toolchain
+        exists, and a silent bit-identical fall-back to threaded where
+        none does), ``"threaded"`` (the block-translating Python engine,
+        reusing this device's warm translation cache across runs), or
+        ``"reference"`` (the scalar interpreter, bit-identical but much
+        slower — useful for differential testing).  ``None`` defers to
+        the ``REVEAL_ENGINE`` environment variable, then to the default:
+        compiled, threaded without a C toolchain.
         """
         if count < 1:
             raise SimulationError("count must be >= 1")

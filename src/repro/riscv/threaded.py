@@ -6,8 +6,9 @@ module replaces that dispatch with a small template JIT:
 
 - :func:`translate` decodes a **basic block** — a straight-line run of
   instructions ending at a branch/``jalr``/system op (unconditional
-  ``jal`` jumps are followed, so a block may span jumps) — and compiles
-  it once into a specialized Python function.  Each instruction's
+  ``jal`` jumps are followed, so a block may span jumps) — and
+  generates a specialized Python function for it, ``exec``'d on its
+  first call (see :class:`TranslatedBlock`).  Each instruction's
   handler template (indexed by the dense :data:`~repro.riscv.isa
   .OPCODE_IDS` opcode id) is specialized with its immediates, register
   indices, op class and pc pre-bound as literals, then the handlers are
@@ -194,6 +195,7 @@ class TranslatedBlock:
         "_plans",
         "_templates",
         "_retire_plans",
+        "_code",
     )
 
     def __init__(
@@ -203,6 +205,7 @@ class TranslatedBlock:
         statics: Tuple[Tuple[Tuple[int, int], ...], ...],
         dyn_entries: Tuple[Tuple[Tuple[int, int], ...], ...],
         uniq_prefix: Tuple[int, ...],
+        code: Dict[str, str],
     ) -> None:
         self.length = len(pcs)
         self.pcs = pcs
@@ -215,8 +218,32 @@ class TranslatedBlock:
         self._plans: Dict[int, Tuple] = {}
         self._templates: Dict[int, Tuple] = {}
         self._retire_plans: Dict[int, np.ndarray] = {}
-        self.run_recording = None  # assigned by _generate
-        self.run_fast = None
+        #: Generated source per entry-point slot, until its first call.
+        self._code = code
+        self.run_recording = self._lazy_recording
+        self.run_fast = self._lazy_fast
+
+    # -- lazy bytecode compilation -------------------------------------
+    # ``_generate`` only writes the two functions' source; each is
+    # ``exec``'d on its first call, which rebinds the slot to the real
+    # function, so later calls pay no indirection.  The compiled engine
+    # translates every reachable block but runs them in C, so most of
+    # its Python functions are never compiled at all.
+    def _lazy_recording(self, cpu, regs, mem, ex, mb):
+        return self._materialise("run_recording")(cpu, regs, mem, ex, mb)
+
+    def _lazy_fast(self, cpu, regs, mem):
+        return self._materialise("run_fast")(cpu, regs, mem)
+
+    def _materialise(self, slot: str):
+        started = time.perf_counter()
+        namespace = {"SimulationError": SimulationError, "B": self}
+        exec(self._code[slot], namespace)  # noqa: S102 - template JIT
+        function = namespace["_bb"]
+        setattr(self, slot, function)
+        self._code.pop(slot, None)
+        _CACHE_STATS["compile_time_s"] += time.perf_counter() - started
+        return function
 
     def flush_plan(self, count: int):
         """Scatter plan for the first ``count`` retired instructions.
@@ -721,19 +748,14 @@ def _generate(pcs, words, instrs, fallthrough) -> TranslatedBlock:
     src.emit(f"    return {count}")
 
     uniq_prefix = (0,) + tuple(src.uniq_counts)
-    block = TranslatedBlock(
+    return TranslatedBlock(
         tuple(pcs),
         tuple(words),
         tuple(tuple(entry) for entry in src.statics),
         tuple(tuple(entry) for entry in src.dyn_entries),
         uniq_prefix,
+        {"run_recording": "\n".join(src.rec), "run_fast": "\n".join(src.fast)},
     )
-    namespace = {"SimulationError": SimulationError, "B": block}
-    exec("\n".join(src.rec), namespace)  # noqa: S102 - template JIT
-    block.run_recording = namespace.pop("_bb")
-    exec("\n".join(src.fast), namespace)  # noqa: S102 - template JIT
-    block.run_fast = namespace.pop("_bb")
-    return block
 
 
 # ----------------------------------------------------------------------
@@ -748,7 +770,7 @@ _CACHE_STATS: Dict[str, float] = {
     "hits": 0,  # translate() calls answered from the cache
     "misses": 0,  # translate() calls that generated a new block
     "invalidations": 0,  # Cpu._invalidate_blocks calls (SMC)
-    "compile_time_s": 0.0,  # cumulative _generate_checked seconds
+    "compile_time_s": 0.0,  # _generate_checked plus deferred exec seconds
 }
 
 

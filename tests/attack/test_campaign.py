@@ -75,7 +75,8 @@ class TestRunCampaign:
 
     def test_compiled_bit_identical_to_threaded(self, profiled_attack):
         threaded = run_campaign(
-            profiled_attack, trace_count=10, coeffs_per_trace=4, first_seed=1
+            profiled_attack, trace_count=10, coeffs_per_trace=4, first_seed=1,
+            engine="threaded",
         )
         compiled = run_campaign(
             profiled_attack, trace_count=10, coeffs_per_trace=4, first_seed=1,

@@ -86,6 +86,29 @@ class TestSingleTraceAttack:
         assert all(-41 <= e <= 41 for e in result.estimates)
 
 
+class TestNormaliseMatrix:
+    """The vectorised ``_normalise_matrix`` equals per-row ``_normalise``."""
+
+    @pytest.mark.parametrize("rows", [1, 7, 1024])
+    def test_bit_identical_to_per_row(self, bench, rows):
+        attack = SingleTraceAttack(bench, standardize=True)
+        rng = np.random.default_rng(rows)
+        matrix = rng.normal(size=(rows, 260)) * rng.uniform(0.0, 5.0, (rows, 1))
+        matrix += rng.normal(0.0, 100.0, (rows, 1))
+        matrix[0] = 3.25  # zero spread: centred, not divided
+        expected = np.vstack([attack._normalise(row) for row in matrix])
+        np.testing.assert_array_equal(attack._normalise_matrix(matrix), expected)
+        np.testing.assert_array_equal(
+            attack._normalise_matrix(np.asfortranarray(matrix)), expected
+        )
+        assert not attack._normalise_matrix(matrix)[0].any()
+
+    def test_off_returns_the_slices(self, bench):
+        matrix = np.arange(12.0).reshape(3, 4)
+        attack = SingleTraceAttack(bench)
+        assert attack._normalise_matrix(matrix) is matrix
+
+
 class TestConfusionMatrix:
     def test_percentages(self):
         cm = ConfusionMatrix()

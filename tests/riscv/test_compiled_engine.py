@@ -22,6 +22,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.riscv import compiled as compiled_mod
+from repro.riscv import threaded as threaded_mod
 from repro.riscv.assembler import assemble
 from repro.riscv.compiled import (
     CompiledProgram,
@@ -32,8 +33,14 @@ from repro.riscv.compiled import (
     translation_cache_stats,
 )
 from repro.riscv.cpu import Cpu
-from repro.riscv.device import ENGINES, GaussianSamplerDevice, effective_engine
+from repro.riscv.device import (
+    ENGINES,
+    GaussianSamplerDevice,
+    effective_engine,
+    resolve_engine,
+)
 from repro.riscv.memory import Memory
+from repro.riscv.programs.gaussian import gaussian_sampler_source
 from repro.riscv.threaded import (
     clear_translation_cache,
     translation_cache_stats as threaded_cache_stats,
@@ -229,6 +236,22 @@ def test_disable_env_forces_threaded_fallback(monkeypatch):
         reset_probe()
 
 
+def test_default_engine_degrades_to_threaded_when_disabled(monkeypatch):
+    monkeypatch.delenv("REVEAL_ENGINE", raising=False)
+    monkeypatch.setenv("REVEAL_DISABLE_COMPILED", "1")
+    reset_probe()
+    try:
+        assert resolve_engine(None) == "compiled"
+        assert effective_engine(None) == "threaded"
+        device = GaussianSamplerDevice(MODULI)
+        run = device.run(3, 2)
+        assert run.values == device.run(3, 2, engine="reference").values
+        assert device._compiled_program is None
+    finally:
+        monkeypatch.delenv("REVEAL_DISABLE_COMPILED")
+        reset_probe()
+
+
 def test_effective_engine_passes_through_other_engines():
     assert effective_engine("threaded") == "threaded"
     assert effective_engine("interpreter") == "reference"
@@ -266,6 +289,28 @@ def test_run_compiled_without_module_is_pure_python(monkeypatch):
     assert "no toolchain" in program.compile_error
     assert executed == 3 and cpu.halted
     assert cpu.registers[1] == 9 and cpu.registers[2] == 42
+
+
+def test_discovery_execs_no_python_block(monkeypatch):
+    """Discovery translates every reachable block but compiles none of
+    their Python functions: the C path never calls them."""
+    calls = []
+
+    def counting_exec(source, namespace):
+        calls.append(source)
+        exec(source, namespace)  # noqa: S102 - forwards the template JIT
+
+    monkeypatch.setattr(threaded_mod, "exec", counting_exec, raising=False)
+    clear_translation_cache()
+    cpu = Cpu(Memory(1 << 16), record_events=True)
+    cpu.load_program(list(assemble(gaussian_sampler_source()).words), 0)
+    program = CompiledProgram()
+    program._discover(cpu)
+    assert len(program.blocks) > 10
+    assert calls == []
+    for block in program.blocks.values():
+        assert block.run_recording == block._lazy_recording
+        assert block.run_fast == block._lazy_fast
 
 
 # ----------------------------------------------------------------------

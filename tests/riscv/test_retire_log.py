@@ -257,7 +257,7 @@ def test_smc_retires_patched_instruction(engine):
 def test_record_retires_defaults_off_everywhere():
     assert Cpu(Memory()).record_retires is False
     device = GaussianSamplerDevice(MODULI)
-    assert device.run(3, count=1).retires is None
+    assert device.run(3, count=1, engine="threaded").retires is None
     assert device.run(3, count=1, engine="compiled").retires is None
     assert device.last_retires is None
 
@@ -294,7 +294,7 @@ def test_disabled_recording_does_no_retire_work():
 
 def test_run_matches_reference_retires_on_device_kernel():
     device = GaussianSamplerDevice(MODULI)
-    threaded = device.run(9, count=2, record_retires=True)
+    threaded = device.run(9, count=2, engine="threaded", record_retires=True)
     reference = device.run(9, count=2, engine="reference", record_retires=True)
     compiled = device.run(9, count=2, engine="compiled", record_retires=True)
     assert threaded.retires == reference.retires
@@ -317,7 +317,7 @@ def test_field_names_are_rvfi_order():
 def test_device_pickle_unchanged_by_retire_runs():
     fresh = len(pickle.dumps(GaussianSamplerDevice(MODULI)))
     device = GaussianSamplerDevice(MODULI)
-    device.run(5, count=2, record_retires=True)
+    device.run(5, count=2, engine="threaded", record_retires=True)
     device.run(6, count=2, engine="compiled", record_retires=True)
     assert device.last_retires and all(
         len(log) > 0 for log in device.last_retires

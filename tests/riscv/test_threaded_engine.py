@@ -23,10 +23,13 @@ from repro.riscv.device import GaussianSamplerDevice, resolve_engine
 from repro.riscv.memory import Memory
 from repro.riscv.programs.gaussian import gaussian_sampler_source
 from repro.riscv.programs.uniform import ternary_sampler_source, uniform_sampler_source
+from repro.riscv import threaded
 from repro.riscv.threaded import (
     MAX_BLOCK_INSTRUCTIONS,
     clear_translation_cache,
+    translate,
     translation_cache_size,
+    translation_cache_stats,
 )
 from repro.verify.conformance import assert_engines_match, run_scalar_engine
 
@@ -41,8 +44,10 @@ def _run_pair(words, max_instructions=10_000, record_events=True, setup=None):
     A thin wrapper over the shared conformance harness
     (:mod:`repro.verify.conformance`): machine state, EventLog, error
     strings and — when events are on — the full RVFI retire streams
-    must all match.
+    must all match.  The translation cache starts empty, so every block
+    of the threaded run compiles its Python function on first call.
     """
+    clear_translation_cache()
     runs = [
         run_scalar_engine(
             words,
@@ -57,6 +62,14 @@ def _run_pair(words, max_instructions=10_000, record_events=True, setup=None):
     ]
     assert_engines_match(runs[0], runs[1])
     return runs[0].cpu, runs[1].cpu
+
+
+def _run_pair_both_modes(words, **kwargs):
+    """:func:`_run_pair` with events on, then off: each mode runs its
+    own generated block function, compiled on its first call."""
+    for record_events in (True, False):
+        pair = _run_pair(words, record_events=record_events, **kwargs)
+    return pair
 
 
 def _asm(source: str):
@@ -155,6 +168,8 @@ def test_div_overflow_int_min():
 @pytest.mark.parametrize("mnemonic", ["beq", "bne", "blt", "bge", "bltu", "bgeu"])
 @pytest.mark.parametrize("a,b", [(1, 1), (1, 2), (0xFFFFFFFF, 1), (1, 0xFFFFFFFF)])
 def test_forward_branches(mnemonic, a, b):
+    # A not-taken forward branch stays inside the superblock, so a taken
+    # one leaves it through a side exit.
     source = f"""
     lui x1, {a >> 12}
     addi x1, x1, {_lo12(a)}
@@ -167,7 +182,7 @@ taken:
     addi x3, x0, 222
     ebreak
     """
-    _run_pair(_asm(source))
+    _run_pair_both_modes(_asm(source))
 
 
 def test_backward_branch_loop():
@@ -244,7 +259,7 @@ def test_loads_stores_all_widths():
 
 def test_memory_fault_mid_block():
     # The faulting store commits the prefix of the block exactly.
-    _run_pair(
+    _run_pair_both_modes(
         _asm(
             """
             addi x1, x0, 100
@@ -260,7 +275,7 @@ def test_fault_in_unrolled_iteration():
     # A loop small enough to unroll whose load faults on a *later*
     # unrolled iteration: the partial-commit bookkeeping must match the
     # reference instruction-by-instruction.
-    _run_pair(
+    _run_pair_both_modes(
         _asm(
             """
             lui x6, 0x100
@@ -334,32 +349,66 @@ def test_budget_error_message_exact():
 # Self-modifying code
 # ----------------------------------------------------------------------
 def test_self_modifying_code_invalidates_blocks():
-    # The program overwrites an upcoming instruction (addi x4, x0, 55)
-    # with addi x4, x0, 77; the guard must invalidate translations so
-    # the patched word executes.
+    # The program overwrites an instruction (addi x4, x0, 55) with
+    # addi x4, x0, 77; the guard must invalidate translations so the
+    # patched word executes.
     patch = assemble("addi x4, x0, 77").words[0]
-    source = f"""
-    lui x1, {patch >> 12}
-    addi x1, x1, {_lo12(patch)}
-    addi x2, x0, 20
-    sw x1, 0(x2)
-    addi x3, x0, 1
-    addi x4, x0, 55
-    ebreak
-    """
-    threaded, reference = _run_pair(_asm(source))
-    assert threaded.registers[4] == 77
-    assert reference.registers[4] == 77
+    for body in (
+        # patch ahead, inside the block that is running
+        ["addi x2, x0, 20", "sw x1, 0(x2)", "addi x3, x0, 1",
+         "addi x4, x0, 55", "ebreak"],
+        # patch a loop body after its first iteration
+        ["addi x2, x0, 16", "addi x3, x0, 3", "loop:", "addi x4, x0, 55",
+         "sw x1, 0(x2)", "addi x3, x3, -1", "bne x3, x0, loop", "ebreak"],
+    ):
+        source = "\n".join(
+            [f"lui x1, {patch >> 12}", f"addi x1, x1, {_lo12(patch)}"] + body
+        )
+        threaded, reference = _run_pair_both_modes(_asm(source))
+        assert threaded.registers[4] == 77
+        assert reference.registers[4] == 77
 
 
 def test_smc_reexecution_uses_patched_code():
     # Run the patch loop twice (second entry via warm cache) to make
     # sure invalidation also clears the device-level shared cache.
     device = GaussianSamplerDevice(MODULI)
-    first = device.run(seed=11, count=2)
-    second = device.run(seed=11, count=2)
+    first = device.run(seed=11, count=2, engine="threaded")
+    second = device.run(seed=11, count=2, engine="threaded")
     assert first.values == second.values
     assert first.events == second.events
+
+
+# ----------------------------------------------------------------------
+# Lazy bytecode compilation: each generated block function is exec'd on
+# its first call (every _run_pair case above starts from a cold cache).
+# ----------------------------------------------------------------------
+def test_lazy_block_execs_once_and_rebinds_its_slot(monkeypatch):
+    calls = []
+
+    def counting_exec(source, namespace):
+        calls.append(source)
+        exec(source, namespace)  # noqa: S102 - forwards the template JIT
+
+    monkeypatch.setattr(threaded, "exec", counting_exec, raising=False)
+    clear_translation_cache()
+    cpu = Cpu(Memory(), record_events=False)
+    cpu.load_program(_asm("addi x1, x0, 3\naddi x2, x1, 4\nebreak"), 0)
+    block = translate(cpu.memory, 0)
+    assert calls == []  # translation writes source, compiles nothing
+    assert block.run_fast == block._lazy_fast
+    generated = translation_cache_stats()["compile_time_s"]
+
+    assert block.run_fast(cpu, cpu.registers, cpu.memory) == 3
+    assert len(calls) == 1 and cpu.halted and cpu.registers[2] == 7
+    assert block.run_fast.__name__ == "_bb"  # the stub replaced itself
+    assert block.run_recording == block._lazy_recording  # still pending
+    # The deferred exec is compile time too.
+    assert translation_cache_stats()["compile_time_s"] > generated
+
+    cpu.load_program(_asm("addi x1, x0, 3\naddi x2, x1, 4\nebreak"), 0)
+    block.run_fast(cpu, cpu.registers, cpu.memory)
+    assert len(calls) == 1
 
 
 # ----------------------------------------------------------------------
@@ -410,7 +459,7 @@ def test_device_rejects_unknown_engine():
 
 def test_resolve_engine_env_default(monkeypatch):
     monkeypatch.delenv("REVEAL_ENGINE", raising=False)
-    assert resolve_engine(None) == "threaded"
+    assert resolve_engine(None) == "compiled"
     monkeypatch.setenv("REVEAL_ENGINE", "compiled")
     assert resolve_engine(None) == "compiled"
     assert resolve_engine("interpreter") == "reference"
@@ -426,9 +475,9 @@ def test_resolve_engine_env_default(monkeypatch):
 
 def test_warm_cache_second_run_identical():
     device = GaussianSamplerDevice(MODULI)
-    cold = device.run(5, count=4)
+    cold = device.run(5, count=4, engine="threaded")
     assert translation_cache_size() >= 0  # process-level cache exists
-    warm = device.run(5, count=4)
+    warm = device.run(5, count=4, engine="threaded")
     assert cold.values == warm.values
     assert cold.events == warm.events
     assert cold.cycle_count == warm.cycle_count
@@ -436,10 +485,10 @@ def test_warm_cache_second_run_identical():
 
 def test_translation_cache_clear():
     device = GaussianSamplerDevice(MODULI)
-    device.run(3, count=1)
+    device.run(3, count=1, engine="threaded")
     clear_translation_cache()
     assert translation_cache_size() == 0
-    rerun = device.run(3, count=1)
+    rerun = device.run(3, count=1, engine="threaded")
     reference = device.run(3, count=1, engine="reference")
     assert rerun.events == reference.events
 
@@ -478,6 +527,6 @@ def test_eventlog_eq_not_implemented_for_generic_iterables():
 
 def test_eventlog_pickle_roundtrip_after_threaded_run():
     device = GaussianSamplerDevice(MODULI)
-    run = device.run(9, count=2)
+    run = device.run(9, count=2, engine="threaded")
     clone = pickle.loads(pickle.dumps(run.events))
     assert clone == run.events

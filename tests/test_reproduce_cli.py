@@ -35,13 +35,19 @@ class TestCli:
         assert "per-stage timings" in out
         for stage in ("capture", "segment", "classify", "wall"):
             assert stage in out
-        assert "threaded engine" in out
+        assert f"{effective_engine(None)} engine" in out
 
     def test_table1_engine_flag(self, capsys):
         main(["table1", "--traces", "8", "--engine", "compiled"])
         out = capsys.readouterr().out
         assert "Table I" in out
         assert f"{effective_engine('compiled')} engine" in out
+
+    @pytest.mark.parametrize("traces", ["0", "-1", "x"])
+    def test_rejects_bad_traces(self, traces, capsys):
+        with pytest.raises(SystemExit):
+            main(["table1", "--traces", traces])
+        assert "argument --traces" in capsys.readouterr().err
 
     def test_rejects_unknown_engine(self):
         with pytest.raises(SystemExit):
