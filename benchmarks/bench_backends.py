@@ -14,9 +14,7 @@ Kernels:
   paper's modulus (Shoup multiplication vs the numpy ladder);
 * ``pointwise_mulmod`` — the negacyclic product's O(n) core;
 * ``expand`` — ``LeakageModel.expand`` over a real device event log
-  (the compiled event emitter vs the vectorized numpy expansion);
-* ``template`` — ``TemplateSet.log_likelihoods_matrix`` on a
-  profiling-sized batch (per-class Mahalanobis forms).
+  (the compiled event emitter vs the vectorized numpy expansion).
 
 Run directly::
 
@@ -35,7 +33,12 @@ from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from repro.backends import available_backends, backend_id, use_backend
+from repro.backends import (
+    available_backends,
+    backend_id,
+    probe_backend,
+    use_backend,
+)
 
 PAPER_Q = 132120577
 N = 1024
@@ -49,13 +52,11 @@ KERNELS: Tuple[Tuple[str, int], ...] = (
     ("ntt_inverse", 50),
     ("pointwise_mulmod", 50),
     ("expand", 50),
-    ("template", 10),
 )
 
 
 def _build_cases() -> Dict[str, Callable[[], None]]:
     """One closure per kernel, running the call site under test."""
-    from repro.attack.template import TemplateSet
     from repro.power.leakage import LeakageModel
     from repro.riscv.device import GaussianSamplerDevice
     from repro.ring.ntt import get_ntt_context
@@ -70,25 +71,11 @@ def _build_cases() -> Dict[str, Callable[[], None]]:
         seed=7, count=COUNT, record_events=True
     ).events
 
-    k, classes, slices_n = 24, 11, 400
-    basis = rng.normal(0.0, 1.0, (k, k))
-    precision = basis @ basis.T + k * np.eye(k)
-    labels = list(range(-5, 6))
-    templates = TemplateSet(
-        pois=list(range(k)),
-        means={label: rng.normal(0.0, 5.0, k) for label in labels},
-        precision=precision,
-        class_precisions={label: precision for label in labels},
-        class_log_dets={label: 0.0 for label in labels},
-    )
-    slices = rng.normal(0.0, 5.0, (slices_n, 2 * k))
-
     return {
         "ntt_forward": lambda: context.forward(a),
         "ntt_inverse": lambda: context.inverse(a),
         "pointwise_mulmod": lambda: context.multiply(a, b),
         "expand": lambda: model.expand(events),
-        "template": lambda: templates.log_likelihoods_matrix(slices),
     }
 
 
@@ -168,9 +155,7 @@ def main(argv=None) -> int:
         # (1.0x).  A floor only applies when the backend declares the
         # kernel that accelerates the bench.
         if args.quick:
-            from repro.backends import kernel_exactness
-
-            declared = kernel_exactness(backend)
+            declared = probe_backend(backend).kernels
             for bench_name, kernel, floor in (
                 ("ntt_forward", "ntt_forward", 2.0),
                 ("expand", "expand_events", 1.5),

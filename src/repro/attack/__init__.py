@@ -26,7 +26,7 @@ cache), :mod:`repro.attack.orchestrator` (the parallel campaign
 executor: futures on a warm process pool, with checkpoint/resume
 through :mod:`repro.attack.checkpoint`), :mod:`repro.attack.evaluation`
 (hint statistics and bikz estimates from a campaign's probability
-tables), :mod:`repro.attack.profile_store` (multi-tenant LRU profile store),
+tables), :mod:`repro.attack.profile_store` (on-disk profile cache),
 :mod:`repro.attack.cpa` (unprofiled correlation analysis) and
 :mod:`repro.attack.persistence` (profile once, attack later).
 """
@@ -46,7 +46,7 @@ from repro.attack.orchestrator import (
     Orchestrator,
     run_orchestrated,
 )
-from repro.attack.profile_store import ProfileEntry, ProfileStore
+from repro.attack.profile_store import ProfileStore
 from repro.attack.cpa import correlation_trace, locate_value_leakage
 from repro.attack.metrics import ConfusionMatrix
 from repro.attack.persistence import load_attack, save_attack
@@ -71,7 +71,6 @@ __all__ = [
     "CampaignReport",
     "ConfusionMatrix",
     "Orchestrator",
-    "ProfileEntry",
     "ProfileStore",
     "aggregate_outcomes",
     "campaign_fingerprint",

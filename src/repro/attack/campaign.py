@@ -84,9 +84,9 @@ class CampaignReport:
     workers: int
     engine: str = "threaded"
     #: ``name-version`` of the compute backend the campaign ran under
-    #: (see :mod:`repro.backends`) — reports from different backends
-    #: are comparable but not necessarily bit-identical when a
-    #: non-exact kernel (template matching) was armed.
+    #: (see :mod:`repro.backends`), as provenance only: every backend
+    #: kernel is bit-exact, so reports are bit-identical across
+    #: backends.
     backend: str = "reference"
     #: Orchestrated runs attach their executor counters here (grain
     #: size, grains folded, checkpoint shards written, worker deaths
@@ -389,10 +389,6 @@ def profile_cache_key(
         # under another (the v1 -> v2 Philox migration changed every
         # noise value while keeping the distribution).
         "noise_stream": NOISE_STREAM_VERSION,
-        # ... and likewise across compute backends: a profile fitted
-        # under a backend with a non-exact (Tolerance) template kernel
-        # must never be silently served to a run under another.
-        "backend": backend_id(),
         "batch_entropy": acquisition.batch_entropy(),
         "moduli": getattr(device, "moduli", None),
         "max_deviation": getattr(device, "max_deviation", None),

@@ -9,7 +9,7 @@ most the shard being written, never the directory's integrity.
 
 The manifest pins a **fingerprint** of everything the per-seed results
 depend on (seed range, coefficient count, batch noise entropy, noise
-stream version, compute backend, template labels).  Resuming under a
+stream version, template labels).  Resuming under a
 different configuration is a hard error rather than a silently mixed
 report: per-seed outcomes are a pure function of the fingerprint, which
 is what makes the resumed report bit-identical to an uninterrupted run.
@@ -47,7 +47,6 @@ def campaign_fingerprint(
     labels: Iterable[int],
 ) -> str:
     """Hash of everything a campaign's per-seed outcomes depend on."""
-    from repro.backends import backend_id
     from repro.power.noise import NOISE_STREAM_VERSION
 
     blob = json.dumps(
@@ -58,7 +57,6 @@ def campaign_fingerprint(
             "entropy": int(entropy),
             "labels": [int(label) for label in labels],
             "noise_stream": NOISE_STREAM_VERSION,
-            "backend": backend_id(),
         },
         sort_keys=True,
     ).encode()

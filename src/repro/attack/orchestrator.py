@@ -58,7 +58,6 @@ from repro.attack.campaign import (
 )
 from repro.attack.checkpoint import CampaignCheckpoint, campaign_fingerprint
 from repro.attack.pipeline import SingleTraceAttack
-from repro.backends import get_backend, set_backend
 from repro.errors import AttackError
 from repro.riscv.device import effective_engine
 from repro.utils.pool import process_pool
@@ -154,12 +153,10 @@ def _worker_init(attack: SingleTraceAttack) -> None:
 
 
 def _run_grain(
-    lo: int, hi: int, count: int, entropy: int, engine: str, backend: str
+    lo: int, hi: int, count: int, entropy: int, engine: str
 ) -> List[np.ndarray]:
     """Attack victim seeds ``[lo, hi)`` in a warm worker; return the
     grain's packed record."""
-    if get_backend().name != backend:
-        set_backend(backend)
     attack = _WORKER["attack"]
     outcomes = [
         _attack_seed(attack, seed, count, entropy, engine) for seed in range(lo, hi)
@@ -203,7 +200,6 @@ class CampaignJob:
         count: int,
         first_seed: int,
         entropy: int,
-        backend: str,
         checkpoint: Optional[CampaignCheckpoint],
     ) -> None:
         self._orchestrator = orchestrator
@@ -211,7 +207,6 @@ class CampaignJob:
         self.count = count  # coefficients per trace
         self.first_seed = first_seed
         self.entropy = entropy
-        self.backend = backend
         self.checkpoint = checkpoint
         n, n_labels = trace_count, len(orchestrator._labels)
         self.folded = np.zeros(n, dtype=bool)
@@ -384,7 +379,6 @@ class Orchestrator:
                 coeffs_per_trace,
                 first_seed,
                 entropy,
-                get_backend().name,
                 checkpoint,
             )
             if checkpoint is not None and resume:
@@ -450,7 +444,7 @@ class Orchestrator:
         for lo, hi in grains:
             try:
                 future = self._pool.submit(
-                    _run_grain, lo, hi, job.count, job.entropy, self.engine, job.backend
+                    _run_grain, lo, hi, job.count, job.entropy, self.engine
                 )
             except BrokenProcessPool as exc:
                 future = Future()

@@ -1,30 +1,20 @@
-"""Multi-tenant on-disk store for profiled attack archives.
+"""On-disk store for profiled attack archives.
 
 :func:`repro.attack.campaign.profiled_attack_cached` keys each profiled
-attack by a SHA-256 of its full configuration.  This module hardens
-that cache into a store several campaign processes can share:
-
-- **Atomic writes.**  Archives land via temp-file + :func:`os.replace`
-  in the same directory, so concurrent writers of the same key race
-  benignly (last complete archive wins — both are bit-identical, being
-  pure functions of the key) and a reader never observes a torn file.
-- **LRU eviction.**  ``max_entries`` / ``max_bytes`` caps evict the
-  least-recently-*used* archives; :meth:`load` touches the file's
-  mtime so long-lived tenants stay warm while one-off configurations
-  age out.
-- **Warm-start listing.**  :meth:`entries` enumerates resident
-  profiles (key prefix, size, last use) so a service can pre-load its
-  tenants' attacks at boot instead of re-profiling on first request.
+attack by a SHA-256 of its full configuration and keeps the archives
+here, one ``profile-<key16>.npz`` per key.  Archives land via temp-file
++ :func:`os.replace` in the same directory, so concurrent writers of
+the same key race benignly (last complete archive wins — both are
+bit-identical, being pure functions of the key) and a reader never
+observes a torn file.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
-import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 from repro.attack.persistence import load_attack, save_attack
 from repro.attack.pipeline import SingleTraceAttack
@@ -33,83 +23,27 @@ _PREFIX = "profile-"
 _SUFFIX = ".npz"
 
 
-@dataclass(frozen=True)
-class ProfileEntry:
-    """One resident archive (warm-start listing row)."""
-
-    key: str  # 16-hex key prefix (the filename component)
-    path: Path
-    bytes: int
-    last_used: float
-
-
 class ProfileStore:
-    """A directory of ``profile-<key16>.npz`` archives with caps.
+    """A directory of ``profile-<key16>.npz`` archives."""
 
-    The on-disk naming matches what ``profiled_attack_cached`` always
-    wrote, so existing cache directories are valid stores as-is.
-    """
-
-    def __init__(
-        self,
-        directory: Union[str, Path],
-        max_entries: Optional[int] = None,
-        max_bytes: Optional[int] = None,
-    ) -> None:
+    def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError(f"max_bytes must be >= 1, got {max_bytes}")
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
 
-    # ------------------------------------------------------------------
     def path_for(self, key: str) -> Path:
         return self.directory / f"{_PREFIX}{key[:16]}{_SUFFIX}"
 
     def contains(self, key: str) -> bool:
         return self.path_for(key).exists()
 
-    def entries(self) -> List[ProfileEntry]:
-        """Resident archives, least recently used first."""
-        rows: List[ProfileEntry] = []
-        if not self.directory.is_dir():
-            return rows
-        for path in self.directory.glob(f"{_PREFIX}*{_SUFFIX}"):
-            try:
-                stat = path.stat()
-            except OSError:  # pragma: no cover - raced unlink
-                continue
-            rows.append(
-                ProfileEntry(
-                    key=path.name[len(_PREFIX) : -len(_SUFFIX)],
-                    path=path,
-                    bytes=stat.st_size,
-                    last_used=stat.st_mtime,
-                )
-            )
-        rows.sort(key=lambda entry: (entry.last_used, entry.key))
-        return rows
-
-    # ------------------------------------------------------------------
     def load(self, acquisition, key: str) -> Optional[SingleTraceAttack]:
-        """The profiled attack for ``key``, or ``None`` on a miss.
-
-        A hit refreshes the archive's LRU clock.
-        """
+        """The profiled attack for ``key``, or ``None`` on a miss."""
         path = self.path_for(key)
         if not path.exists():
             return None
-        attack = load_attack(acquisition, path)
-        try:
-            os.utime(path, None)
-        except OSError:  # pragma: no cover - read-only stores still work
-            pass
-        return attack
+        return load_attack(acquisition, path)
 
     def save(self, attack: SingleTraceAttack, key: str) -> Path:
-        """Persist atomically (temp file + rename), then enforce caps.
+        """Persist atomically (temp file + rename).
 
         Safe under concurrent writers: each writes its own temp file
         and the rename is atomic, so the path only ever holds a
@@ -130,35 +64,4 @@ class ProfileStore:
             except OSError:
                 pass
             raise
-        self.evict(keep=key)
         return path
-
-    # ------------------------------------------------------------------
-    def evict(self, keep: Optional[str] = None) -> List[Path]:
-        """Drop least-recently-used archives until within the caps.
-
-        ``keep`` protects one key (the archive just written) even when
-        the caps would otherwise select it.  Returns the evicted paths.
-        """
-        if self.max_entries is None and self.max_bytes is None:
-            return []
-        rows = self.entries()
-        total = sum(entry.bytes for entry in rows)
-        evicted: List[Path] = []
-        for entry in rows:
-            over_count = (
-                self.max_entries is not None
-                and len(rows) - len(evicted) > self.max_entries
-            )
-            over_bytes = self.max_bytes is not None and total > self.max_bytes
-            if not (over_count or over_bytes):
-                break
-            if keep is not None and entry.key == keep[:16]:
-                continue
-            try:
-                entry.path.unlink()
-            except OSError:  # pragma: no cover - raced unlink
-                continue
-            evicted.append(entry.path)
-            total -= entry.bytes
-        return evicted

@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.backends import get_kernel
 from repro.errors import AttackError
 
 
@@ -375,16 +374,6 @@ class TemplateSet:
         selected here).
         """
         x = np.asarray(slices, dtype=np.float64)[:, self.pois]
-        # Declared *non-exact* backend kernel: a compiled Mahalanobis
-        # form cannot reproduce einsum's reduction order bit for bit,
-        # so it only runs under an explicitly selected backend and is
-        # verified by a Tolerance oracle (``backend.*.template``).
-        kernel = get_kernel("template_quad")
-        if kernel is not None:
-            quad = kernel(x, self._means_matrix, self.precision, self._prec_stack)
-            if self._prec_stack is not None:
-                return -0.5 * quad - 0.5 * self._logdet_vec[None, :]
-            return -0.5 * quad
         d = x[:, None, :] - self._means_matrix[None, :, :]
         if self._prec_stack is not None:
             quad = np.einsum("ncp,cpq,ncq->nc", d, self._prec_stack, d)

@@ -6,9 +6,9 @@ kernel glue are the floor; Intel HEXL makes the case that SEAL-class
 workloads get their remaining order of magnitude from *dedicated
 kernels*, not better algorithms.  This package is that layer for the
 reproduction: the numeric hot kernels — NTT butterflies, negacyclic
-pointwise products, leakage expansion and template matching — are
-abstracted behind a uniform :func:`get_backend` / :func:`get_kernel`
-interface with pluggable implementations.
+pointwise products and leakage expansion — are abstracted behind a
+uniform :func:`get_backend` / :func:`get_kernel` interface with
+pluggable implementations.
 
 Backends
 --------
@@ -29,32 +29,23 @@ Backends
 Selection
 ---------
 Resolution is lazy (first :func:`get_backend` call, never at import)
-and picks the available backend with the highest priority.  The
-``REVEAL_BACKEND`` environment variable or an explicit
-:func:`set_backend` call overrides the probe; unknown names raise
-:class:`~repro.errors.ParameterError` listing the valid options at
-parse time, not as a ``KeyError`` deep in dispatch.
+and picks the available backend with the highest priority: ``native``
+where it builds, ``reference`` otherwise.  There is no user-facing
+knob, because the backend is a speed choice only.
+:func:`use_backend` selects one temporarily (oracles, benchmarks and
+tests pin the reference twin with it).
 
-Bit-exactness contract
-----------------------
-Every kernel declares whether it is bit-exact against the reference
-twin.  Exact kernels (integer NTT/pointwise arithmetic, leakage
-expansion whose float evaluation order is mirrored operation for
-operation) are drop-in and enabled whenever a compiled
-backend probes available.  Non-exact kernels (the template Mahalanobis
-form, whose reduction order necessarily differs from ``np.einsum``)
-change last bits and are enabled only when the backend was *explicitly*
-selected — via ``REVEAL_BACKEND``, ``repro.reproduce --backend`` or
-:func:`set_backend` — so default outputs stay bit-identical across
-machines with and without a compiler (the golden fixtures depend on
-that).  Either way ``repro.verify`` registers one oracle per backend
-kernel against the reference (bit-exact or a declared ``Tolerance``),
-so the differential harness enforces the contract automatically.
+Bit-exactness
+-------------
+Every kernel is bit-exact against the reference twin: integer
+NTT/pointwise arithmetic, and leakage expansion whose float evaluation
+order is mirrored operation for operation.  Outputs are therefore
+identical on hosts with and without a compiler, and ``repro.verify``
+registers one EXACT oracle per backend kernel group to enforce it.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -66,21 +57,6 @@ from repro.errors import ParameterError
 BACKEND_NAMES = ("reference", "native")
 
 
-@dataclass(frozen=True)
-class Kernel:
-    """One backend implementation of a named hot kernel.
-
-    ``exact`` declares the verification contract: ``True`` means the
-    kernel's output is bit-identical to the reference twin (enforced by
-    an exact oracle); ``False`` means it is numerically equivalent
-    within a declared :class:`repro.verify.Tolerance` and is therefore
-    only used when the backend was explicitly selected.
-    """
-
-    fn: Callable
-    exact: bool = True
-
-
 @dataclass
 class Backend:
     """A named set of kernel implementations plus probe metadata."""
@@ -88,15 +64,12 @@ class Backend:
     name: str
     version: str
     priority: int
-    kernels: Dict[str, Kernel] = field(default_factory=dict)
+    kernels: Dict[str, Callable] = field(default_factory=dict)
 
     @property
     def ident(self) -> str:
-        """Stable ``name-version`` identifier for cache keys/reports."""
+        """Stable ``name-version`` identifier for reports."""
         return f"{self.name}-{self.version}"
-
-    def kernel_names(self) -> Tuple[str, ...]:
-        return tuple(sorted(self.kernels))
 
 
 # ----------------------------------------------------------------------
@@ -124,27 +97,12 @@ _LOCK = threading.Lock()
 _PROBED: Dict[str, Optional[Backend]] = {}
 _PROBE_ERRORS: Dict[str, str] = {}
 _ACTIVE: Optional[Backend] = None
-_EXPLICIT = False
 
 
-def resolve_backend(name: Optional[str] = None) -> Optional[str]:
-    """Validate a backend request at parse time.
-
-    ``None`` falls back to the ``REVEAL_BACKEND`` environment variable;
-    an empty/unset variable returns ``None`` (meaning: auto-select by
-    capability probe).  Unknown names raise
-    :class:`~repro.errors.ParameterError` listing the valid options.
-    """
-    source = "backend"
-    if name is None:
-        name = os.environ.get("REVEAL_BACKEND", "").strip() or None
-        source = "REVEAL_BACKEND"
-        if name is None:
-            return None
-    name = str(name).strip().lower()
+def _validate(name: str) -> str:
     if name not in BACKEND_NAMES:
         raise ParameterError(
-            f"unknown {source} {name!r} (choose from "
+            f"unknown backend {name!r} (choose from "
             f"{', '.join(BACKEND_NAMES)})"
         )
     return name
@@ -157,7 +115,7 @@ def probe_backend(name: str) -> Optional[Backend]:
     missing compiler must degrade to the reference
     path, not break imports.
     """
-    name = resolve_backend(name)
+    name = _validate(name)
     with _LOCK:
         if name in _PROBED:
             return _PROBED[name]
@@ -175,7 +133,7 @@ def probe_backend(name: str) -> Optional[Backend]:
 
 def probe_error(name: str) -> Optional[str]:
     """Why the last probe of ``name`` failed (``None`` if it did not)."""
-    return _PROBE_ERRORS.get(resolve_backend(name))
+    return _PROBE_ERRORS.get(_validate(name))
 
 
 def available_backends() -> Tuple[str, ...]:
@@ -187,19 +145,10 @@ def available_backends() -> Tuple[str, ...]:
 # Selection
 # ----------------------------------------------------------------------
 def get_backend() -> Backend:
-    """The active backend, resolving lazily on first use.
-
-    Resolution order: an explicit :func:`set_backend` call, then the
-    ``REVEAL_BACKEND`` environment variable (validated; a requested but
-    unavailable backend raises instead of silently degrading), then the
-    highest-priority backend whose capability probe succeeds.
-    """
-    global _ACTIVE, _EXPLICIT
+    """The active backend: the highest-priority one whose probe succeeds."""
+    global _ACTIVE
     if _ACTIVE is not None:
         return _ACTIVE
-    requested = resolve_backend(None)
-    if requested is not None:
-        return set_backend(requested)
     best = probe_backend("reference")
     for name in BACKEND_NAMES:
         backend = probe_backend(name)
@@ -208,56 +157,42 @@ def get_backend() -> Backend:
     with _LOCK:
         if _ACTIVE is None:
             _ACTIVE = best
-            _EXPLICIT = False
     return _ACTIVE
-
-
-def set_backend(name: str) -> Backend:
-    """Explicitly select a backend (CLI ``--backend``, tests).
-
-    Unlike auto-selection this raises when the requested backend cannot
-    be built, and it arms the backend's non-exact kernels (see the
-    module docstring's bit-exactness contract).
-    """
-    global _ACTIVE, _EXPLICIT
-    validated = resolve_backend(name)
-    backend = probe_backend(validated)
-    if backend is None:
-        reason = _PROBE_ERRORS.get(validated, "probe failed")
-        raise ParameterError(
-            f"backend {validated!r} is unavailable on this host "
-            f"({reason}); available: {', '.join(available_backends())}"
-        )
-    with _LOCK:
-        _ACTIVE = backend
-        _EXPLICIT = True
-    return backend
 
 
 @contextmanager
 def use_backend(name: str) -> Iterator[Backend]:
-    """Temporarily select ``name`` (oracles, differential tests)."""
-    global _ACTIVE, _EXPLICIT
+    """Temporarily select ``name`` (oracles, benchmarks, tests).
+
+    Raises :class:`~repro.errors.ParameterError` when ``name`` cannot
+    be built on this host.
+    """
+    global _ACTIVE
+    backend = probe_backend(name)
+    if backend is None:
+        raise ParameterError(
+            f"backend {name!r} is unavailable on this host "
+            f"({_PROBE_ERRORS.get(name, 'probe failed')}); "
+            f"available: {', '.join(available_backends())}"
+        )
     with _LOCK:
-        saved = (_ACTIVE, _EXPLICIT)
-    backend = set_backend(name)
+        saved, _ACTIVE = _ACTIVE, backend
     try:
         yield backend
     finally:
         with _LOCK:
-            _ACTIVE, _EXPLICIT = saved
+            _ACTIVE = saved
 
 
 def reset_backend() -> None:
     """Forget the active selection (tests); probes stay cached."""
-    global _ACTIVE, _EXPLICIT
+    global _ACTIVE
     with _LOCK:
         _ACTIVE = None
-        _EXPLICIT = False
 
 
 def backend_id() -> str:
-    """``name-version`` of the active backend (cache keys, reports)."""
+    """``name-version`` of the active backend (reports)."""
     return get_backend().ident
 
 
@@ -265,22 +200,6 @@ def get_kernel(name: str) -> Optional[Callable]:
     """The active backend's implementation of ``name``, or ``None``.
 
     ``None`` means: run the call site's inline numpy path (the
-    reference twin).  Non-exact kernels are withheld unless the backend
-    was explicitly selected, keeping auto-probed defaults bit-identical
-    to a reference-only install.
+    reference twin).
     """
-    backend = get_backend()
-    kernel = backend.kernels.get(name)
-    if kernel is None:
-        return None
-    if not kernel.exact and not _EXPLICIT:
-        return None
-    return kernel.fn
-
-
-def kernel_exactness(backend_name: str) -> Dict[str, bool]:
-    """Kernel name -> declared exactness for one backend (oracles)."""
-    backend = probe_backend(backend_name)
-    if backend is None:
-        return {}
-    return {name: k.exact for name, k in backend.kernels.items()}
+    return get_backend().kernels.get(name)

@@ -9,10 +9,8 @@ same association, same order — and the module is compiled with
 ``-ffp-contract=off`` so the compiler cannot fuse ``a*b+c`` into an
 FMA; together that makes `expand_events` bit-identical to
 ``LeakageModel.expand`` (enforced by the ``backend.native.*``
-oracles).  The template Mahalanobis kernel is the one declared
-*non-exact* kernel: its per-row reduction order necessarily differs
-from ``np.einsum``'s, so it carries a ``Tolerance`` oracle instead and
-only runs when the backend was explicitly selected.
+oracles).  Every kernel is bit-exact, so the backend changes speed,
+never an output bit.
 
 Compilation happens once per machine: the shared object is built into
 ``$REVEAL_NATIVE_CACHE`` (default ``~/.cache/reveal-native``) under a
@@ -31,11 +29,10 @@ import os
 import shutil
 import sysconfig
 import tempfile
-from typing import Optional
 
 import numpy as np
 
-from repro.backends import Backend, Kernel
+from repro.backends import Backend
 from repro.riscv import cycles as cy
 _CDEF = """
 void reveal_ntt_forward(int64_t *a, int64_t n, const uint64_t *w,
@@ -52,12 +49,6 @@ void reveal_expand_events(int64_t n, const int64_t *op,
                           const int64_t *prev, const int64_t *starts,
                           double *samples, double wd, double wt,
                           double wf, double we, double eoff, double base);
-void reveal_template_quad_pooled(const double *x, const double *means,
-                                 const double *prec, int64_t n,
-                                 int64_t c, int64_t p, double *out);
-void reveal_template_quad_perclass(const double *x, const double *means,
-                                   const double *prec_stack, int64_t n,
-                                   int64_t c, int64_t p, double *out);
 """
 
 # The op-class ids are spliced in from repro.riscv.cycles at build time
@@ -238,49 +229,6 @@ void reveal_expand_events(int64_t n, const int64_t *op,
                    old_rd[e], address[e], samples + starts[e], wd,
                    half_wd, wt, wf, we, half_we, eng_base, base);
 }
-
-/* Mahalanobis quadratic forms d P d^T for every (slice, class) pair.
-   Reduction order differs from np.einsum — declared non-exact. */
-void reveal_template_quad_pooled(const double *x, const double *means,
-                                 const double *prec, int64_t n,
-                                 int64_t c, int64_t p, double *out) {
-    for (int64_t i = 0; i < n; i++) {
-        const double *xi = x + i * p;
-        for (int64_t j = 0; j < c; j++) {
-            const double *mj = means + j * p;
-            double quad = 0.0;
-            for (int64_t a = 0; a < p; a++) {
-                const double *row = prec + a * p;
-                double inner = 0.0;
-                for (int64_t b = 0; b < p; b++)
-                    inner += row[b] * (xi[b] - mj[b]);
-                quad += (xi[a] - mj[a]) * inner;
-            }
-            out[i * c + j] = quad;
-        }
-    }
-}
-
-void reveal_template_quad_perclass(const double *x, const double *means,
-                                   const double *prec_stack, int64_t n,
-                                   int64_t c, int64_t p, double *out) {
-    for (int64_t i = 0; i < n; i++) {
-        const double *xi = x + i * p;
-        for (int64_t j = 0; j < c; j++) {
-            const double *mj = means + j * p;
-            const double *prec = prec_stack + j * p * p;
-            double quad = 0.0;
-            for (int64_t a = 0; a < p; a++) {
-                const double *row = prec + a * p;
-                double inner = 0.0;
-                for (int64_t b = 0; b < p; b++)
-                    inner += row[b] * (xi[b] - mj[b]);
-                quad += (xi[a] - mj[a]) * inner;
-            }
-            out[i * c + j] = quad;
-        }
-    }
-}
 """
 
 
@@ -311,28 +259,26 @@ def _load_extension(modname: str, path: str):
     return module
 
 
-def _compile_and_load():
-    """Build (or reuse) the extension; returns ``(module, digest)``."""
-    source = _c_source()
-    digest = hashlib.sha256((_CDEF + source).encode()).hexdigest()[:12]
-    modname = f"_reveal_native_{digest}"
+def build_extension(modname: str, cdef: str, source: str, cflags):
+    """Build (or reuse) the cffi extension ``modname``; returns the module.
+
+    The shared object lives in ``$REVEAL_NATIVE_CACHE`` under
+    ``modname``, which callers key by a digest of everything that goes
+    into it, so a cached file is reused as is.  A missing ``cffi`` or C
+    compiler raises; callers treat that as "unavailable".
+    """
     cache_dir = _cache_dir()
     suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
     target = os.path.join(cache_dir, modname + suffix)
     if os.path.exists(target):
-        return _load_extension(modname, target), digest
+        return _load_extension(modname, target)
 
-    import cffi  # capability probe: missing cffi -> backend unavailable
+    import cffi  # capability probe: missing cffi -> caller falls back
 
     os.makedirs(cache_dir, exist_ok=True)
     ffi = cffi.FFI()
-    ffi.cdef(_CDEF)
-    # -ffp-contract=off: FMA contraction would change float results and
-    # break the bit-exactness contract of the expand kernel.
-    ffi.set_source(
-        modname, source,
-        extra_compile_args=["-O3", "-ffp-contract=off"],
-    )
+    ffi.cdef(cdef)
+    ffi.set_source(modname, source, extra_compile_args=list(cflags))
     # Build in a private temp dir, then publish atomically: concurrent
     # first-use from several processes must not see half-written files.
     build_dir = tempfile.mkdtemp(prefix="build-", dir=cache_dir)
@@ -341,7 +287,20 @@ def _compile_and_load():
         os.replace(built, target)
     finally:
         shutil.rmtree(build_dir, ignore_errors=True)
-    return _load_extension(modname, target), digest
+    return _load_extension(modname, target)
+
+
+def _compile_and_load():
+    """Build (or reuse) the backend extension; returns ``(module, digest)``."""
+    source = _c_source()
+    digest = hashlib.sha256((_CDEF + source).encode()).hexdigest()[:12]
+    # -ffp-contract=off: FMA contraction would change float results and
+    # break the bit-exactness contract of the expand kernel.
+    module = build_extension(
+        f"_reveal_native_{digest}", _CDEF, source,
+        ("-O3", "-ffp-contract=off"),
+    )
+    return module, digest
 
 
 def _shoup_table(powers: np.ndarray, q: int) -> np.ndarray:
@@ -415,33 +374,14 @@ def build_backend() -> Backend:
             i64(starts_c), f64(samples), wd, wt, wf, we, eoff, base,
         )
 
-    def template_quad(x, means, precision, prec_stack) -> np.ndarray:
-        x = np.ascontiguousarray(x, dtype=np.float64)
-        means = np.ascontiguousarray(means, dtype=np.float64)
-        n, p = x.shape
-        c = means.shape[0]
-        out = np.empty((n, c), dtype=np.float64)
-        if prec_stack is not None:
-            stack = np.ascontiguousarray(prec_stack, dtype=np.float64)
-            lib.reveal_template_quad_perclass(
-                f64(x), f64(means), f64(stack), n, c, p, f64(out)
-            )
-        else:
-            prec = np.ascontiguousarray(precision, dtype=np.float64)
-            lib.reveal_template_quad_pooled(
-                f64(x), f64(means), f64(prec), n, c, p, f64(out)
-            )
-        return out
-
     return Backend(
         name="native",
         version=digest[:8],
         priority=10,
         kernels={
-            "ntt_forward": Kernel(ntt_forward),
-            "ntt_inverse": Kernel(ntt_inverse),
-            "pointwise_mulmod": Kernel(pointwise_mulmod),
-            "expand_events": Kernel(expand_events),
-            "template_quad": Kernel(template_quad, exact=False),
+            "ntt_forward": ntt_forward,
+            "ntt_inverse": ntt_inverse,
+            "pointwise_mulmod": pointwise_mulmod,
+            "expand_events": expand_events,
         },
     )

@@ -39,13 +39,9 @@ from repro.utils.rng import new_rng
 
 @dataclass
 class CapturedTrace:
-    """One armed-and-triggered measurement.
+    """One armed-and-triggered measurement."""
 
-    ``trace`` is ``None`` only for slim ground-truth-only captures
-    (:meth:`TraceAcquisition.capture_batch` with ``return_traces=False``).
-    """
-
-    trace: Optional[Trace]
+    trace: Trace
     values: List[int]  # ground-truth sampled coefficients
     seed: int
     cycle_count: int
@@ -54,8 +50,6 @@ class CapturedTrace:
     def __post_init__(self) -> None:
         # Fail at the bench, not as a numpy warning three stages later
         # inside segmentation or template fitting.
-        if self.trace is None:
-            return
         samples = self.trace.samples
         if samples.size == 0:
             raise TraceValidationError(
@@ -133,24 +127,9 @@ def _capture_one(
     seed: int,
     count: int,
     batch_entropy: int,
-    return_traces: bool = True,
     engine: str = "threaded",
 ) -> CapturedTrace:
-    """One batch capture; shared by the serial path and pool workers.
-
-    ``return_traces=False`` is the slim ground-truth mode: the leakage
-    expansion, scope chain and event bookkeeping are skipped entirely
-    and the record carries only values/seed/cycle count, so pool pickles
-    stay a few bytes per capture.
-    """
-    if not return_traces:
-        run = device.run(seed, count=count, record_events=False, engine=engine)
-        return CapturedTrace(
-            trace=None,
-            values=run.values,
-            seed=seed,
-            cycle_count=run.cycle_count,
-        )
+    """One batch capture; shared by the serial path and pool workers."""
     run = device.run(seed, count=count, record_events=True, engine=engine)
     noiseless, starts = leakage.expand(run.events)
     measured = scope.capture_keyed(noiseless, batch_entropy, seed, out=noiseless)
@@ -216,12 +195,10 @@ def _pool_init(
 
 def _pool_task(args):
     """Capture one trace; segment it too when the pool has a segmenter."""
-    seed, count, batch_entropy, return_traces, engine = args
+    seed, count, batch_entropy, engine = args
     device, leakage, scope, segmenter, refiner = _POOL_BENCH["parts"]
     if segmenter is None:
-        return _capture_one(
-            device, leakage, scope, seed, count, batch_entropy, return_traces, engine
-        )
+        return _capture_one(device, leakage, scope, seed, count, batch_entropy, engine)
     return _segment_one(
         device, leakage, scope, segmenter, refiner, seed, count, batch_entropy, engine
     )
@@ -298,10 +275,6 @@ class TraceAcquisition:
             event_starts=starts,
         )
 
-    def capture_single(self, seed: int) -> CapturedTrace:
-        """One-coefficient capture (the profiling workload)."""
-        return self.capture(seed, count=1)
-
     # ------------------------------------------------------------------
     def batch_entropy(self) -> int:
         """The entropy that keys per-trace noise streams in batches.
@@ -374,7 +347,6 @@ class TraceAcquisition:
         coeffs_per_trace: int = 1,
         first_seed: int = 1,
         workers: Optional[int] = None,
-        return_traces: bool = True,
         engine: Optional[str] = None,
     ) -> List[CapturedTrace]:
         """Capture ``trace_count`` runs with consecutive device seeds.
@@ -384,17 +356,11 @@ class TraceAcquisition:
         seed)``, so the result is bit-identical to the serial path —
         same seeds, same noise — regardless of worker count or
         scheduling order.
-
-        ``return_traces=False`` returns slim ground-truth records
-        (``trace``/``event_starts`` set to ``None``): the per-capture
-        pool pickle shrinks from hundreds of KB of samples and event
-        starts to a few bytes of values, for callers that only need the
-        sampled coefficients (class surveys, label generation).
         """
         entropy = self.batch_entropy()
         engine = resolve_engine(engine if engine is not None else self.engine)
         tasks = [
-            (first_seed + i, coeffs_per_trace, entropy, return_traces, engine)
+            (first_seed + i, coeffs_per_trace, entropy, engine)
             for i in range(trace_count)
         ]
         if workers is None or workers <= 1 or trace_count <= 1:
@@ -449,7 +415,7 @@ class TraceAcquisition:
                 )
             return
         tasks = [
-            (first_seed + i, coeffs_per_trace, entropy, True, engine)
+            (first_seed + i, coeffs_per_trace, entropy, engine)
             for i in range(trace_count)
         ]
         yield from self._pool_map(tasks, workers, segmenter, refiner)

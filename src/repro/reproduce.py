@@ -27,8 +27,6 @@ import argparse
 
 import numpy as np
 
-from repro.backends import BACKEND_NAMES, resolve_backend, set_backend
-
 
 def _make_bench(noise: float = 1.0):
     from repro.power.capture import TraceAcquisition
@@ -256,13 +254,6 @@ def main(argv=None) -> None:
         "C toolchain)",
     )
     parser.add_argument(
-        "--backend",
-        choices=list(BACKEND_NAMES),
-        default=None,
-        help="numeric kernel backend for the hot loops "
-        "(default: $REVEAL_BACKEND, then capability probe)",
-    )
-    parser.add_argument(
         "--coeffs",
         type=int,
         default=8,
@@ -303,12 +294,6 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     if args.resume and args.campaign_dir is None:
         parser.error("--resume needs --campaign-dir")
-    if args.backend is not None:
-        set_backend(args.backend)
-    else:
-        # Surface a bad REVEAL_BACKEND value here, at parse time, rather
-        # than mid-campaign on the first kernel dispatch.
-        resolve_backend(None)
     runners = {
         "fig3": run_fig3,
         "table1": lambda: run_table1(args.traces, args.workers, args.engine),

@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import sysconfig
 import time
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -613,45 +612,19 @@ int reveal_run(int64_t *st, uint32_t *regs, uint8_t *mem, int64_t *ev,
 def _compile_module(source: str):
     """Build (or reuse) the extension for ``source``; returns the module.
 
-    Same digest-keyed disk cache and atomic publish as
-    ``repro.backends.native._compile_and_load``, under its own
-    ``_reveal_cpu_<digest>`` namespace so the two backends never collide.
+    :func:`repro.backends.native.build_extension` does the disk-cached
+    build, under its own ``_reveal_cpu_<digest>`` namespace so the two
+    extensions never collide.
     """
-    from repro.backends.native import _cache_dir, _load_extension
+    from repro.backends.native import build_extension
 
     digest = hashlib.sha256(
         (" ".join(_CFLAGS) + _CDEF + source).encode()
     ).hexdigest()[:12]
     module = _MODULES.get(digest)
-    if module is not None:
-        return module
-    modname = f"_reveal_cpu_{digest}"
-    cache_dir = _cache_dir()
-    suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
-    target = os.path.join(cache_dir, modname + suffix)
-    if os.path.exists(target):
-        module = _load_extension(modname, target)
-    else:
-        import shutil
-        import tempfile
-
-        import cffi  # capability probe: missing cffi -> fall back
-
-        os.makedirs(cache_dir, exist_ok=True)
-        ffi = cffi.FFI()
-        ffi.cdef(_CDEF)
-        ffi.set_source(
-            modname, source,
-            extra_compile_args=list(_CFLAGS),
-        )
-        build_dir = tempfile.mkdtemp(prefix="build-", dir=cache_dir)
-        try:
-            built = ffi.compile(tmpdir=build_dir)
-            os.replace(built, target)
-        finally:
-            shutil.rmtree(build_dir, ignore_errors=True)
-        module = _load_extension(modname, target)
-    _MODULES[digest] = module
+    if module is None:
+        module = build_extension(f"_reveal_cpu_{digest}", _CDEF, source, _CFLAGS)
+        _MODULES[digest] = module
     return module
 
 

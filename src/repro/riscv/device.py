@@ -215,10 +215,6 @@ class GaussianSamplerDevice:
             retires=retires,
         )
 
-    def sample_one(self, seed: int, record_events: bool = True) -> DeviceRun:
-        """Sample a single coefficient (the profiling workload)."""
-        return self.run(seed, count=1, record_events=record_events)
-
 
 def _next_pow2(value: int) -> int:
     return 1 << (value - 1).bit_length()

@@ -1,27 +1,22 @@
 """Per-backend kernel oracles for the compute-backend registry.
 
-:mod:`repro.backends` promises that every accelerated kernel is either
-bit-exact against the inline numpy path it replaces or numerically
-equivalent within a declared :class:`~repro.verify.compare.Tolerance`.
-This module turns that promise into registered oracles: for every
-backend whose capability probe succeeds (``native`` when a C compiler
-is present) it registers one oracle per kernel group —
+:mod:`repro.backends` promises that every accelerated kernel is
+bit-exact against the inline numpy path it replaces.  This module turns
+that promise into registered EXACT oracles: for every backend whose
+capability probe succeeds (``native`` when a C compiler is present) it
+registers one oracle per kernel group —
 
 - ``backend.<name>.ntt`` — forward/inverse butterflies and the
   negacyclic pointwise product through :class:`~repro.ring.ntt
-  .NttContext` (bit-exact: Shoup modular arithmetic lands on the same
-  residues as the numpy ladder);
+  .NttContext` (Shoup modular arithmetic lands on the same residues as
+  the numpy ladder);
 - ``backend.<name>.expand`` — event-log leakage expansion through
-  :meth:`LeakageModel.expand` (bit-exact float64: the compiled kernel
-  mirrors the numpy expression trees operation for operation, compiled
-  without FMA contraction);
-- ``backend.<name>.template`` — pooled and per-class Mahalanobis
-  log-likelihood matrices (Tolerance: the compiled quadratic form
-  necessarily reduces in a different order than ``np.einsum``).
+  :meth:`LeakageModel.expand` (float64: the compiled kernel mirrors the
+  numpy expression trees operation for operation, compiled without FMA
+  contraction).
 
 Each fast side runs inside :func:`repro.backends.use_backend` so the
-kernel under test is actually armed (including non-exact kernels, which
-auto-probe withholds); each reference side pins ``use_backend
+kernel under test is armed; each reference side pins ``use_backend
 ("reference")`` so the comparison target is always the inline numpy
 path.  Probes that fail register nothing — on a host without a
 compiler this module is a no-op and the registry is exactly
@@ -36,22 +31,14 @@ from __future__ import annotations
 
 from typing import Any, Dict, Tuple
 
-import numpy as np
-
-from repro.backends import available_backends, kernel_exactness, use_backend
-from repro.verify.compare import EXACT, Tolerance
+from repro.backends import available_backends, probe_backend, use_backend
+from repro.verify.compare import EXACT
 from repro.verify.oracles import (
     Oracle,
     _sample_leakage_case,
     _sample_ntt_case,
     register,
 )
-
-#: The compiled quadratic form accumulates in a different order than
-#: ``np.einsum``; on well-conditioned template matrices the drift is
-#: ~1e-15 relative, so 1e-9 (the repo's standard float envelope, and
-#: what the template-matrix tests pin) leaves ample headroom.
-_TEMPLATE_TOLERANCE = Tolerance(rtol=1e-9, atol=1e-9)
 
 
 # ----------------------------------------------------------------------
@@ -80,63 +67,10 @@ def _expand_with_backend(case: Dict[str, Any], backend: str):
 
 
 # ----------------------------------------------------------------------
-# Template matching
-# ----------------------------------------------------------------------
-def _sample_template_case(rng: np.random.Generator) -> Dict[str, Any]:
-    """A synthetic template set plus a batch of slices to score."""
-    from repro.attack.template import TemplateSet
-
-    k = int(rng.integers(2, 12))
-    length = k + int(rng.integers(1, 60))
-
-    def spd(size: int) -> np.ndarray:
-        basis = rng.normal(0.0, 1.0, (size, size))
-        return basis @ basis.T + size * np.eye(size)
-
-    labels = sorted(
-        int(v)
-        for v in rng.choice(
-            np.arange(-14, 15), size=int(rng.integers(2, 9)), replace=False
-        )
-    )
-    pois = sorted(int(p) for p in rng.choice(length, size=k, replace=False))
-    means = {label: rng.normal(0.0, 5.0, k) for label in labels}
-    priors = None
-    if rng.random() < 0.5:
-        raw = rng.uniform(0.05, 1.0, len(labels))
-        priors = {
-            label: float(p / raw.sum()) for label, p in zip(labels, raw)
-        }
-    class_precisions = class_log_dets = None
-    if rng.random() < 0.5:  # per-class covariance path
-        class_precisions = {label: spd(k) for label in labels}
-        class_log_dets = {
-            label: float(rng.normal(0.0, 2.0)) for label in labels
-        }
-    templates = TemplateSet(
-        pois=pois,
-        means=means,
-        precision=spd(k),
-        priors=priors,
-        class_precisions=class_precisions,
-        class_log_dets=class_log_dets,
-    )
-    slices = rng.normal(0.0, 5.0, (int(rng.integers(1, 16)), length))
-    return {"templates": templates, "slices": slices}
-
-
-def _template_with_backend(case: Dict[str, Any], backend: str) -> np.ndarray:
-    with use_backend(backend):
-        return case["templates"].log_likelihoods_matrix(case["slices"])
-
-
-# ----------------------------------------------------------------------
 # Registration: one oracle per (available backend, kernel group)
 # ----------------------------------------------------------------------
 #: Kernel groups: (oracle suffix, kernels that must all be present,
-#: description tail).  Exactness is read off the backend's declarations
-#: — a group whose kernels all declare ``exact=True`` registers an
-#: EXACT oracle, otherwise the declared Tolerance applies.
+#: description tail).
 _GROUPS: Tuple[Tuple[str, Tuple[str, ...], str], ...] = (
     (
         "ntt",
@@ -149,12 +83,6 @@ _GROUPS: Tuple[Tuple[str, Tuple[str, ...], str], ...] = (
         ("expand_events",),
         "leakage event expansion vs the vectorized numpy emitter",
     ),
-    (
-        "template",
-        ("template_quad",),
-        "pooled/per-class Mahalanobis log-likelihood matrices vs "
-        "np.einsum",
-    ),
 )
 
 
@@ -162,11 +90,10 @@ def _register_backend_oracles() -> None:
     for backend in available_backends():
         if backend == "reference":
             continue
-        exactness = kernel_exactness(backend)
+        declared = probe_backend(backend).kernels
         for suffix, kernels, tail in _GROUPS:
-            if not all(k in exactness for k in kernels):
+            if not all(k in declared for k in kernels):
                 continue
-            exact = all(exactness[k] for k in kernels)
             if suffix == "ntt":
                 fast = (
                     lambda case, b=backend: _ntt_with_backend(case, b)
@@ -176,7 +103,7 @@ def _register_backend_oracles() -> None:
                 summarize = (
                     lambda case: f"q={case['modulus'].value}, n={case['n']}"
                 )
-            elif suffix == "expand":
+            else:  # expand
                 fast = (
                     lambda case, b=backend: _expand_with_backend(case, b)
                 )
@@ -185,28 +112,14 @@ def _register_backend_oracles() -> None:
                 )
                 sample = _sample_leakage_case
                 summarize = lambda case: f"{len(case['events'])} events"
-            else:  # template
-                fast = (
-                    lambda case, b=backend: _template_with_backend(case, b)
-                )
-                reference = (
-                    lambda case: _template_with_backend(case, "reference")
-                )
-                sample = _sample_template_case
-                summarize = (
-                    lambda case: f"{len(case['templates'].labels)} classes, "
-                    f"{case['slices'].shape[0]} slices, "
-                    f"{len(case['templates'].pois)} POIs"
-                )
             register(
                 Oracle(
                     name=f"backend.{backend}.{suffix}",
-                    description=f"{backend} backend: {tail} "
-                    + ("(bit-exact)" if exact else "(declared tolerance)"),
+                    description=f"{backend} backend: {tail} (bit-exact)",
                     sample=sample,
                     fast=fast,
                     reference=reference,
-                    tolerance=EXACT if exact else _TEMPLATE_TOLERANCE,
+                    tolerance=EXACT,
                     summarize=summarize,
                 )
             )

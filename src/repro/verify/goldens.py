@@ -66,30 +66,24 @@ def _golden_bench():
 def build_golden_attack(workers: Optional[int] = None):
     """Profile the fixture attack (the Table 1/2 bench at toy scale).
 
-    Pinned to the ``reference`` compute backend: the fixture's job is
-    to pin the *reference* pipeline bit-for-bit, independent of which
-    accelerated backends this host happens to probe (an explicitly
-    selected backend may arm non-exact kernels that perturb last bits).
+    Runs under whatever compute backend this host probes: every backend
+    kernel is bit-exact, so the fixture is the same on all of them.
     """
     from repro.attack.pipeline import SingleTraceAttack
-    from repro.backends import use_backend
 
-    with use_backend("reference"):
-        attack = SingleTraceAttack(_golden_bench(), poi_count=24)
-        attack.profile(workers=workers or golden_workers(), **GOLDEN_PROFILE)
+    attack = SingleTraceAttack(_golden_bench(), poi_count=24)
+    attack.profile(workers=workers or golden_workers(), **GOLDEN_PROFILE)
     return attack
 
 
 def golden_payload(workers: Optional[int] = None) -> Dict[str, Any]:
     """Run the golden flow end to end and distil the committed payload."""
     from repro.attack.campaign import run_campaign
-    from repro.backends import use_backend
     from repro.hints.hintgen import moments_of_table
 
     workers = workers or golden_workers()
     attack = build_golden_attack(workers)
-    with use_backend("reference"):
-        report = run_campaign(attack, workers=workers, **GOLDEN_CAMPAIGN)
+    report = run_campaign(attack, workers=workers, **GOLDEN_CAMPAIGN)
 
     counts = report.confusion.counts()
     confusion = [

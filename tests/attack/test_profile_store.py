@@ -1,9 +1,6 @@
-"""Tests for the multi-tenant profile store (atomicity, LRU, listing)."""
+"""Tests for the on-disk profile store (naming, round trip, atomicity)."""
 
 import multiprocessing
-import os
-
-import pytest
 
 from repro.attack.pipeline import SingleTraceAttack
 from repro.attack.profile_store import ProfileStore
@@ -14,8 +11,6 @@ from repro.riscv.device import GaussianSamplerDevice
 PAPER_Q = 132120577
 
 KEY_A = "a" * 64
-KEY_B = "b" * 64
-KEY_C = "c" * 64
 
 
 def fresh_bench():
@@ -24,32 +19,13 @@ def fresh_bench():
     )
 
 
-class TestNamingAndListing:
+class TestNaming:
     def test_legacy_compatible_paths(self, tmp_path):
         store = ProfileStore(tmp_path)
         path = store.path_for(KEY_A)
         assert path.name == f"profile-{'a' * 16}.npz"
         assert path.parent == tmp_path
         assert not store.contains(KEY_A)
-
-    def test_entries_empty_for_missing_directory(self, tmp_path):
-        assert ProfileStore(tmp_path / "nope").entries() == []
-
-    def test_entries_sorted_least_recent_first(self, tmp_path):
-        store = ProfileStore(tmp_path)
-        for key, age in ((KEY_A, 300), (KEY_B, 100), (KEY_C, 200)):
-            path = store.path_for(key)
-            path.write_bytes(b"x" * 10)
-            os.utime(path, (1_000_000 - age, 1_000_000 - age))
-        keys = [entry.key for entry in store.entries()]
-        assert keys == ["a" * 16, "c" * 16, "b" * 16]
-        assert all(entry.bytes == 10 for entry in store.entries())
-
-    def test_caps_validated(self, tmp_path):
-        with pytest.raises(ValueError):
-            ProfileStore(tmp_path, max_entries=0)
-        with pytest.raises(ValueError):
-            ProfileStore(tmp_path, max_bytes=0)
 
 
 class TestSaveLoad:
@@ -70,53 +46,6 @@ class TestSaveLoad:
         assert [p.name for p in tmp_path.iterdir()] == [
             store.path_for(KEY_A).name
         ]
-
-    def test_load_touches_lru_clock(self, bench, profiled_attack, tmp_path):
-        store = ProfileStore(tmp_path)
-        path = store.save(profiled_attack, KEY_A)
-        os.utime(path, (1, 1))
-        store.load(bench, KEY_A)
-        assert path.stat().st_mtime > 1
-
-
-class TestEviction:
-    def test_max_entries_drops_least_recently_used(
-        self, profiled_attack, tmp_path
-    ):
-        store = ProfileStore(tmp_path, max_entries=2)
-        store.save(profiled_attack, KEY_A)
-        store.save(profiled_attack, KEY_B)
-        os.utime(store.path_for(KEY_A), (1, 1))  # A is now the coldest
-        store.save(profiled_attack, KEY_C)
-        assert not store.contains(KEY_A)
-        assert store.contains(KEY_B)
-        assert store.contains(KEY_C)
-
-    def test_touch_on_load_protects_hot_entries(
-        self, bench, profiled_attack, tmp_path
-    ):
-        store = ProfileStore(tmp_path, max_entries=2)
-        store.save(profiled_attack, KEY_A)
-        store.save(profiled_attack, KEY_B)
-        os.utime(store.path_for(KEY_A), (1, 1))
-        os.utime(store.path_for(KEY_B), (2, 2))
-        store.load(bench, KEY_A)  # refresh A: B becomes the coldest
-        store.save(profiled_attack, KEY_C)
-        assert store.contains(KEY_A)
-        assert not store.contains(KEY_B)
-
-    def test_max_bytes_keeps_just_written_key(self, profiled_attack, tmp_path):
-        store = ProfileStore(tmp_path, max_bytes=1)
-        path = store.save(profiled_attack, KEY_A)
-        # The cap is absurdly small, but the archive just written is
-        # protected — a store must never evict its own save.
-        assert path.exists()
-
-    def test_uncapped_store_never_evicts(self, profiled_attack, tmp_path):
-        store = ProfileStore(tmp_path)
-        store.save(profiled_attack, KEY_A)
-        assert store.evict() == []
-        assert store.contains(KEY_A)
 
 
 def _stress_writer(directory, key, barrier):

@@ -4,9 +4,8 @@ One parametrized sweep: every kernel-group oracle of every backend that
 probes available on this host (``backend.native.*`` wherever a C
 compiler exists), each driven over a deterministic quick-tier seed range (deep
 tier widens it).  The oracles themselves pin the comparison contract —
-bit-exact for the integer/mirrored-float kernels, declared tolerance
-for the template quadratic form — so this file only has to drive them
-and surface the replay command on failure.
+bit-exact for every kernel — so this file only has to drive them and
+surface the replay command on failure.
 
 Hosts with no compiled backend collect zero cases here; the registry's
 fallback behaviour is covered by ``tests/backends/test_selection.py``.
@@ -14,6 +13,7 @@ fallback behaviour is covered by ``tests/backends/test_selection.py``.
 
 import pytest
 
+from repro.verify.compare import EXACT
 from repro.verify.oracles import all_oracles, get_oracle
 
 from tests.conftest import DEEP
@@ -39,22 +39,25 @@ def test_backend_kernel_matches_reference(oracle_name):
 
 
 def test_every_available_backend_has_full_oracle_coverage():
-    from repro.backends import available_backends, kernel_exactness
+    from repro.backends import available_backends, probe_backend
 
     for backend in available_backends():
         if backend == "reference":
             continue
-        exactness = kernel_exactness(backend)
+        declared = probe_backend(backend).kernels
         registered = {
             name.split(".", 2)[2]
             for name in BACKEND_ORACLES
             if name.split(".", 2)[1] == backend
         }
         expected = set()
-        if {"ntt_forward", "ntt_inverse", "pointwise_mulmod"} <= set(exactness):
+        if {"ntt_forward", "ntt_inverse", "pointwise_mulmod"} <= set(declared):
             expected.add("ntt")
-        if "expand_events" in exactness:
+        if "expand_events" in declared:
             expected.add("expand")
-        if "template_quad" in exactness:
-            expected.add("template")
         assert registered == expected
+
+
+def test_every_backend_oracle_is_bit_exact():
+    for name in BACKEND_ORACLES:
+        assert get_oracle(name).tolerance is EXACT, name

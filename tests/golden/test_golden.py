@@ -14,6 +14,7 @@ from pathlib import Path
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.backends import use_backend
 from repro.verify import goldens
 
 FIXTURE = Path(__file__).parent / "campaign_small.json"
@@ -31,6 +32,17 @@ def test_campaign_golden_is_bit_exact(regen_goldens):
     assert not mismatches, "\n".join(
         ["golden campaign fixture diverged:", *mismatches[:20],
          "if intentional, rerun with --regen-goldens and commit the diff"]
+    )
+
+
+def test_reference_backend_matches_fixture():
+    # The fixture runs under the probed backend (native where it
+    # builds); the numpy reference twin must land on the same bits.
+    with use_backend("reference"):
+        payload = goldens.golden_payload()
+    mismatches = goldens.compare_golden(payload, goldens.load_golden(FIXTURE))
+    assert not mismatches, "\n".join(
+        ["reference backend diverged from the fixture:", *mismatches[:20]]
     )
 
 

@@ -93,34 +93,11 @@ class TestSegmentedBatch:
         assert len(pickle.dumps(seg)) < len(pickle.dumps(cap)) / 10
 
 
-class TestSlimCapture:
-    def test_return_traces_false_drops_payload(self, device):
-        bench = make_bench(device)
-        slim = bench.capture_batch(
-            3, coeffs_per_trace=2, first_seed=5, return_traces=False
-        )
-        full = make_bench(device).capture_batch(3, coeffs_per_trace=2, first_seed=5)
-        for s, f in zip(slim, full):
-            assert s.trace is None
-            assert s.event_starts is None
-            assert s.values == f.values
-            assert s.seed == f.seed
-            assert s.cycle_count == f.cycle_count
-
-    def test_default_keeps_traces(self, device):
+class TestBatchCapture:
+    def test_batch_keeps_traces(self, device):
         batch = make_bench(device).capture_batch(1, first_seed=9)
         assert batch[0].trace is not None
         assert batch[0].event_starts is not None
-
-    def test_slim_works_with_workers(self, device):
-        slim = make_bench(device).capture_batch(
-            4, coeffs_per_trace=1, first_seed=11, return_traces=False, workers=2
-        )
-        serial = make_bench(device).capture_batch(
-            4, coeffs_per_trace=1, first_seed=11, return_traces=False
-        )
-        assert [c.values for c in slim] == [c.values for c in serial]
-        assert all(c.trace is None for c in slim)
 
     def test_profiled_attack_is_picklable(self):
         """The campaign pool ships the profiled attack via the pool

@@ -25,10 +25,6 @@ class TestCapturedTrace:
         record = _captured(np.ones(16))
         assert record.trace is not None
 
-    def test_slim_record_without_trace_accepted(self):
-        record = _captured(np.ones(4), trace=None)
-        assert record.trace is None
-
     def test_empty_trace_rejected(self):
         with pytest.raises(TraceValidationError, match="seed 7 is empty"):
             _captured(np.array([]))

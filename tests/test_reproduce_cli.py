@@ -55,29 +55,6 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["table1", "--engine", "lanes"])
 
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(SystemExit):
-            main(["table1", "--backend", "cuda"])
-
-    def test_bad_backend_env_caught_at_parse_time(self, monkeypatch):
-        from repro.errors import ParameterError
-
-        monkeypatch.setenv("REVEAL_BACKEND", "cuda")
-        with pytest.raises(ParameterError, match="unknown REVEAL_BACKEND"):
-            main(["table3"])
-
-    def test_backend_flag_selects_backend(self, capsys, monkeypatch):
-        from repro import backends
-
-        monkeypatch.delenv("REVEAL_BACKEND", raising=False)
-        backends.reset_backend()
-        try:
-            main(["table3", "--backend", "reference"])
-            assert backends.get_backend().name == "reference"
-        finally:
-            backends.reset_backend()
-        assert "without hints" in capsys.readouterr().out
-
 
 class TestCampaignCli:
     def test_campaign_prints_orchestrator_summary(self, capsys, tmp_path):
