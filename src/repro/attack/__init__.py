@@ -22,9 +22,10 @@ Stages, in order:
 Supporting tools: :mod:`repro.attack.search` (best-first exploration of
 the remaining space), :mod:`repro.attack.campaign` (the campaign entry
 point :func:`run_campaign`, its one aggregation fold and a profile
-cache), :mod:`repro.attack.orchestrator` (the parallel campaign
-executor: futures on a warm process pool, with checkpoint/resume
-through :mod:`repro.attack.checkpoint`), :mod:`repro.attack.evaluation`
+cache), :func:`repro.attack.orchestrator.run_orchestrated` (the parallel
+campaign executor: one future per grain of seeds on a forked process
+pool, folded in the caller's thread, with checkpoint/resume through
+:mod:`repro.attack.checkpoint`), :mod:`repro.attack.evaluation`
 (hint statistics and bikz estimates from a campaign's probability
 tables), :mod:`repro.attack.profile_store` (on-disk profile cache),
 :mod:`repro.attack.cpa` (unprofiled correlation analysis) and
@@ -40,12 +41,7 @@ from repro.attack.campaign import (
     run_campaign,
 )
 from repro.attack.checkpoint import CampaignCheckpoint, campaign_fingerprint
-from repro.attack.orchestrator import (
-    CampaignJob,
-    CampaignProgress,
-    Orchestrator,
-    run_orchestrated,
-)
+from repro.attack.orchestrator import run_orchestrated
 from repro.attack.profile_store import ProfileStore
 from repro.attack.cpa import correlation_trace, locate_value_leakage
 from repro.attack.metrics import ConfusionMatrix
@@ -66,11 +62,8 @@ __all__ = [
     "AttackResult",
     "BranchClassifier",
     "CampaignCheckpoint",
-    "CampaignJob",
-    "CampaignProgress",
     "CampaignReport",
     "ConfusionMatrix",
-    "Orchestrator",
     "ProfileStore",
     "aggregate_outcomes",
     "campaign_fingerprint",

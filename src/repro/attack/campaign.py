@@ -5,7 +5,7 @@ of thousands of attack traces.  This module is the campaign entry
 point:
 
 - :func:`run_campaign` runs ``capture -> segment -> classify -> score``
-  for N victim seeds: in-process when serial, and on the warm worker
+  for N victim seeds: in-process when serial, and on the process
   pool of :mod:`repro.attack.orchestrator` for ``workers > 1``.  Every
   trace's measurement noise is a pure function of ``(batch entropy,
   seed)`` under the counter-based stream of :mod:`repro.power.noise` —
@@ -236,7 +236,7 @@ def run_campaign(
 
     The attack must already be profiled.  ``workers > 1`` runs the
     campaign on :func:`repro.attack.orchestrator.run_orchestrated`'s
-    warm pool; otherwise it runs in this process.  Noise is drawn from
+    process pool; otherwise it runs in this process.  Noise is drawn from
     the bench's batch-entropy streams (per-seed), so the report is
     bit-identical for any ``workers`` value and any completion order.
     Traces that fail to segment are recorded in ``report.failures`` and

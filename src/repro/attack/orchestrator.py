@@ -1,27 +1,26 @@
-"""Warm-pool campaign orchestrator with checkpoint/resume.
+"""The parallel campaign executor, with checkpoint/resume.
 
-:class:`Orchestrator` is the package's one parallel attack executor:
+:func:`run_orchestrated` is the package's one parallel attack executor:
 :func:`repro.attack.campaign.run_campaign` with ``workers > 1`` and the
-``campaign`` CLI target both run through it.
+``campaign`` CLI target both call it.  It is one synchronous call:
 
-- **Futures on a warm pool.**  The orchestrator forks one process pool
-  (:func:`repro.utils.pool.process_pool`) on its first
-  :meth:`~Orchestrator.submit`; the pool initializer hands every worker
-  the profiled attack once, and later submits reuse the same warm
-  workers.  A job's unfolded victim seeds are cut into *grains* of at
-  most ``grain`` consecutive seeds.  Each grain is one future: it runs
-  the per-seed chain (:func:`~repro.attack.campaign._attack_seed`) and
-  returns the grain's records as the dense arrays checkpoint shards
-  store (:func:`_pack_record`).
-- **Driver fold.**  A driver thread folds futures as they complete into
-  the job's seed-indexed arrays and serves the :class:`CampaignJob`
-  handle's progress, cancel and result calls.
+- **Futures on a forked pool.**  The call forks one process pool
+  (:func:`repro.utils.pool.process_pool`); the pool initializer hands
+  every worker the profiled attack once.  The campaign's unfolded victim
+  seeds are cut into *grains* of at most ``grain`` consecutive seeds.
+  Each grain is one future: it runs the per-seed chain
+  (:func:`~repro.attack.campaign._attack_seed`) and returns the grain's
+  records as the dense arrays checkpoint shards store
+  (:func:`_pack_record`).
+- **Fold in the caller's thread.**  The call folds futures as they
+  complete into the campaign's seed-indexed arrays, then shuts the pool
+  down before it returns or raises.
 - **Checkpoint / resume.**  Folded seeds complete fixed-size checkpoint
   shards; each finished shard is written atomically
-  (:mod:`repro.attack.checkpoint`) so a killed campaign resumes from
-  the last completed shard under a fingerprint guard.
+  (:mod:`repro.attack.checkpoint`) so a killed or interrupted campaign
+  resumes from its completed shards under a fingerprint guard.
 - **Worker death is survivable.**  A dead worker breaks the pool
-  (``BrokenProcessPool``).  The driver counts the break, forks a fresh
+  (``BrokenProcessPool``).  The fold counts the break, forks a fresh
   pool and resubmits every grain it has not folded, so a break costs at
   most the grains in flight.
 
@@ -38,11 +37,9 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, wait
+from concurrent.futures import as_completed
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -166,49 +163,27 @@ def _run_grain(
     )
 
 
+
 # ----------------------------------------------------------------------
-# Job handle
+# Parent-side fold
 # ----------------------------------------------------------------------
-@dataclass
-class CampaignProgress:
-    """A point-in-time snapshot of a running campaign."""
-
-    status: str
-    seeds_done: int
-    seeds_total: int
-    shards_done: int
-    shards_total: int
-    grains: int
-    checkpoints: int
-    workers_alive: int
-    workers_died: int
-    wall_seconds: float
-
-
-class CampaignJob:
-    """Handle to one submitted campaign (thread-safe, asyncio-usable).
-
-    ``status``/:meth:`progress` never block; :meth:`result` blocks until
-    the report is assembled (or raises on failure/cancellation); the
-    handle is awaitable from ``asyncio`` code (``report = await job``).
-    """
+class _CampaignState:
+    """One call's seed-indexed result arrays, the counters its report
+    and checkpoint manifest carry, and the fold that fills them."""
 
     def __init__(
         self,
-        orchestrator: "Orchestrator",
         trace_count: int,
         count: int,
         first_seed: int,
-        entropy: int,
+        n_labels: int,
         checkpoint: Optional[CampaignCheckpoint],
     ) -> None:
-        self._orchestrator = orchestrator
         self.trace_count = trace_count
         self.count = count  # coefficients per trace
         self.first_seed = first_seed
-        self.entropy = entropy
         self.checkpoint = checkpoint
-        n, n_labels = trace_count, len(orchestrator._labels)
+        n = trace_count
         self.folded = np.zeros(n, dtype=bool)
         self.ok = np.zeros(n, dtype=np.uint8)
         self.values = np.zeros((n, count), dtype=np.int64)
@@ -221,400 +196,128 @@ class CampaignJob:
         self.grains = 0
         self.checkpoints_written = 0
         self.workers_died = 0
-        self._grains_at_break: Optional[int] = None
-        self._status = "pending"
-        self._error: Optional[str] = None
-        self._report: Optional[CampaignReport] = None
-        self._done = threading.Event()
-        self._cancel = threading.Event()
-        self._started = time.perf_counter()
 
-    # ------------------------------------------------------------------
-    @property
-    def status(self) -> str:
-        return self._status
-
-    @property
-    def done(self) -> bool:
-        return self._done.is_set()
-
-    def worker_pids(self) -> List[int]:
-        return self._orchestrator.worker_pids()
-
-    def progress(self) -> CampaignProgress:
-        return CampaignProgress(
-            status=self._status,
-            seeds_done=int(self.folded.sum()),
-            seeds_total=self.trace_count,
-            shards_done=len(self.checkpoint.shards_done) if self.checkpoint else 0,
-            shards_total=self.checkpoint.shards_total if self.checkpoint else 0,
-            grains=self.base_counters.get("grains", 0) + self.grains,
-            checkpoints=self.checkpoints_written,
-            workers_alive=len(self._orchestrator.worker_pids()),
-            workers_died=self.workers_died,
-            wall_seconds=time.perf_counter() - self._started,
-        )
-
-    def cancel(self) -> None:
-        """Stop at the next grain boundary; completed shards stay
-        checkpointed, so a later ``resume`` picks up from here."""
-        if not self._done.is_set():
-            self._cancel.set()
-
-    def result(self, timeout: Optional[float] = None) -> CampaignReport:
-        if not self._done.wait(timeout):
-            raise AttackError("campaign job still running (timeout)")
-        if self._report is None:
-            raise AttackError(self._error or "campaign job did not complete")
-        return self._report
-
-    async def wait(self) -> CampaignReport:
-        import asyncio
-
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, self.result)
-
-    def __await__(self):
-        return self.wait().__await__()
-
-
-# ----------------------------------------------------------------------
-# Orchestrator
-# ----------------------------------------------------------------------
-class Orchestrator:
-    """A persistent campaign engine over one profiled attack.
-
-    The worker pool forks on the first :meth:`submit` (carrying the
-    profiled attack by copy-on-write; under ``spawn`` the attack pickles
-    once per worker) and then serves any number of submitted campaigns.
-    See the module docstring for the design.
-    """
-
-    def __init__(
-        self,
-        attack: SingleTraceAttack,
-        workers: Optional[int] = None,
-        grain: Optional[int] = None,
-        engine: Optional[str] = None,
-    ) -> None:
-        if attack.templates is None or attack.branch_classifier is None:
-            raise AttackError("profile() must run before a campaign")
-        self.attack = attack
-        self.workers = max(1, int(workers) if workers else min(4, os.cpu_count() or 1))
-        # effective_engine: "compiled" degrades to "threaded" without a C
-        # toolchain, and the report records the engine that actually ran.
-        self.engine = effective_engine(
-            engine if engine is not None else getattr(attack.acquisition, "engine", None)
-        )
-        self.grain = max(1, int(grain) if grain else 32)
-        self._labels = [int(l) for l in attack.templates.labels]
-        self._groups = _sign_groups(self._labels)
-        self._pool = None
-        self._closed = False
-        self._active: Optional[CampaignJob] = None
-        self._submit_lock = threading.Lock()
-
-    # ------------------------------------------------------------------
-    def __enter__(self) -> "Orchestrator":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def worker_pids(self) -> List[int]:
-        if self._pool is None:
-            return []
-        # ProcessPoolExecutor has no public view of its workers; its
-        # ``_processes`` map (pid -> Process) is None after shutdown.
-        processes = self._pool._processes or {}
-        return [p.pid for p in list(processes.values()) if p.is_alive()]
-
-    # ------------------------------------------------------------------
-    def submit(
-        self,
-        trace_count: int,
-        coeffs_per_trace: int = 8,
-        first_seed: int = 1,
-        campaign_dir: Optional[Union[str, Path]] = None,
-        resume: bool = False,
-        shard_size: int = 256,
-    ) -> CampaignJob:
-        """Start a campaign; returns immediately with a job handle.
-
-        With ``campaign_dir`` every completed shard of ``shard_size``
-        seeds is checkpointed atomically; ``resume=True`` reloads
-        completed shards (fingerprint-checked) and only the remainder
-        is attacked.  One job runs at a time per orchestrator.
-        """
-        with self._submit_lock:
-            if self._closed:
-                raise AttackError("orchestrator is closed")
-            if self._active is not None and not self._active.done:
-                raise AttackError("a campaign job is already active")
-            if trace_count < 1:
-                raise AttackError(f"trace_count must be >= 1, got {trace_count}")
-            if resume and campaign_dir is None:
-                raise AttackError("resume=True needs campaign_dir")
-            entropy = self.attack.acquisition.batch_entropy()
-            fingerprint = campaign_fingerprint(
-                first_seed, trace_count, coeffs_per_trace, entropy, self._labels
-            )
-            checkpoint = None
-            if campaign_dir is not None:
-                if resume:
-                    checkpoint = CampaignCheckpoint.resume(campaign_dir, fingerprint)
-                else:
-                    checkpoint = CampaignCheckpoint(
-                        campaign_dir,
-                        fingerprint,
-                        trace_count,
-                        first_seed,
-                        coeffs_per_trace,
-                        shard_size,
-                    )
-                    checkpoint.write_manifest()
-            job = CampaignJob(
-                self,
-                trace_count,
-                coeffs_per_trace,
-                first_seed,
-                entropy,
-                checkpoint,
-            )
-            if checkpoint is not None and resume:
-                self._preload(job)
-            # Submitting here forks a cold pool from the caller's thread,
-            # before the driver thread exists.
-            futures = self._submit_grains(job, self._grains(job))
-            if futures:
-                job._status = "running"
-            self._active = job
-            thread = threading.Thread(
-                target=self._run_job, args=(job, futures), daemon=True
-            )
-            thread.start()
-            return job
-
-    def _preload(self, job: CampaignJob) -> None:
-        """Fold already-checkpointed shards into the job's store."""
-        checkpoint = job.checkpoint
+    def preload(self) -> None:
+        """Fold already-checkpointed shards into the arrays."""
+        checkpoint = self.checkpoint
         for shard in checkpoint.shards_done:
             seeds = checkpoint.shard_range(shard)
-            lo = seeds.start - job.first_seed
+            lo = seeds.start - self.first_seed
             hi = lo + len(seeds)
             arrays = checkpoint.load_shard(shard)
-            job.ok[lo:hi] = arrays["ok"]
-            job.values[lo:hi] = arrays["values"]
-            job.signs[lo:hi] = arrays["signs"]
-            job.estimates[lo:hi] = arrays["estimates"]
-            job.tables[lo:hi] = arrays["tables"]
-            job.folded[lo:hi] = True
+            self.ok[lo:hi] = arrays["ok"]
+            self.values[lo:hi] = arrays["values"]
+            self.signs[lo:hi] = arrays["signs"]
+            self.estimates[lo:hi] = arrays["estimates"]
+            self.tables[lo:hi] = arrays["tables"]
+            self.folded[lo:hi] = True
             for seed, message in json.loads(bytes(arrays["errors"].tobytes()).decode()):
-                job.errors[int(seed)] = str(message)
+                self.errors[int(seed)] = str(message)
         for key, value in checkpoint.counters.items():
             if key.startswith("t_") and key.endswith("_us"):
-                job.timings[key[2:-3]] = value / 1e6
+                self.timings[key[2:-3]] = value / 1e6
             else:
-                job.base_counters[key] = int(value)
+                self.base_counters[key] = int(value)
 
-    # ------------------------------------------------------------------
-    def _grains(self, job: CampaignJob) -> List[Grain]:
-        """The job's unfolded seeds as ``[lo, hi)`` runs of at most
-        ``grain`` consecutive seeds."""
+    def unfolded_grains(self, grain: int) -> List[Grain]:
+        """The unfolded seeds as ``[lo, hi)`` runs of at most ``grain``
+        consecutive seeds."""
         grains: List[Grain] = []
-        for index in np.flatnonzero(~job.folded):
-            seed = job.first_seed + int(index)
-            if grains and grains[-1][1] == seed and seed - grains[-1][0] < self.grain:
+        for index in np.flatnonzero(~self.folded):
+            seed = self.first_seed + int(index)
+            if grains and grains[-1][1] == seed and seed - grains[-1][0] < grain:
                 grains[-1] = (grains[-1][0], seed + 1)
             else:
                 grains.append((seed, seed + 1))
         return grains
 
-    def _submit_grains(
-        self, job: CampaignJob, grains: List[Grain]
-    ) -> Dict[Future, Grain]:
-        """One future per grain on the warm pool (forked on first use).
-
-        A pool that broke while idle refuses new work; that refusal
-        becomes a failed future, so the driver's break recovery covers
-        it like any other."""
-        if grains and self._pool is None:
-            self._pool = process_pool(self.workers, _worker_init, (self.attack,))
-        futures: Dict[Future, Grain] = {}
-        for lo, hi in grains:
-            try:
-                future = self._pool.submit(
-                    _run_grain, lo, hi, job.count, job.entropy, self.engine
-                )
-            except BrokenProcessPool as exc:
-                future = Future()
-                future.set_exception(exc)
-            futures[future] = (lo, hi)
-        return futures
-
-    def _run_job(self, job: CampaignJob, futures: Dict[Future, Grain]) -> None:
-        try:
-            self._drive(job, futures)
-        # Nothing above the driver thread catches: fail the job, never hang.
-        except Exception as exc:
-            job._error = str(exc) if isinstance(exc, AttackError) else (
-                f"{type(exc).__name__}: {exc}"
-            )
-            job._status = "failed"
-            job._done.set()
-
-    def _drive(self, job: CampaignJob, futures: Dict[Future, Grain]) -> None:
-        try:
-            while futures and not job._cancel.is_set():
-                done, _ = wait(futures, timeout=0.2, return_when=FIRST_COMPLETED)
-                lost: List[Grain] = []
-                for future in done:
-                    grain = futures.pop(future)
-                    if not self._settle(job, future, grain):
-                        lost.append(grain)
-                if lost:
-                    futures = self._recover(job, futures, lost)
-        finally:
-            # Grains of a cancelled or failed job must not hold the
-            # pool; ones already running finish and are dropped.
-            for future in futures:
-                future.cancel()
-        if job._cancel.is_set() and not bool(job.folded.all()):
-            self._finalize_checkpoint(job)
-            job._status = "cancelled"
-            job._error = "campaign cancelled"
-            job._done.set()
-            return
-        self._finalize_checkpoint(job)
-        wall = time.perf_counter() - job._started
-        job._report = self._assemble(job, wall)
-        job._status = "completed"
-        job._done.set()
-
-    def _settle(self, job: CampaignJob, future: Future, grain: Grain) -> bool:
-        """Fold a finished grain; ``False`` if the pool broke under it."""
-        error = future.exception()
-        if isinstance(error, BrokenProcessPool):
-            return False
-        if error is not None:
-            lo, hi = grain
-            raise AttackError(
-                f"seeds [{lo}, {hi}) failed in a worker: "
-                f"{type(error).__name__}: {error}"
-            ) from error
-        self._fold(job, future.result())
-        return True
-
-    def _recover(
-        self,
-        job: CampaignJob,
-        futures: Dict[Future, Grain],
-        lost: List[Grain],
-    ) -> Dict[Future, Grain]:
-        """A worker died and broke the pool: fold what finished, fork a
-        fresh pool and resubmit every unfolded grain."""
-        job.workers_died += 1
-        if job._grains_at_break == job.grains:
-            raise AttackError(
-                "the worker pool broke twice without completing a grain; "
-                "a grain may be killing its worker"
-            )
-        job._grains_at_break = job.grains
-        # Shutting the broken pool down waits for its manager thread,
-        # which has failed every future that had not finished.
-        self._pool.shutdown(wait=True)
-        self._pool = None
-        for future, grain in futures.items():
-            if not self._settle(job, future, grain):
-                lost.append(grain)
-        return self._submit_grains(job, sorted(lost))
-
-    def _fold(self, job: CampaignJob, arrays: List[np.ndarray]) -> None:
+    def fold(self, arrays: List[np.ndarray]) -> None:
         meta, ok, values, signs, estimates, tables, timings, error_blob = arrays
-        lo = int(meta[0]) - job.first_seed
-        hi = int(meta[1]) - job.first_seed
-        job.ok[lo:hi] = ok
-        job.values[lo:hi] = values
-        job.signs[lo:hi] = signs
-        job.estimates[lo:hi] = estimates
-        job.tables[lo:hi] = tables
+        lo = int(meta[0]) - self.first_seed
+        hi = int(meta[1]) - self.first_seed
+        self.ok[lo:hi] = ok
+        self.values[lo:hi] = values
+        self.signs[lo:hi] = signs
+        self.estimates[lo:hi] = estimates
+        self.tables[lo:hi] = tables
         for stage_index, stage in enumerate(STAGES):
-            job.timings[stage] += float(timings[stage_index])
+            self.timings[stage] += float(timings[stage_index])
         for seed, text in json.loads(error_blob.tobytes().decode() or "[]"):
-            job.errors[int(seed)] = str(text)
-        job.grains += 1
-        newly = ~job.folded[lo:hi]
-        job.folded[lo:hi] = True
-        if job.checkpoint is not None and bool(newly.any()):
-            self._maybe_checkpoint(job, lo, hi)
+            self.errors[int(seed)] = str(text)
+        self.grains += 1
+        newly = ~self.folded[lo:hi]
+        self.folded[lo:hi] = True
+        if self.checkpoint is not None and bool(newly.any()):
+            self._maybe_checkpoint(lo, hi)
 
-    def _maybe_checkpoint(self, job: CampaignJob, lo: int, hi: int) -> None:
-        checkpoint = job.checkpoint
+    def _maybe_checkpoint(self, lo: int, hi: int) -> None:
+        checkpoint = self.checkpoint
         size = checkpoint.shard_size
         for shard in range(lo // size, (hi - 1) // size + 1):
             if shard in checkpoint.shards_done:
                 continue
             seeds = checkpoint.shard_range(shard)
-            a = seeds.start - job.first_seed
+            a = seeds.start - self.first_seed
             b = a + len(seeds)
-            if not bool(job.folded[a:b].all()):
+            if not bool(self.folded[a:b].all()):
                 continue
             errors = [
-                [seed, job.errors[seed]]
+                [seed, self.errors[seed]]
                 for seed in seeds
-                if seed in job.errors
+                if seed in self.errors
             ]
-            self._sync_counters(job)
+            self._sync_counters()
             checkpoint.write_shard(
                 shard,
-                ok=job.ok[a:b],
-                values=job.values[a:b],
-                signs=job.signs[a:b],
-                estimates=job.estimates[a:b],
-                tables=job.tables[a:b],
+                ok=self.ok[a:b],
+                values=self.values[a:b],
+                signs=self.signs[a:b],
+                estimates=self.estimates[a:b],
+                tables=self.tables[a:b],
                 errors=np.frombuffer(
                     json.dumps(errors).encode(), dtype=np.uint8
                 ),
             )
-            job.checkpoints_written += 1
+            self.checkpoints_written += 1
 
-    def _sync_counters(self, job: CampaignJob) -> None:
-        checkpoint = job.checkpoint
-        if checkpoint is None:
-            return
-        merged = dict(job.base_counters)
-        merged["grains"] = job.base_counters.get("grains", 0) + job.grains
+    def _sync_counters(self) -> None:
+        merged = dict(self.base_counters)
+        merged["grains"] = self.base_counters.get("grains", 0) + self.grains
         merged["checkpoints"] = (
-            job.base_counters.get("checkpoints", 0) + job.checkpoints_written
+            self.base_counters.get("checkpoints", 0) + self.checkpoints_written
         )
         merged["workers_died"] = (
-            job.base_counters.get("workers_died", 0) + job.workers_died
+            self.base_counters.get("workers_died", 0) + self.workers_died
         )
-        for stage, seconds in job.timings.items():
+        for stage, seconds in self.timings.items():
             merged[f"t_{stage}_us"] = int(seconds * 1e6)
-        checkpoint.counters = merged
+        self.checkpoint.counters = merged
 
-    def _finalize_checkpoint(self, job: CampaignJob) -> None:
-        if job.checkpoint is None:
+    def finalize_checkpoint(self) -> None:
+        if self.checkpoint is None:
             return
-        self._sync_counters(job)
-        job.checkpoint.write_manifest()
+        self._sync_counters()
+        self.checkpoint.write_manifest()
 
-    # ------------------------------------------------------------------
-    def _assemble(self, job: CampaignJob, wall: float) -> CampaignReport:
+    def assemble(
+        self,
+        groups: Dict[int, List[Tuple[int, int]]],
+        grain: int,
+        workers: int,
+        engine: str,
+        wall: float,
+    ) -> CampaignReport:
         results: List[SeedOutcome] = []
-        for i in range(job.trace_count):
-            seed = job.first_seed + i
-            if job.ok[i]:
+        for i in range(self.trace_count):
+            seed = self.first_seed + i
+            if self.ok[i]:
                 results.append(
                     SeedOutcome(
                         seed=seed,
-                        values=[int(v) for v in job.values[i]],
-                        signs=[int(s) for s in job.signs[i]],
-                        estimates=[int(e) for e in job.estimates[i]],
-                        tables=_rebuild_tables(
-                            job.signs[i], job.tables[i], self._groups
-                        ),
+                        values=[int(v) for v in self.values[i]],
+                        signs=[int(s) for s in self.signs[i]],
+                        estimates=[int(e) for e in self.estimates[i]],
+                        tables=_rebuild_tables(self.signs[i], self.tables[i], groups),
                         timings={},
                     )
                 )
@@ -622,54 +325,85 @@ class Orchestrator:
                 results.append(
                     SeedOutcome(
                         seed=seed,
-                        values=[int(v) for v in job.values[i]],
+                        values=[int(v) for v in self.values[i]],
                         signs=[],
                         estimates=[],
                         tables=[],
                         timings={},
-                        error=job.errors.get(seed, "worker did not report"),
+                        error=self.errors.get(seed, "worker did not report"),
                     )
                 )
         metadata = {
-            "grain": self.grain,
-            "shard_size": job.checkpoint.shard_size if job.checkpoint else 0,
-            "grains": job.base_counters.get("grains", 0) + job.grains,
-            "checkpoints": job.checkpoints_written,
-            "workers_died": job.workers_died,
+            "grain": grain,
+            "shard_size": self.checkpoint.shard_size if self.checkpoint else 0,
+            "grains": self.base_counters.get("grains", 0) + self.grains,
+            "checkpoints": self.checkpoints_written,
+            "workers_died": self.workers_died,
         }
         return aggregate_outcomes(
             results,
-            job.trace_count,
+            self.trace_count,
             wall,
-            self.workers,
-            self.engine,
-            base_timings=job.timings,
+            workers,
+            engine,
+            base_timings=self.timings,
             orchestrator=metadata,
         )
 
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Stop any active job and shut the pool down; workers exit
-        normally, so their exit handlers run."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._active is not None and not self._active.done:
-            self._active.cancel()
-            self._active._done.wait(timeout=10.0)
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
 
-    def __del__(self) -> None:  # pragma: no cover - GC ordering varies
+def _execute(
+    state: _CampaignState,
+    attack: SingleTraceAttack,
+    workers: int,
+    grain: int,
+    entropy: int,
+    engine: str,
+) -> None:
+    """Attack every unfolded seed on a forked pool, folding grains as
+    they complete; fork a fresh pool for the grains a broken one lost."""
+    grains_at_break: Optional[int] = None
+    grains = state.unfolded_grains(grain)
+    while grains:
+        broke = False
+        pool = process_pool(workers, _worker_init, (attack,))
         try:
-            self.close()
-        except Exception:  # interpreter teardown may have freed what close() needs
-            pass
+            futures = {}
+            for lo, hi in grains:
+                try:
+                    future = pool.submit(
+                        _run_grain, lo, hi, state.count, entropy, engine
+                    )
+                except BrokenProcessPool:  # a worker died during submission
+                    broke = True
+                    break
+                futures[future] = (lo, hi)
+            for future in as_completed(futures):
+                error = future.exception()
+                if isinstance(error, BrokenProcessPool):
+                    broke = True
+                elif error is not None:
+                    lo, hi = futures[future]
+                    raise AttackError(
+                        f"seeds [{lo}, {hi}) failed in a worker: "
+                        f"{type(error).__name__}: {error}"
+                    ) from error
+                else:
+                    state.fold(future.result())
+        finally:
+            # The pool's own __exit__ would run every queued grain of a
+            # failed or interrupted campaign to the end.
+            pool.shutdown(wait=True, cancel_futures=True)
+        grains = state.unfolded_grains(grain)
+        if broke:
+            state.workers_died += 1
+            if grains_at_break == state.grains:
+                raise AttackError(
+                    "the worker pool broke twice without completing a grain; "
+                    "a grain may be killing its worker"
+                )
+            grains_at_break = state.grains
 
 
-# ----------------------------------------------------------------------
-# Conveniences
-# ----------------------------------------------------------------------
 def run_orchestrated(
     attack: SingleTraceAttack,
     trace_count: int,
@@ -682,17 +416,54 @@ def run_orchestrated(
     resume: bool = False,
     shard_size: int = 256,
 ) -> CampaignReport:
-    """One-shot orchestrated campaign (the ``run_campaign`` signature
-    plus checkpointing) — submit, wait, tear down."""
-    with Orchestrator(
-        attack, workers=workers, grain=grain, engine=engine
-    ) as orchestrator:
-        job = orchestrator.submit(
-            trace_count,
-            coeffs_per_trace=coeffs_per_trace,
-            first_seed=first_seed,
-            campaign_dir=campaign_dir,
-            resume=resume,
-            shard_size=shard_size,
-        )
-        return job.result()
+    """Attack ``trace_count`` victim seeds on a pool of ``workers``
+    processes (the ``run_campaign`` signature plus checkpointing).
+
+    With ``campaign_dir`` every completed shard of ``shard_size`` seeds
+    is checkpointed atomically; ``resume=True`` reloads completed shards
+    (fingerprint-checked) and only the remainder is attacked.  A failed
+    grain raises :class:`~repro.errors.AttackError`; the shards written
+    before it stay valid for a later ``resume``.
+    """
+    if attack.templates is None or attack.branch_classifier is None:
+        raise AttackError("profile() must run before a campaign")
+    if trace_count < 1:
+        raise AttackError(f"trace_count must be >= 1, got {trace_count}")
+    if resume and campaign_dir is None:
+        raise AttackError("resume=True needs campaign_dir")
+    workers = max(1, int(workers) if workers else min(4, os.cpu_count() or 1))
+    grain = max(1, int(grain) if grain else 32)
+    # effective_engine: "compiled" degrades to "threaded" without a C
+    # toolchain, and the report records the engine that actually ran.
+    engine = effective_engine(
+        engine if engine is not None else getattr(attack.acquisition, "engine", None)
+    )
+    labels = [int(l) for l in attack.templates.labels]
+    entropy = attack.acquisition.batch_entropy()
+    fingerprint = campaign_fingerprint(
+        first_seed, trace_count, coeffs_per_trace, entropy, labels
+    )
+    checkpoint = None
+    if campaign_dir is not None:
+        if resume:
+            checkpoint = CampaignCheckpoint.resume(campaign_dir, fingerprint)
+        else:
+            checkpoint = CampaignCheckpoint(
+                campaign_dir,
+                fingerprint,
+                trace_count,
+                first_seed,
+                coeffs_per_trace,
+                shard_size,
+            )
+            checkpoint.write_manifest()
+    state = _CampaignState(
+        trace_count, coeffs_per_trace, first_seed, len(labels), checkpoint
+    )
+    started = time.perf_counter()
+    if checkpoint is not None and resume:
+        state.preload()
+    _execute(state, attack, workers, grain, entropy, engine)
+    state.finalize_checkpoint()
+    wall = time.perf_counter() - started
+    return state.assemble(_sign_groups(labels), grain, workers, engine, wall)

@@ -119,7 +119,7 @@ def run_campaign_target(
 
     ``--campaign-dir`` makes the run resumable: every completed shard
     of ``--shard-size`` seeds is checkpointed atomically, and
-    ``--resume`` picks up a killed or cancelled run from the last
+    ``--resume`` picks up a killed or interrupted run from the last
     completed shard — the final report is bit-identical to an
     uninterrupted run.
     """

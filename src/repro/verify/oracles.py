@@ -821,66 +821,53 @@ def _campaign_payload(report) -> Dict[str, Any]:
 
 
 def _sample_orchestrated_case(rng: np.random.Generator) -> Dict[str, Any]:
-    return {
+    case = {
         "trace_count": int(rng.integers(12, 33)),
         "coeffs_per_trace": 4,
         "first_seed": int(rng.integers(1, 200_000)),
         "workers": int(rng.integers(1, 3)),
         "grain": int(rng.integers(4, 17)),
-        "interrupt": bool(rng.random() < 0.5),
+        "resume": bool(rng.random() < 0.5),
     }
+    case["shard_size"] = max(4, case["grain"])
+    shards = -(-case["trace_count"] // case["shard_size"])
+    case["drop_shards"] = (
+        [int(s) for s in np.flatnonzero(rng.random(shards) < 0.5)]
+        if case["resume"]
+        else []
+    )
+    return case
 
 
 def _run_orchestrated_case(case: Dict[str, Any]) -> Dict[str, Any]:
-    import time as _time
+    from repro.attack.checkpoint import CampaignCheckpoint
+    from repro.attack.orchestrator import run_orchestrated
 
-    from repro.attack.orchestrator import Orchestrator, run_orchestrated
-
-    attack = _campaign_oracle_attack()
-    if not case["interrupt"]:
-        report = run_orchestrated(
-            attack,
+    def run(**checkpointing):
+        return run_orchestrated(
+            _campaign_oracle_attack(),
             case["trace_count"],
             coeffs_per_trace=case["coeffs_per_trace"],
             first_seed=case["first_seed"],
             workers=case["workers"],
             grain=case["grain"],
             engine="compiled",
+            **checkpointing,
         )
-        return _campaign_payload(report)
-    # Interrupted flavour: cancel an in-flight checkpointed job at an
-    # arbitrary point, then resume — the contract is that the resumed
-    # report is identical wherever the cancellation landed (including
-    # "after completion", which exercises the pure checkpoint reload).
+
+    if not case["resume"]:
+        return _campaign_payload(run())
+    # Resumed flavour: checkpoint a whole run, delete the sampled shard
+    # archives, then resume.  The manifest still lists the deleted
+    # shards, and resume must trust only the archives that exist, so
+    # the report is identical whichever partial state it starts from
+    # (no shard dropped is the pure checkpoint reload).
     with tempfile.TemporaryDirectory() as tmp:
-        with Orchestrator(
-            attack, workers=case["workers"], grain=case["grain"], engine="compiled"
-        ) as orchestrator:
-            job = orchestrator.submit(
-                case["trace_count"],
-                coeffs_per_trace=case["coeffs_per_trace"],
-                first_seed=case["first_seed"],
-                campaign_dir=tmp,
-                shard_size=max(4, case["grain"]),
-            )
-            _time.sleep(0.02)
-            job.cancel()
-            try:
-                job.result(timeout=60.0)
-            except Exception:
-                pass
-        report = run_orchestrated(
-            attack,
-            case["trace_count"],
-            coeffs_per_trace=case["coeffs_per_trace"],
-            first_seed=case["first_seed"],
-            workers=case["workers"],
-            grain=case["grain"],
-            engine="compiled",
-            campaign_dir=tmp,
-            resume=True,
-            shard_size=max(4, case["grain"]),
-        )
+        run(campaign_dir=tmp, shard_size=case["shard_size"])
+        layout = CampaignCheckpoint.resume(tmp)
+        for shard in case["drop_shards"]:
+            layout.shard_path(shard).unlink()
+        report = run(campaign_dir=tmp, resume=True, shard_size=case["shard_size"])
         return _campaign_payload(report)
 
 
@@ -1105,10 +1092,10 @@ register(
 register(
     Oracle(
         name="campaign.orchestrated",
-        description="warm-pool orchestrator (persistent workers, grain "
-        "futures, random grain, optional cancel+resume through the "
-        "checkpoint) vs serial run_campaign — bit-identical "
-        "deterministic report payload; expensive",
+        description="orchestrated campaign (grain futures on a forked "
+        "pool, random grain, optionally resumed from a checkpoint with "
+        "sampled shard archives deleted) vs serial run_campaign — "
+        "bit-identical deterministic report payload; expensive",
         sample=_sample_orchestrated_case,
         fast=_run_orchestrated_case,
         reference=_run_campaign_reference,
@@ -1116,7 +1103,7 @@ register(
         summarize=lambda case: (
             f"{case['trace_count']}x{case['coeffs_per_trace']} traces, "
             f"workers={case['workers']}, grain={case['grain']}, "
-            f"interrupt={case['interrupt']}"
+            f"resume={case['resume']}, dropped shards={case['drop_shards']}"
         ),
     )
 )

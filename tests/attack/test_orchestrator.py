@@ -1,15 +1,14 @@
-"""Tests for the warm-pool campaign orchestrator."""
+"""Tests for the orchestrated (process-pool) campaign executor."""
 
-import asyncio
 import os
 import signal
-import time
 
 import pytest
 
 from repro.attack import orchestrator
 from repro.attack.campaign import run_campaign
-from repro.attack.orchestrator import Orchestrator, run_orchestrated
+from repro.attack.checkpoint import CampaignCheckpoint
+from repro.attack.orchestrator import run_orchestrated
 from repro.errors import AttackError
 
 PAPER_Q = 132120577
@@ -30,8 +29,8 @@ class TestOrchestrated:
     def test_requires_profiling(self, bench):
         from repro.attack.pipeline import SingleTraceAttack
 
-        with pytest.raises(AttackError):
-            Orchestrator(SingleTraceAttack(bench))
+        with pytest.raises(AttackError, match="profile"):
+            run_orchestrated(SingleTraceAttack(bench), trace_count=4)
 
     def test_bit_identical_to_run_campaign(self, profiled_attack):
         baseline = run_campaign(
@@ -77,37 +76,10 @@ class TestOrchestrated:
         assert "orchestrator:" in text
         assert "grains=" in text
 
-    def test_warm_resubmit_reuses_workers(self, profiled_attack):
-        with Orchestrator(profiled_attack, workers=2, grain=2) as orch:
-            first = orch.submit(6, coeffs_per_trace=4, first_seed=1).result()
-            pids = sorted(orch.worker_pids())
-            second = orch.submit(6, coeffs_per_trace=4, first_seed=1).result()
-            assert sorted(orch.worker_pids()) == pids
-        assert_reports_identical(first, second)
-
-    def test_single_flight_submit(self, profiled_attack):
-        with Orchestrator(profiled_attack, workers=1, grain=2) as orch:
-            job = orch.submit(6, coeffs_per_trace=4, first_seed=1)
-            with pytest.raises(AttackError):
-                orch.submit(4, coeffs_per_trace=4, first_seed=1)
-            job.result()
-
-    def test_progress_and_status(self, profiled_attack):
-        with Orchestrator(profiled_attack, workers=1, grain=2) as orch:
-            job = orch.submit(6, coeffs_per_trace=4, first_seed=1)
-            job.result()
-            progress = job.progress()
-        assert job.status == "completed"
-        assert progress.seeds_done == progress.seeds_total == 6
-        assert progress.workers_died == 0
-        assert progress.wall_seconds > 0
-
-    def test_crashing_grain_fails_job_then_pool_serves_next(
-        self, profiled_attack, monkeypatch
-    ):
-        """A non-AttackError raised inside a worker grain fails the job
-        with a typed error naming the exception and the grain's seeds;
-        the same orchestrator then completes a fresh campaign."""
+    def test_crashing_grain_raises_typed_error(self, profiled_attack, monkeypatch):
+        """A non-AttackError raised inside a worker grain fails the
+        campaign with a typed error naming the exception and the grain's
+        seeds."""
         real = orchestrator._attack_seed
 
         def crash_on_seed_5(attack, seed, *args):
@@ -117,30 +89,34 @@ class TestOrchestrated:
 
         # Patched before the pool forks, so the workers inherit it.
         monkeypatch.setattr(orchestrator, "_attack_seed", crash_on_seed_5)
-        with Orchestrator(profiled_attack, workers=2, grain=2) as orch:
-            job = orch.submit(8, coeffs_per_trace=4, first_seed=1)
-            with pytest.raises(AttackError, match=r"\[5, 7\).*RuntimeError"):
-                job.result(timeout=60)
-            assert job.status == "failed"
-            report = orch.submit(
-                6, coeffs_per_trace=4, first_seed=100
-            ).result(timeout=60)
-        baseline = run_campaign(
-            profiled_attack, trace_count=6, coeffs_per_trace=4, first_seed=100
-        )
-        assert_reports_identical(baseline, report)
+        with pytest.raises(AttackError, match=r"\[5, 7\).*RuntimeError"):
+            run_orchestrated(
+                profiled_attack, trace_count=8, coeffs_per_trace=4,
+                first_seed=1, workers=2, grain=2,
+            )
 
-    def test_awaitable_from_asyncio(self, profiled_attack):
-        async def drive():
-            with Orchestrator(profiled_attack, workers=1, grain=4) as orch:
-                job = orch.submit(4, coeffs_per_trace=4, first_seed=1)
-                return await job
+    def test_failed_campaign_stops_its_queued_grains(
+        self, profiled_attack, monkeypatch, tmp_path
+    ):
+        """A grain error cancels the grains still queued on the pool
+        instead of letting them run to the end."""
+        real = orchestrator._attack_seed
+        log = tmp_path / "attacked"
 
-        report = asyncio.run(drive())
-        baseline = run_campaign(
-            profiled_attack, trace_count=4, coeffs_per_trace=4, first_seed=1
-        )
-        assert_reports_identical(baseline, report)
+        def crash_on_seed_1(attack, seed, *args):
+            with open(log, "a") as handle:
+                handle.write(f"{seed}\n")
+            if seed == 1:
+                raise RuntimeError("injected grain crash")
+            return real(attack, seed, *args)
+
+        monkeypatch.setattr(orchestrator, "_attack_seed", crash_on_seed_1)
+        with pytest.raises(AttackError, match=r"\[1, 2\)"):
+            run_orchestrated(
+                profiled_attack, trace_count=40, coeffs_per_trace=4,
+                first_seed=1, workers=1, grain=1,
+            )
+        assert len(log.read_text().split()) < 40
 
 
 class TestCheckpointResume:
@@ -196,83 +172,94 @@ class TestCheckpointResume:
                 resume=True,
             )
 
-    def test_cancel_then_resume_bit_identical(self, profiled_attack, tmp_path):
+    def test_sigkilled_worker_mid_shard_recovers(
+        self, profiled_attack, monkeypatch, tmp_path
+    ):
+        """A worker SIGKILLs itself once, mid-shard: the pool breaks, a
+        fresh one reruns the lost grains, and the report is
+        bit-identical to an uninterrupted single-worker run."""
         baseline = run_orchestrated(
-            profiled_attack, trace_count=20, coeffs_per_trace=4,
+            profiled_attack, trace_count=24, coeffs_per_trace=4,
             first_seed=1, workers=1, grain=2,
         )
-        directory = tmp_path / "camp"
-        with Orchestrator(profiled_attack, workers=2, grain=2) as orch:
-            job = orch.submit(
-                20, coeffs_per_trace=4, first_seed=1,
-                campaign_dir=directory, shard_size=4,
+        monkeypatch.setattr(
+            orchestrator, "_attack_seed", _kill_worker_at_seed_7(tmp_path / "killed")
+        )
+        report = run_orchestrated(
+            profiled_attack, trace_count=24, coeffs_per_trace=4,
+            first_seed=1, workers=2, grain=2,
+            campaign_dir=tmp_path / "camp", shard_size=6,
+        )
+        assert (tmp_path / "killed").exists()
+        assert report.orchestrator["workers_died"] == 1
+        assert_reports_identical(baseline, report)
+
+    def test_grain_that_always_kills_its_worker_fails(
+        self, profiled_attack, monkeypatch
+    ):
+        """A grain that kills its worker on every attempt breaks each
+        fresh pool before any grain completes: the campaign fails with
+        a typed error instead of forking pools forever."""
+        monkeypatch.setattr(
+            orchestrator, "_attack_seed", _kill_worker_at_seed_7(marker=None)
+        )
+        with pytest.raises(AttackError, match="broke twice"):
+            run_orchestrated(
+                profiled_attack, trace_count=24, coeffs_per_trace=4,
+                first_seed=1, workers=2, grain=2,
             )
-            deadline = time.monotonic() + 60
-            while (
-                job.progress().seeds_done < 2
-                and not job.done
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.01)
-            job.cancel()
-            try:
-                early = job.result(timeout=60)
-            except AttackError:
-                early = None
-        if early is not None:
-            # The job outran the cancel: still must match the baseline.
-            assert_reports_identical(baseline, early)
-            return
-        assert job.status == "cancelled"
+
+    def test_failed_grain_then_resume_bit_identical(
+        self, profiled_attack, monkeypatch, tmp_path
+    ):
+        """A grain error fails a checkpointed campaign; the shards it
+        wrote stay valid, and resuming without the fault reproduces the
+        uninterrupted report."""
+        baseline = run_orchestrated(
+            profiled_attack, trace_count=24, coeffs_per_trace=4,
+            first_seed=1, workers=1, grain=2,
+        )
+        real = orchestrator._attack_seed
+
+        def crash_on_seed_17(attack, seed, *args):
+            if seed == 17:
+                raise RuntimeError("injected grain crash")
+            return real(attack, seed, *args)
+
+        directory = tmp_path / "camp"
+        with monkeypatch.context() as patch:
+            patch.setattr(orchestrator, "_attack_seed", crash_on_seed_17)
+            with pytest.raises(AttackError, match=r"\[17, 19\).*RuntimeError"):
+                run_orchestrated(
+                    profiled_attack, trace_count=24, coeffs_per_trace=4,
+                    first_seed=1, workers=2, grain=2,
+                    campaign_dir=directory, shard_size=4,
+                )
+        # Shard 4 holds seeds 17..20, so it cannot have been written.
+        assert 4 not in CampaignCheckpoint.resume(directory).shards_done
         resumed = run_orchestrated(
-            profiled_attack, trace_count=20, coeffs_per_trace=4,
+            profiled_attack, trace_count=24, coeffs_per_trace=4,
             first_seed=1, workers=2, grain=2,
             campaign_dir=directory, resume=True, shard_size=4,
         )
         assert_reports_identical(baseline, resumed)
 
-    def test_sigkilled_worker_mid_shard_recovers(
-        self, profiled_attack, tmp_path
-    ):
-        """Satellite: SIGKILL a worker mid-shard; the resumed/recovered
-        campaign is bit-identical to an uninterrupted single-worker run."""
-        baseline = run_orchestrated(
-            profiled_attack, trace_count=24, coeffs_per_trace=4,
-            first_seed=1, workers=1, grain=2,
-        )
-        with Orchestrator(profiled_attack, workers=2, grain=2) as orch:
-            job = orch.submit(
-                24, coeffs_per_trace=4, first_seed=1,
-                campaign_dir=tmp_path / "camp", shard_size=6,
-            )
-            deadline = time.monotonic() + 60
-            while (
-                job.progress().seeds_done < 2
-                and not job.done
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.01)
-            assert not job.done, "campaign finished before the kill"
-            os.kill(job.worker_pids()[0], signal.SIGKILL)
-            report = job.result(timeout=120)
-        assert report.orchestrator["workers_died"] == 1
-        assert_reports_identical(baseline, report)
 
-    def test_worker_killed_between_jobs_recovers(self, profiled_attack):
-        """A worker that dies while the pool is idle breaks it; the next
-        submit forks a fresh pool instead of failing."""
-        with Orchestrator(profiled_attack, workers=2, grain=2) as orch:
-            first = orch.submit(6, coeffs_per_trace=4, first_seed=1).result(
-                timeout=60
-            )
-            victim = orch.worker_pids()[0]
-            os.kill(victim, signal.SIGKILL)
-            deadline = time.monotonic() + 30
-            while victim in orch.worker_pids() and time.monotonic() < deadline:
-                time.sleep(0.01)
-            second = orch.submit(6, coeffs_per_trace=4, first_seed=1).result(
-                timeout=60
-            )
-            assert victim not in orch.worker_pids()
-        assert second.orchestrator["workers_died"] == 1
-        assert_reports_identical(first, second)
+def _kill_worker_at_seed_7(marker):
+    """An ``_attack_seed`` that SIGKILLs its worker at seed 7: once if
+    ``marker`` names a file to create (``O_EXCL`` makes the first
+    attempt the only one), on every attempt if it is ``None``."""
+    real = orchestrator._attack_seed
+
+    def attack_seed(attack, seed, *args):
+        if seed == 7:
+            try:
+                if marker is not None:
+                    os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                pass
+            else:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return real(attack, seed, *args)
+
+    return attack_seed
