@@ -22,10 +22,10 @@ Stages, in order:
 Supporting tools: :mod:`repro.attack.search` (best-first exploration of
 the remaining space), :mod:`repro.attack.campaign` (the campaign entry
 point :func:`run_campaign`, its one aggregation fold and a profile
-cache), :func:`repro.attack.orchestrator.run_orchestrated` (the parallel
-campaign executor: one future per grain of seeds on a forked process
-pool, folded in the caller's thread, with checkpoint/resume through
-:mod:`repro.attack.checkpoint`), :mod:`repro.attack.evaluation`
+cache), :func:`repro.attack.orchestrator.run_orchestrated` (the one
+campaign executor: grains of seeds run in the caller's thread at one
+worker or as futures on a forked process pool, folded in the caller's
+thread, with checkpoint/resume through :mod:`repro.attack.checkpoint`), :mod:`repro.attack.evaluation`
 (hint statistics and bikz estimates from a campaign's probability
 tables), :mod:`repro.attack.profile_store` (on-disk profile cache),
 :mod:`repro.attack.cpa` (unprofiled correlation analysis) and

@@ -5,17 +5,18 @@ of thousands of attack traces.  This module is the campaign entry
 point:
 
 - :func:`run_campaign` runs ``capture -> segment -> classify -> score``
-  for N victim seeds: in-process when serial, and on the process
-  pool of :mod:`repro.attack.orchestrator` for ``workers > 1``.  Every
-  trace's measurement noise is a pure function of ``(batch entropy,
-  seed)`` under the counter-based stream of :mod:`repro.power.noise` —
-  so the report is **identical** for any worker count, engine or
-  completion order.
-- :func:`aggregate_outcomes` is the one fold from per-seed outcomes to
-  a :class:`CampaignReport`: accuracies, the confusion matrix, the
-  probability tables (the LWE-with-hints input, with
-  :meth:`~CampaignReport.hint_statistics` and
-  :meth:`~CampaignReport.estimate_bikz` on top) and **per-stage
+  for N victim seeds.  It is a call into
+  :func:`repro.attack.orchestrator.run_orchestrated`, the one campaign
+  executor, with ``workers=None`` meaning serial.  Every trace's
+  measurement noise is a pure function of ``(batch entropy, seed)``
+  under the counter-based stream of :mod:`repro.power.noise`, so the
+  report is **identical** for any worker count, engine or completion
+  order.
+- :func:`aggregate_outcomes` is the one fold from the campaign's
+  seed-indexed result arrays to a :class:`CampaignReport`: accuracies,
+  the confusion matrix, the dense probability tables (the
+  LWE-with-hints input, with :meth:`~CampaignReport.hint_statistics`
+  and :meth:`~CampaignReport.estimate_bikz` on top) and **per-stage
   wall-time counters**.
 - :func:`profiled_attack_cached` keys a profiled attack archive
   (:mod:`repro.attack.persistence`) by a hash of the full attack +
@@ -28,73 +29,85 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
-import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.attack import evaluation
-from repro.attack.branch import sign_of
 from repro.backends import backend_id
 from repro.attack.metrics import ConfusionMatrix
-from repro.attack.pipeline import ProfilingReport, SingleTraceAttack
+from repro.attack.pipeline import ProfilingReport, SingleTraceAttack, probability_tables
 from repro.errors import AttackError
-from repro.power.capture import CapturedTrace, _capture_one
 from repro.power.noise import NOISE_STREAM_VERSION
-from repro.riscv.device import effective_engine
 
-#: Timing stages reported by the campaign workers, in pipeline order.
+#: Timing stages reported by the campaign grains, in pipeline order.
 STAGES = ("capture", "segment", "classify", "score")
 
 
 @dataclass
-class SeedOutcome:
-    """One victim seed's end-to-end result (the worker return payload)."""
-
-    seed: int
-    values: List[int]
-    signs: List[int]
-    estimates: List[int]
-    tables: List[Dict[int, float]]
-    timings: Dict[str, float]
-    error: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-
-@dataclass
 class CampaignReport:
-    """Aggregated outcome of a parallel attack campaign."""
+    """Aggregated outcome of an attack campaign.
 
-    outcomes: List[Tuple[int, int, int, Dict[int, float]]] = field(repr=False)
+    Per-seed results stay dense, indexed by ``seed - first_seed``:
+    ``ok`` marks the traces that were attacked, ``values``, ``signs``
+    and ``estimates`` are ``(traces, coeffs)`` and ``tables`` holds
+    each coefficient's posterior over ``labels`` (the
+    :attr:`~repro.attack.pipeline.AttackResult.probability_matrix`
+    rows).  ``errors`` maps each failed seed to its message.
+    :attr:`outcomes`, :attr:`failures` and :attr:`probability_tables`
+    are seed-ordered views of them, derived once on first use.
+    """
+
+    first_seed: int
+    labels: Sequence[int] = field(repr=False)
+    ok: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
+    signs: np.ndarray = field(repr=False)
+    estimates: np.ndarray = field(repr=False)
+    tables: np.ndarray = field(repr=False)
+    errors: Dict[int, str] = field(repr=False)
     confusion: ConfusionMatrix = field(repr=False)
     sign_accuracy: float
     value_accuracy: float
     coefficients_attacked: int
     traces_attacked: int
     traces_failed: int
-    failures: List[Tuple[int, str]] = field(repr=False)
     timings: Dict[str, float]
     wall_seconds: float
     workers: int
+    #: The executor's counters (grain size, grains folded, checkpoint
+    #: shards written, worker deaths survived), present at every worker
+    #: count; :meth:`format_timings` shows them.  Deliberately excluded
+    #: from the determinism contract: the *outcomes* are bit-identical
+    #: across schedules, the schedule itself is not.
+    orchestrator: Dict[str, int]
     engine: str = "threaded"
     #: ``name-version`` of the compute backend the campaign ran under
     #: (see :mod:`repro.backends`), as provenance only: every backend
     #: kernel is bit-exact, so reports are bit-identical across
     #: backends.
     backend: str = "reference"
-    #: Orchestrated runs attach their executor counters here (grain
-    #: size, grains folded, checkpoint shards written, worker deaths
-    #: survived) — :meth:`format_timings` shows them.  ``None`` for
-    #: serial :func:`run_campaign` reports.  Deliberately excluded
-    #: from the determinism contract: the *outcomes* are bit-identical
-    #: across schedules, the schedule itself is not.
-    orchestrator: Optional[Dict[str, int]] = None
+
+    @cached_property
+    def outcomes(self) -> List[Tuple[int, int, int, Dict[int, float]]]:
+        """``(value, sign, estimate, probability table)`` per attacked
+        coefficient, in seed order."""
+        rows = self.ok.astype(bool)
+        signs = self.signs[rows].ravel().tolist()
+        tables = probability_tables(
+            signs, self.tables[rows].reshape(-1, len(self.labels)), self.labels
+        )
+        values = self.values[rows].ravel().tolist()
+        estimates = self.estimates[rows].ravel().tolist()
+        return list(zip(values, signs, estimates, tables))
+
+    @cached_property
+    def failures(self) -> List[Tuple[int, str]]:
+        """``(seed, message)`` per trace that could not be attacked."""
+        return sorted(self.errors.items())
 
     @property
     def coefficients_per_second(self) -> float:
@@ -129,16 +142,12 @@ class CampaignReport:
             f"  {'wall':<9} {self.wall_seconds:8.3f} s  "
             f"({self.coefficients_per_second:,.0f} coefficients/s)"
         )
-        if self.orchestrator:
-            meta = self.orchestrator
-            lines.append(
-                "orchestrator: "
-                f"grain={meta.get('grain', 0)} "
-                f"shard_size={meta.get('shard_size', 0)} "
-                f"grains={meta.get('grains', 0)} "
-                f"checkpoints={meta.get('checkpoints', 0)} "
-                f"worker_deaths={meta.get('workers_died', 0)}"
-            )
+        meta = self.orchestrator
+        lines.append(
+            f"orchestrator: grain={meta['grain']} shard_size={meta['shard_size']} "
+            f"grains={meta['grains']} checkpoints={meta['checkpoints']} "
+            f"worker_deaths={meta['workers_died']}"
+        )
         return "\n".join(lines)
 
     def summary(self) -> str:
@@ -154,76 +163,6 @@ class CampaignReport:
         )
 
 
-def _attack_seed(
-    attack: SingleTraceAttack,
-    seed: int,
-    count: int,
-    entropy: int,
-    engine: str = "threaded",
-) -> SeedOutcome:
-    """The whole per-seed chain, shared by the serial path and workers."""
-    acquisition = attack.acquisition
-    tick = time.perf_counter()
-    captured = _capture_one(
-        acquisition.device,
-        acquisition.leakage,
-        acquisition.scope,
-        seed,
-        count,
-        entropy,
-        engine=engine,
-    )
-    return _attack_captured(attack, captured, time.perf_counter() - tick)
-
-
-def _attack_captured(
-    attack: SingleTraceAttack, captured: CapturedTrace, capture_seconds: float
-) -> SeedOutcome:
-    """Segment, classify and score one captured trace."""
-    seed = captured.seed
-    timings: Dict[str, float] = {"capture": capture_seconds}
-
-    tick = time.perf_counter()
-    try:
-        aligned = attack.segmenter.aligned_slices(
-            captured.trace.samples, refiner=attack.refiner
-        )
-    except AttackError as exc:
-        timings["segment"] = time.perf_counter() - tick
-        return SeedOutcome(seed, captured.values, [], [], [], timings, str(exc))
-    timings["segment"] = time.perf_counter() - tick
-    if len(aligned) != len(captured.values):
-        return SeedOutcome(
-            seed,
-            captured.values,
-            [],
-            [],
-            [],
-            timings,
-            f"segmented {len(aligned)} coefficients, expected {len(captured.values)}",
-        )
-
-    tick = time.perf_counter()
-    try:
-        result = attack.attack_aligned(aligned)
-    except AttackError as exc:
-        timings["classify"] = time.perf_counter() - tick
-        return SeedOutcome(seed, captured.values, [], [], [], timings, str(exc))
-    timings["classify"] = time.perf_counter() - tick
-
-    tick = time.perf_counter()
-    outcome = SeedOutcome(
-        seed=seed,
-        values=captured.values,
-        signs=result.signs,
-        estimates=result.estimates,
-        tables=result.probabilities,
-        timings=timings,
-    )
-    timings["score"] = time.perf_counter() - tick
-    return outcome
-
-
 def run_campaign(
     attack: SingleTraceAttack,
     trace_count: int,
@@ -234,99 +173,77 @@ def run_campaign(
 ) -> CampaignReport:
     """Attack ``trace_count`` fresh executions, optionally in parallel.
 
-    The attack must already be profiled.  ``workers > 1`` runs the
-    campaign on :func:`repro.attack.orchestrator.run_orchestrated`'s
-    process pool; otherwise it runs in this process.  Noise is drawn from
-    the bench's batch-entropy streams (per-seed), so the report is
-    bit-identical for any ``workers`` value and any completion order.
-    Traces that fail to segment are recorded in ``report.failures`` and
-    excluded from the statistics.
+    The attack must already be profiled.  This is
+    :func:`repro.attack.orchestrator.run_orchestrated` with its default
+    grain and no checkpoint, except that ``workers=None`` runs serially
+    in this process (``run_orchestrated`` reads ``None`` as its default
+    pool size).  Noise is drawn from the bench's batch-entropy streams
+    (per-seed), so the report is bit-identical for any ``workers``
+    value and any completion order.  Traces that fail to segment are
+    recorded in ``report.failures`` and excluded from the statistics.
 
     ``engine`` picks the capture execution engine (``None`` defers to
     the bench's setting, then ``REVEAL_ENGINE``, then compiled, threaded
     without a C toolchain); every engine produces the identical report.
     """
-    if attack.templates is None or attack.branch_classifier is None:
-        raise AttackError("profile() must run before a campaign")
-    acquisition = attack.acquisition
-    # effective_engine: "compiled" degrades to "threaded" without a C
-    # toolchain, and the report records the engine that actually ran.
-    engine = effective_engine(
-        engine if engine is not None else getattr(acquisition, "engine", None)
-    )
-    if workers is not None and workers > 1 and trace_count > 1:
-        from repro.attack.orchestrator import run_orchestrated
+    from repro.attack.orchestrator import run_orchestrated
 
-        return run_orchestrated(
-            attack,
-            trace_count,
-            coeffs_per_trace=coeffs_per_trace,
-            first_seed=first_seed,
-            workers=min(workers, trace_count, (os.cpu_count() or 1) * 4),
-            engine=engine,
-        )
-    entropy = acquisition.batch_entropy()
-    start = time.perf_counter()
-    results = [
-        _attack_seed(attack, first_seed + i, coeffs_per_trace, entropy, engine)
-        for i in range(trace_count)
-    ]
-    wall = time.perf_counter() - start
-    return aggregate_outcomes(results, trace_count, wall, 1, engine)
+    return run_orchestrated(
+        attack,
+        trace_count,
+        coeffs_per_trace=coeffs_per_trace,
+        first_seed=first_seed,
+        workers=1 if workers is None else workers,
+        engine=engine,
+    )
 
 
 def aggregate_outcomes(
-    results: List[SeedOutcome],
-    trace_count: int,
+    first_seed: int,
+    labels: Sequence[int],
+    arrays: Dict[str, np.ndarray],
+    errors: Dict[int, str],
+    timings: Dict[str, float],
     wall_seconds: float,
     workers: int,
     engine: str,
-    base_timings: Optional[Dict[str, float]] = None,
-    orchestrator: Optional[Dict[str, int]] = None,
+    orchestrator: Dict[str, int],
 ) -> CampaignReport:
-    """Fold seed-ordered :class:`SeedOutcome`\\ s into a report.
+    """Fold a campaign's seed-indexed result arrays into a report.
 
-    This is the single aggregation path shared by :func:`run_campaign`
-    and the orchestrator — the report's deterministic
-    payload (outcomes, confusion, accuracies, failures) depends only on
-    the per-seed outcomes, never on who computed them.
-    ``base_timings`` seeds the per-stage counters for callers that
-    accumulated worker time out of band (the orchestrator's grain
-    records, resumed checkpoint shards).
+    ``arrays`` holds ``ok``, ``values``, ``signs``, ``estimates`` and
+    ``tables`` (the layout of the orchestrator's grain records and
+    checkpoint shards) for seeds ``first_seed, first_seed + 1, ...``.
+    The report's deterministic payload (outcomes, confusion, accuracies,
+    failures) depends only on these arrays, never on who computed them.
     """
-    confusion = ConfusionMatrix()
-    outcomes: List[Tuple[int, int, int, Dict[int, float]]] = []
-    failures: List[Tuple[int, str]] = []
-    timings = {stage: 0.0 for stage in STAGES}
-    for stage, seconds in (base_timings or {}).items():
-        timings[stage] = timings.get(stage, 0.0) + seconds
-    sign_hits = value_hits = 0
-    for outcome in results:
-        for stage, seconds in outcome.timings.items():
-            timings[stage] = timings.get(stage, 0.0) + seconds
-        if not outcome.ok:
-            failures.append((outcome.seed, outcome.error))
-            continue
-        for value, sign, estimate, table in zip(
-            outcome.values, outcome.signs, outcome.estimates, outcome.tables
-        ):
-            sign_hits += sign_of(value) == sign
-            value_hits += estimate == value
-            confusion.record(value, estimate)
-            outcomes.append((value, sign, estimate, table))
-    if not outcomes:
+    ok = arrays["ok"].astype(bool)
+    values = arrays["values"][ok]
+    estimates = arrays["estimates"][ok]
+    total = values.size
+    if total == 0:
         raise AttackError("no trace in the campaign could be attacked")
-    total = len(outcomes)
+    confusion = ConfusionMatrix()
+    confusion.record_many(values.ravel().tolist(), estimates.ravel().tolist())
+    sign_hits = int(np.count_nonzero(np.sign(values) == arrays["signs"][ok]))
+    value_hits = int(np.count_nonzero(values == estimates))
+    attacked = int(np.count_nonzero(ok))
     return CampaignReport(
-        outcomes=outcomes,
+        first_seed=first_seed,
+        labels=list(labels),
+        ok=arrays["ok"],
+        values=arrays["values"],
+        signs=arrays["signs"],
+        estimates=arrays["estimates"],
+        tables=arrays["tables"],
+        errors=dict(errors),
         confusion=confusion,
         sign_accuracy=sign_hits / total,
         value_accuracy=value_hits / total,
         coefficients_attacked=total,
-        traces_attacked=trace_count - len(failures),
-        traces_failed=len(failures),
-        failures=failures,
-        timings=timings,
+        traces_attacked=attacked,
+        traces_failed=len(ok) - attacked,
+        timings=dict(timings),
         wall_seconds=wall_seconds,
         workers=workers,
         engine=engine,

@@ -3,9 +3,13 @@
 A campaign directory holds one versioned ``manifest.json`` plus one
 ``shards/shard-<n>.npz`` per *completed* checkpoint shard (a contiguous
 block of ``shard_size`` victim seeds).  Everything is written with
-temp-file + :func:`os.replace`, so a reader (or a resuming run) only
-ever sees a complete previous state — a run killed mid-write loses at
-most the shard being written, never the directory's integrity.
+:func:`repro.utils.files.atomic_write_bytes` (temp file +
+:func:`os.replace`), so a reader (or a resuming run) only ever sees a
+complete previous state — a run killed mid-write loses at most the
+shard being written, never the directory's integrity.  A manifest that
+does not parse is an :class:`~repro.errors.AttackError`; a shard
+archive that does not load counts as missing, so its seeds are
+attacked again.
 
 The manifest pins a **fingerprint** of everything the per-seed results
 depend on (seed range, coefficient count, batch noise entropy, noise
@@ -21,15 +25,16 @@ checkpointed seeds reproduce their in-memory records bit for bit.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
-import os
-import tempfile
+import zipfile
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
 from repro.errors import AttackError
+from repro.utils.files import atomic_write_bytes
 
 #: Bump when the on-disk layout changes; resume refuses newer/older
 #: layouts instead of guessing.
@@ -63,30 +68,11 @@ def campaign_fingerprint(
     return hashlib.sha256(blob).hexdigest()
 
 
-def _atomic_write_bytes(path: Path, payload: bytes) -> None:
-    """Write ``payload`` to ``path`` via temp file + atomic rename."""
-    fd, tmp = tempfile.mkstemp(
-        dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 def atomic_savez(path: Union[str, Path], **arrays) -> None:
     """``np.savez`` with the same crash consistency as the manifest."""
-    import io
-
     buffer = io.BytesIO()
     np.savez(buffer, **arrays)
-    _atomic_write_bytes(Path(path), buffer.getvalue())
+    atomic_write_bytes(path, buffer.getvalue())
 
 
 class CampaignCheckpoint:
@@ -149,7 +135,7 @@ class CampaignCheckpoint:
             "shards_done": list(self.shards_done),
             "counters": {k: int(v) for k, v in self.counters.items()},
         }
-        _atomic_write_bytes(
+        atomic_write_bytes(
             self.manifest_path,
             json.dumps(manifest, indent=1, sort_keys=True).encode(),
         )
@@ -164,14 +150,22 @@ class CampaignCheckpoint:
         """Open an existing campaign directory for resumption.
 
         Raises :class:`AttackError` when the directory holds no
-        manifest, a different layout version, or (when ``fingerprint``
-        is given) state from a different campaign configuration.
+        manifest, a manifest that does not parse, a different layout
+        version, or (when ``fingerprint`` is given) state from a
+        different campaign configuration.
         """
         directory = Path(directory)
         path = directory / _MANIFEST
         if not path.exists():
             raise AttackError(f"no campaign manifest under {directory}")
-        manifest = json.loads(path.read_text())
+        try:
+            manifest = json.loads(path.read_bytes())
+        except ValueError as exc:  # torn, empty or not UTF-8
+            raise AttackError(
+                f"campaign manifest {path} does not parse: {exc}"
+            ) from exc
+        if not isinstance(manifest, dict):
+            raise AttackError(f"campaign manifest {path} is not a JSON object")
         if manifest.get("version") != CHECKPOINT_VERSION:
             raise AttackError(
                 f"campaign checkpoint version {manifest.get('version')!r} "
@@ -204,9 +198,14 @@ class CampaignCheckpoint:
         }
         return state
 
-    def load_shard(self, shard: int) -> Dict[str, np.ndarray]:
-        with np.load(self.shard_path(shard), allow_pickle=False) as archive:
-            return {key: archive[key] for key in archive.files}
+    def load_shard(self, shard: int) -> Optional[Dict[str, np.ndarray]]:
+        """A shard archive's arrays, or ``None`` when the file is missing,
+        truncated or garbage."""
+        try:
+            with np.load(self.shard_path(shard), allow_pickle=False) as archive:
+                return {key: archive[key] for key in archive.files}
+        except (OSError, EOFError, ValueError, zipfile.BadZipFile):
+            return None
 
     def completed_seeds(self) -> int:
         return sum(len(self.shard_range(s)) for s in self.shards_done)

@@ -1,36 +1,33 @@
-"""The parallel campaign executor, with checkpoint/resume.
+"""The campaign executor, with checkpoint/resume.
 
-:func:`run_orchestrated` is the package's one parallel attack executor:
-:func:`repro.attack.campaign.run_campaign` with ``workers > 1`` and the
-``campaign`` CLI target both call it.  It is one synchronous call:
+:func:`run_orchestrated` runs every attack campaign in the package:
+:func:`repro.attack.campaign.run_campaign` and the ``campaign`` CLI
+target both call it, at any worker count.  It is one synchronous call:
 
-- **Futures on a forked pool.**  The call forks one process pool
-  (:func:`repro.utils.pool.process_pool`); the pool initializer hands
-  every worker the profiled attack once.  The campaign's unfolded victim
-  seeds are cut into *grains* of at most ``grain`` consecutive seeds.
-  Each grain is one future: it runs the per-seed chain
-  (:func:`~repro.attack.campaign._attack_seed`) and returns the grain's
-  records as the dense arrays checkpoint shards store
-  (:func:`_pack_record`).
-- **Fold in the caller's thread.**  The call folds futures as they
-  complete into the campaign's seed-indexed arrays, then shuts the pool
-  down before it returns or raises.
-- **Checkpoint / resume.**  Folded seeds complete fixed-size checkpoint
-  shards; each finished shard is written atomically
-  (:mod:`repro.attack.checkpoint`) so a killed or interrupted campaign
-  resumes from its completed shards under a fingerprint guard.
-- **Worker death is survivable.**  A dead worker breaks the pool
-  (``BrokenProcessPool``).  The fold counts the break, forks a fresh
-  pool and resubmits every grain it has not folded, so a break costs at
-  most the grains in flight.
+- **Grains.**  The unfolded victim seeds are cut into *grains* of at
+  most ``grain`` consecutive seeds.  A grain runs :func:`_attack_seed`
+  per seed, which writes the seed's row straight into the grain's
+  dense record: the arrays checkpoint shards store (``ok``, ``values``,
+  ``signs``, ``estimates``, posterior ``tables``), plus stage timings
+  and error messages.
+- **One worker-count rule.**  ``workers=None`` picks ``min(4, cpus)``;
+  any count is clamped to ``trace_count``.  At one worker or fewer the
+  grains run in the calling thread with no fork; above that each grain
+  is one future on a forked pool (:func:`repro.utils.pool.process_pool`).
+- **Fold in the caller's thread.**  Records are folded as they complete
+  into the campaign's seed-indexed arrays, and completed checkpoint
+  shards are written atomically (:mod:`repro.attack.checkpoint`), so a
+  killed campaign resumes from them under a fingerprint guard.  A shard
+  archive that does not load, or has another shape, is attacked again.
+- **Worker death is survivable.**  A dead worker breaks the pool; the
+  fold counts the break, forks a fresh pool and resubmits every grain
+  it has not folded.
 
-The determinism contract is the campaign one: per-seed outcomes are a
-pure function of ``(attack, seed, coeffs, batch entropy)``, so the
-assembled :class:`~repro.attack.campaign.CampaignReport` is
-seed-ordered, worker-count-invariant, completion-order-invariant and
-bit-identical to the serial ``run_campaign`` — rerun grains fold the
-same bits.  The ``campaign.orchestrated`` oracle and the kill/resume
-tests pin it.
+Per-seed outcomes are a pure function of ``(attack, seed, coeffs, batch
+entropy)``, so the :class:`~repro.attack.campaign.CampaignReport` is
+seed-ordered and invariant to worker count, completion order and
+interruption.  The ``campaign.orchestrated`` oracle (against a plain
+per-trace loop) and the kill/resume tests pin it.
 """
 
 from __future__ import annotations
@@ -41,104 +38,112 @@ import time
 from concurrent.futures import as_completed
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.attack.branch import ZERO, sign_of
-from repro.attack.campaign import (
-    STAGES,
-    CampaignReport,
-    SeedOutcome,
-    _attack_seed,
-    aggregate_outcomes,
-)
+from repro.attack.campaign import STAGES, CampaignReport, aggregate_outcomes
 from repro.attack.checkpoint import CampaignCheckpoint, campaign_fingerprint
 from repro.attack.pipeline import SingleTraceAttack
 from repro.errors import AttackError
+from repro.power.capture import _capture_one
 from repro.riscv.device import effective_engine
 from repro.utils.pool import process_pool
 
 Grain = Tuple[int, int]
 
+#: The per-seed arrays of a grain record, of a campaign's state and of a
+#: checkpoint shard (which adds ``errors``, a JSON blob).
+_FIELDS = ("ok", "values", "signs", "estimates", "tables")
+
+
+def _empty_arrays(n: int, count: int, n_labels: int) -> Dict[str, np.ndarray]:
+    return {
+        "ok": np.zeros(n, dtype=np.uint8),
+        "values": np.zeros((n, count), dtype=np.int64),
+        "signs": np.zeros((n, count), dtype=np.int64),
+        "estimates": np.zeros((n, count), dtype=np.int64),
+        "tables": np.zeros((n, count, n_labels), dtype=np.float64),
+    }
+
 
 # ----------------------------------------------------------------------
-# Grain record packing (worker side) and unpacking (parent side)
+# Grains
 # ----------------------------------------------------------------------
-def _sign_groups(labels: Sequence[int]) -> Dict[int, List[Tuple[int, int]]]:
-    """``sign -> [(column, label), ...]`` in template-bank label order —
-    the dense table layout both ends of a grain record agree on."""
-    groups: Dict[int, List[Tuple[int, int]]] = {}
-    for column, label in enumerate(int(l) for l in labels):
-        groups.setdefault(sign_of(label), []).append((column, label))
-    return groups
-
-
-def _pack_record(
-    chunk: List[SeedOutcome],
-    coeffs: int,
-    groups: Dict[int, List[Tuple[int, int]]],
-    n_labels: int,
-) -> List[np.ndarray]:
-    """One contiguous run of per-seed outcomes as dense arrays.
-
-    Probability tables go dense: ``tables[i, j, column]`` is the
-    probability of the template-bank label at ``column``.  Together
-    with the classified sign that is a loss-free encoding —
-    ``attack_aligned`` builds each table over exactly the labels whose
-    ``sign_of`` matches the classified sign (and ``{0: 1.0}`` for
-    ZERO), so the parent rebuilds the dicts bit for bit.
-    """
-    n = len(chunk)
-    ok = np.zeros(n, dtype=np.uint8)
-    values = np.zeros((n, coeffs), dtype=np.int64)
-    signs = np.zeros((n, coeffs), dtype=np.int64)
-    estimates = np.zeros((n, coeffs), dtype=np.int64)
-    tables = np.zeros((n, coeffs, n_labels), dtype=np.float64)
-    timings = np.zeros(len(STAGES), dtype=np.float64)
-    errors: List[List] = []
-    for i, outcome in enumerate(chunk):
-        values[i] = outcome.values
-        for stage_index, stage in enumerate(STAGES):
-            timings[stage_index] += outcome.timings.get(stage, 0.0)
-        if not outcome.ok:
-            errors.append([outcome.seed, outcome.error])
-            continue
-        ok[i] = 1
-        signs[i] = outcome.signs
-        estimates[i] = outcome.estimates
-        for j, (sign, table) in enumerate(zip(outcome.signs, outcome.tables)):
-            if sign == ZERO:
-                continue
-            for column, label in groups[int(sign)]:
-                tables[i, j, column] = table[label]
-    meta = np.array(
-        [chunk[0].seed, chunk[-1].seed + 1, coeffs, n_labels, len(errors)],
-        dtype=np.int64,
+def _attack_seed(
+    attack: SingleTraceAttack,
+    seed: int,
+    count: int,
+    entropy: int,
+    engine: str,
+    record: Dict[str, Any],
+    row: int,
+) -> None:
+    """Capture, segment, classify and score victim ``seed`` into row
+    ``row`` of a grain ``record``; a trace that cannot be attacked
+    leaves ``ok`` at 0 and appends ``[seed, message]`` to its errors."""
+    seconds = record["timings"]
+    acquisition = attack.acquisition
+    tick = time.perf_counter()
+    captured = _capture_one(
+        acquisition.device,
+        acquisition.leakage,
+        acquisition.scope,
+        seed,
+        count,
+        entropy,
+        engine=engine,
     )
-    error_blob = np.frombuffer(json.dumps(errors).encode(), dtype=np.uint8)
-    return [meta, ok, values, signs, estimates, tables, timings, error_blob]
-
-
-def _rebuild_tables(
-    sign_row: np.ndarray,
-    dense_row: np.ndarray,
-    groups: Dict[int, List[Tuple[int, int]]],
-) -> List[Dict[int, float]]:
-    tables: List[Dict[int, float]] = []
-    for j, sign in enumerate(int(s) for s in sign_row):
-        if sign == ZERO:
-            tables.append({0: 1.0})
-        else:
-            tables.append(
-                {label: float(dense_row[j, column]) for column, label in groups[sign]}
+    record["values"][row] = captured.values
+    tick, stage = _lap(seconds, 0, tick), 1
+    try:
+        aligned = attack.segmenter.aligned_slices(
+            captured.trace.samples, refiner=attack.refiner
+        )
+        if len(aligned) != len(captured.values):
+            raise AttackError(
+                f"segmented {len(aligned)} coefficients, "
+                f"expected {len(captured.values)}"
             )
-    return tables
+        tick, stage = _lap(seconds, 1, tick), 2
+        result = attack.attack_aligned(aligned)
+    except AttackError as exc:
+        _lap(seconds, stage, tick)
+        record["errors"].append([seed, str(exc)])
+        return
+    tick = _lap(seconds, 2, tick)
+    record["ok"][row] = 1
+    record["signs"][row] = result.signs
+    record["estimates"][row] = result.estimates
+    record["tables"][row] = result.probability_matrix
+    _lap(seconds, 3, tick)
 
 
-# ----------------------------------------------------------------------
-# Worker process
-# ----------------------------------------------------------------------
+def _lap(seconds: np.ndarray, stage: int, tick: float) -> float:
+    """Add the time since ``tick`` to ``seconds[stage]``; return now."""
+    now = time.perf_counter()
+    seconds[stage] += now - tick
+    return now
+
+
+def _run_grain(
+    attack: SingleTraceAttack,
+    lo: int,
+    hi: int,
+    count: int,
+    entropy: int,
+    engine: str,
+) -> Dict[str, Any]:
+    """Attack victim seeds ``[lo, hi)``; return the grain's record."""
+    record: Dict[str, Any] = _empty_arrays(
+        hi - lo, count, len(attack.templates.labels)
+    )
+    record.update(lo=lo, timings=np.zeros(len(STAGES)), errors=[])
+    for row, seed in enumerate(range(lo, hi)):
+        _attack_seed(attack, seed, count, entropy, engine, record, row)
+    return record
+
+
 # Worker-process state: the profiled attack arrives once through the
 # pool initializer instead of being pickled into every grain.
 _WORKER: dict = {}
@@ -146,26 +151,20 @@ _WORKER: dict = {}
 
 def _worker_init(attack: SingleTraceAttack) -> None:
     _WORKER["attack"] = attack
-    _WORKER["groups"] = _sign_groups(attack.templates.labels)
 
 
-def _run_grain(
-    lo: int, hi: int, count: int, entropy: int, engine: str
-) -> List[np.ndarray]:
-    """Attack victim seeds ``[lo, hi)`` in a warm worker; return the
-    grain's packed record."""
-    attack = _WORKER["attack"]
-    outcomes = [
-        _attack_seed(attack, seed, count, entropy, engine) for seed in range(lo, hi)
-    ]
-    return _pack_record(
-        outcomes, count, _WORKER["groups"], len(attack.templates.labels)
+def _pool_grain(lo: int, hi: int, count: int, entropy: int, engine: str):
+    return _run_grain(_WORKER["attack"], lo, hi, count, entropy, engine)
+
+
+def _grain_failed(lo: int, hi: int, error: BaseException) -> AttackError:
+    return AttackError(
+        f"seeds [{lo}, {hi}) failed: {type(error).__name__}: {error}"
     )
 
 
-
 # ----------------------------------------------------------------------
-# Parent-side fold
+# Caller-side fold
 # ----------------------------------------------------------------------
 class _CampaignState:
     """One call's seed-indexed result arrays, the counters its report
@@ -179,17 +178,11 @@ class _CampaignState:
         n_labels: int,
         checkpoint: Optional[CampaignCheckpoint],
     ) -> None:
-        self.trace_count = trace_count
         self.count = count  # coefficients per trace
         self.first_seed = first_seed
         self.checkpoint = checkpoint
-        n = trace_count
-        self.folded = np.zeros(n, dtype=bool)
-        self.ok = np.zeros(n, dtype=np.uint8)
-        self.values = np.zeros((n, count), dtype=np.int64)
-        self.signs = np.zeros((n, count), dtype=np.int64)
-        self.estimates = np.zeros((n, count), dtype=np.int64)
-        self.tables = np.zeros((n, count, n_labels), dtype=np.float64)
+        self.arrays = _empty_arrays(trace_count, count, n_labels)
+        self.folded = np.zeros(trace_count, dtype=bool)
         self.errors: Dict[int, str] = {}
         self.timings = {stage: 0.0 for stage in STAGES}
         self.base_counters: Dict[str, int] = {}
@@ -197,22 +190,32 @@ class _CampaignState:
         self.checkpoints_written = 0
         self.workers_died = 0
 
+    def _put(self, lo: int, arrays: Dict[str, Any], errors) -> Tuple[int, int]:
+        """Copy per-seed rows for seeds ``lo, lo + 1, ...`` into the
+        campaign's arrays; return their ``[a, b)`` index range."""
+        a = lo - self.first_seed
+        b = a + len(arrays["ok"])
+        for key in _FIELDS:
+            self.arrays[key][a:b] = arrays[key]
+        for seed, message in errors:
+            self.errors[int(seed)] = str(message)
+        self.folded[a:b] = True
+        return a, b
+
     def preload(self) -> None:
-        """Fold already-checkpointed shards into the arrays."""
+        """Fold already-checkpointed shards into the arrays.  A shard
+        whose archive does not load or does not match this campaign's
+        shard shape is dropped from the checkpoint and attacked again."""
         checkpoint = self.checkpoint
-        for shard in checkpoint.shards_done:
+        for shard in list(checkpoint.shards_done):
             seeds = checkpoint.shard_range(shard)
-            lo = seeds.start - self.first_seed
-            hi = lo + len(seeds)
+            a = seeds.start - self.first_seed
             arrays = checkpoint.load_shard(shard)
-            self.ok[lo:hi] = arrays["ok"]
-            self.values[lo:hi] = arrays["values"]
-            self.signs[lo:hi] = arrays["signs"]
-            self.estimates[lo:hi] = arrays["estimates"]
-            self.tables[lo:hi] = arrays["tables"]
-            self.folded[lo:hi] = True
-            for seed, message in json.loads(bytes(arrays["errors"].tobytes()).decode()):
-                self.errors[int(seed)] = str(message)
+            errors = _shard_errors(arrays, self.arrays, a, len(seeds))
+            if errors is None:
+                checkpoint.shards_done.remove(shard)
+                continue
+            self._put(seeds.start, arrays, errors)
         for key, value in checkpoint.counters.items():
             if key.startswith("t_") and key.endswith("_us"):
                 self.timings[key[2:-3]] = value / 1e6
@@ -231,24 +234,13 @@ class _CampaignState:
                 grains.append((seed, seed + 1))
         return grains
 
-    def fold(self, arrays: List[np.ndarray]) -> None:
-        meta, ok, values, signs, estimates, tables, timings, error_blob = arrays
-        lo = int(meta[0]) - self.first_seed
-        hi = int(meta[1]) - self.first_seed
-        self.ok[lo:hi] = ok
-        self.values[lo:hi] = values
-        self.signs[lo:hi] = signs
-        self.estimates[lo:hi] = estimates
-        self.tables[lo:hi] = tables
-        for stage_index, stage in enumerate(STAGES):
-            self.timings[stage] += float(timings[stage_index])
-        for seed, text in json.loads(error_blob.tobytes().decode() or "[]"):
-            self.errors[int(seed)] = str(text)
+    def fold(self, record: Dict[str, Any]) -> None:
+        a, b = self._put(record["lo"], record, record["errors"])
+        for stage, seconds in zip(STAGES, record["timings"].tolist()):
+            self.timings[stage] += seconds
         self.grains += 1
-        newly = ~self.folded[lo:hi]
-        self.folded[lo:hi] = True
-        if self.checkpoint is not None and bool(newly.any()):
-            self._maybe_checkpoint(lo, hi)
+        if self.checkpoint is not None:
+            self._maybe_checkpoint(a, b)
 
     def _maybe_checkpoint(self, lo: int, hi: int) -> None:
         checkpoint = self.checkpoint
@@ -269,11 +261,7 @@ class _CampaignState:
             self._sync_counters()
             checkpoint.write_shard(
                 shard,
-                ok=self.ok[a:b],
-                values=self.values[a:b],
-                signs=self.signs[a:b],
-                estimates=self.estimates[a:b],
-                tables=self.tables[a:b],
+                **{key: self.arrays[key][a:b] for key in _FIELDS},
                 errors=np.frombuffer(
                     json.dumps(errors).encode(), dtype=np.uint8
                 ),
@@ -301,38 +289,12 @@ class _CampaignState:
 
     def assemble(
         self,
-        groups: Dict[int, List[Tuple[int, int]]],
+        labels: List[int],
         grain: int,
         workers: int,
         engine: str,
         wall: float,
     ) -> CampaignReport:
-        results: List[SeedOutcome] = []
-        for i in range(self.trace_count):
-            seed = self.first_seed + i
-            if self.ok[i]:
-                results.append(
-                    SeedOutcome(
-                        seed=seed,
-                        values=[int(v) for v in self.values[i]],
-                        signs=[int(s) for s in self.signs[i]],
-                        estimates=[int(e) for e in self.estimates[i]],
-                        tables=_rebuild_tables(self.signs[i], self.tables[i], groups),
-                        timings={},
-                    )
-                )
-            else:
-                results.append(
-                    SeedOutcome(
-                        seed=seed,
-                        values=[int(v) for v in self.values[i]],
-                        signs=[],
-                        estimates=[],
-                        tables=[],
-                        timings={},
-                        error=self.errors.get(seed, "worker did not report"),
-                    )
-                )
         metadata = {
             "grain": grain,
             "shard_size": self.checkpoint.shard_size if self.checkpoint else 0,
@@ -341,14 +303,33 @@ class _CampaignState:
             "workers_died": self.workers_died,
         }
         return aggregate_outcomes(
-            results,
-            self.trace_count,
+            self.first_seed,
+            labels,
+            self.arrays,
+            self.errors,
+            self.timings,
             wall,
             workers,
             engine,
-            base_timings=self.timings,
-            orchestrator=metadata,
+            metadata,
         )
+
+
+def _shard_errors(arrays, like: Dict[str, np.ndarray], a: int, n: int):
+    """A loaded shard's ``[seed, message]`` list; ``None`` unless every
+    per-seed array matches rows ``[a, a + n)`` of ``like`` in shape and
+    dtype and the error blob parses."""
+    if arrays is None:
+        return None
+    for key in _FIELDS:
+        want = like[key][a : a + n]
+        got = arrays.get(key)
+        if got is None or got.shape != want.shape or got.dtype != want.dtype:
+            return None
+    try:
+        return json.loads(arrays["errors"].tobytes().decode())
+    except (KeyError, ValueError):
+        return None
 
 
 def _execute(
@@ -359,8 +340,17 @@ def _execute(
     entropy: int,
     engine: str,
 ) -> None:
-    """Attack every unfolded seed on a forked pool, folding grains as
-    they complete; fork a fresh pool for the grains a broken one lost."""
+    """Attack every unfolded seed and fold each grain as it completes:
+    in this thread at one worker, else on a forked pool, forking a
+    fresh pool for the grains a broken one lost."""
+    if workers <= 1:
+        for lo, hi in state.unfolded_grains(grain):
+            try:
+                record = _run_grain(attack, lo, hi, state.count, entropy, engine)
+            except Exception as error:
+                raise _grain_failed(lo, hi, error) from error
+            state.fold(record)
+        return
     grains_at_break: Optional[int] = None
     grains = state.unfolded_grains(grain)
     while grains:
@@ -371,7 +361,7 @@ def _execute(
             for lo, hi in grains:
                 try:
                     future = pool.submit(
-                        _run_grain, lo, hi, state.count, entropy, engine
+                        _pool_grain, lo, hi, state.count, entropy, engine
                     )
                 except BrokenProcessPool:  # a worker died during submission
                     broke = True
@@ -382,11 +372,7 @@ def _execute(
                 if isinstance(error, BrokenProcessPool):
                     broke = True
                 elif error is not None:
-                    lo, hi = futures[future]
-                    raise AttackError(
-                        f"seeds [{lo}, {hi}) failed in a worker: "
-                        f"{type(error).__name__}: {error}"
-                    ) from error
+                    raise _grain_failed(*futures[future], error) from error
                 else:
                     state.fold(future.result())
         finally:
@@ -416,14 +402,17 @@ def run_orchestrated(
     resume: bool = False,
     shard_size: int = 256,
 ) -> CampaignReport:
-    """Attack ``trace_count`` victim seeds on a pool of ``workers``
-    processes (the ``run_campaign`` signature plus checkpointing).
+    """Attack ``trace_count`` victim seeds (the ``run_campaign``
+    signature plus grain size and checkpointing).
 
-    With ``campaign_dir`` every completed shard of ``shard_size`` seeds
-    is checkpointed atomically; ``resume=True`` reloads completed shards
-    (fingerprint-checked) and only the remainder is attacked.  A failed
-    grain raises :class:`~repro.errors.AttackError`; the shards written
-    before it stay valid for a later ``resume``.
+    ``workers=None`` runs ``min(4, cpus)`` worker processes; the count
+    is clamped to ``trace_count``, and at one or fewer the grains run
+    in this thread without forking.  With ``campaign_dir`` every
+    completed shard of ``shard_size`` seeds is checkpointed atomically;
+    ``resume=True`` reloads completed shards (fingerprint-checked) and
+    only the remainder is attacked.  A failed grain raises
+    :class:`~repro.errors.AttackError`; the shards written before it
+    stay valid for a later ``resume``.
     """
     if attack.templates is None or attack.branch_classifier is None:
         raise AttackError("profile() must run before a campaign")
@@ -431,7 +420,10 @@ def run_orchestrated(
         raise AttackError(f"trace_count must be >= 1, got {trace_count}")
     if resume and campaign_dir is None:
         raise AttackError("resume=True needs campaign_dir")
-    workers = max(1, int(workers) if workers else min(4, os.cpu_count() or 1))
+    cpus = os.cpu_count() or 1
+    if workers is None:
+        workers = min(4, cpus)
+    workers = max(1, min(int(workers), trace_count, cpus * 4))
     grain = max(1, int(grain) if grain else 32)
     # effective_engine: "compiled" degrades to "threaded" without a C
     # toolchain, and the report records the engine that actually ran.
@@ -466,4 +458,4 @@ def run_orchestrated(
     _execute(state, attack, workers, grain, entropy, engine)
     state.finalize_checkpoint()
     wall = time.perf_counter() - started
-    return state.assemble(_sign_groups(labels), grain, workers, engine, wall)
+    return state.assemble(labels, grain, workers, engine, wall)

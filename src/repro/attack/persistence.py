@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Union
+from typing import BinaryIO, Union
 
 import numpy as np
 
@@ -29,8 +29,11 @@ _FORMAT_VERSION = 2
 _SUPPORTED_VERSIONS = (1, 2)
 
 
-def save_attack(attack: SingleTraceAttack, path: Union[str, Path]) -> None:
-    """Serialise a profiled attack to ``path`` (a ``.npz`` archive)."""
+def save_attack(
+    attack: SingleTraceAttack, path: Union[str, Path, BinaryIO]
+) -> None:
+    """Serialise a profiled attack to ``path`` (a ``.npz`` archive, or a
+    binary file object that receives one)."""
     if attack.templates is None or attack.branch_classifier is None:
         raise AttackError("profile() must run before saving")
     templates = attack.templates
@@ -78,7 +81,7 @@ def save_attack(attack: SingleTraceAttack, path: Union[str, Path]) -> None:
         payload["value_class_log_dets"] = np.array(
             [templates.class_log_dets[l] for l in templates.labels]
         )
-    np.savez_compressed(Path(path), **payload)
+    np.savez_compressed(path, **payload)
 
 
 def load_attack(acquisition, path: Union[str, Path]) -> SingleTraceAttack:

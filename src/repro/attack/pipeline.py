@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,16 +35,49 @@ from repro.errors import AttackError
 from repro.power.capture import TraceAcquisition
 
 
+def probability_tables(
+    signs: Sequence[int], matrix: np.ndarray, labels: Sequence[int]
+) -> List[Dict[int, float]]:
+    """Per-coefficient probability tables from dense posterior rows.
+
+    A ZERO coefficient gets ``{0: 1.0}``; any other gets ``{label: p}``
+    over the template-bank ``labels`` whose sign is the classified one,
+    which are exactly the columns :meth:`SingleTraceAttack.attack_aligned`
+    scored for it.
+    """
+    candidates: Dict[int, List[Tuple[int, int]]] = {}
+    for column, label in enumerate(labels):
+        candidates.setdefault(sign_of(label), []).append((column, int(label)))
+    tables: List[Dict[int, float]] = []
+    for sign, row in zip(signs, np.asarray(matrix).tolist()):
+        if sign == ZERO:
+            tables.append({0: 1.0})
+        else:
+            tables.append({label: row[column] for column, label in candidates[sign]})
+    return tables
+
+
 @dataclass
 class AttackResult:
-    """Outcome of one single-trace attack."""
+    """Outcome of one single-trace attack.
+
+    ``probability_matrix`` row ``i`` is coefficient ``i``'s posterior
+    over the template-bank ``labels``: 0.0 outside the candidate labels
+    of its classified sign, and all zero for a ZERO coefficient.
+    """
 
     signs: List[int]  # branch decision per coefficient
     estimates: List[int]  # most likely coefficient value
-    probabilities: List[Dict[int, float]]  # full table per coefficient
+    probability_matrix: np.ndarray = field(repr=False)  # (n, len(labels))
+    labels: Sequence[int] = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.estimates)
+
+    @property
+    def probabilities(self) -> List[Dict[int, float]]:
+        """The full table per coefficient (see :func:`probability_tables`)."""
+        return probability_tables(self.signs, self.probability_matrix, self.labels)
 
 
 @dataclass
@@ -372,39 +405,28 @@ class SingleTraceAttack:
         matrix, e.g. from worker-side segmentation)."""
         if self.templates is None or self.branch_classifier is None:
             raise AttackError("profile() must run before attack()")
+        labels = self.templates.labels
+        posterior = np.zeros((slices.shape[0], len(labels)))
         if slices.shape[0] == 0:
-            return AttackResult(signs=[], estimates=[], probabilities=[])
+            return AttackResult([], [], posterior, labels)
         matrix = self._normalise_matrix(slices)
-        signs = [int(s) for s in self.branch_classifier.classify_matrix(matrix)]
+        signs = self.branch_classifier.classify_matrix(matrix)
 
-        all_labels = self.templates.labels
-        label_signs = [sign_of(l) for l in all_labels]
-        candidate_rows = {
-            sign: np.array([ls == sign for ls in label_signs], dtype=bool)
-            for sign in (NEGATIVE, POSITIVE)
-        }
-        nonzero = [i for i, sign in enumerate(signs) if sign != ZERO]
-        for i in nonzero:
-            if not candidate_rows[signs[i]].any():
-                raise AttackError(f"no templates for sign {signs[i]}")
+        nonzero = np.flatnonzero(signs != ZERO)
+        mask = np.sign(labels)[None, :] == signs[nonzero, None]
+        uncovered = ~mask.any(axis=1)
+        if uncovered.any():
+            sign = int(signs[nonzero][uncovered][0])
+            raise AttackError(f"no templates for sign {sign}")
 
-        estimates: List[int] = [0] * len(signs)
-        tables: List[Dict[int, float]] = [{0: 1.0} for _ in signs]
-        if nonzero:
-            mask = np.vstack([candidate_rows[signs[i]] for i in nonzero])
+        estimates = np.zeros(len(signs), dtype=np.int64)
+        if nonzero.size:
             probs = self.templates.probabilities_matrix(
                 matrix[nonzero], restrict=mask
             )
-            label_array = np.asarray(all_labels)
-            picks = label_array[np.argmax(probs, axis=1)]
-            for row, i in enumerate(nonzero):
-                keep = mask[row]
-                tables[i] = {
-                    int(l): float(p)
-                    for l, p in zip(label_array[keep], probs[row, keep])
-                }
-                estimates[i] = int(picks[row])
-        return AttackResult(signs=signs, estimates=estimates, probabilities=tables)
+            posterior[nonzero] = probs
+            estimates[nonzero] = np.asarray(labels)[np.argmax(probs, axis=1)]
+        return AttackResult(signs.tolist(), estimates.tolist(), posterior, labels)
 
     def attack(self, captured) -> AttackResult:
         """Attack a :class:`~repro.power.capture.CapturedTrace`."""

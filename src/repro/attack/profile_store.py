@@ -2,8 +2,9 @@
 
 :func:`repro.attack.campaign.profiled_attack_cached` keys each profiled
 attack by a SHA-256 of its full configuration and keeps the archives
-here, one ``profile-<key16>.npz`` per key.  Archives land via temp-file
-+ :func:`os.replace` in the same directory, so concurrent writers of
+here, one ``profile-<key16>.npz`` per key.  Archives land via
+:func:`repro.utils.files.atomic_write_bytes` (temp file + atomic
+rename in the same directory), so concurrent writers of
 the same key race benignly (last complete archive wins — both are
 bit-identical, being pure functions of the key) and a reader never
 observes a torn file.
@@ -11,13 +12,13 @@ observes a torn file.
 
 from __future__ import annotations
 
-import os
-import tempfile
+import io
 from pathlib import Path
 from typing import Optional, Union
 
 from repro.attack.persistence import load_attack, save_attack
 from repro.attack.pipeline import SingleTraceAttack
+from repro.utils.files import atomic_write_bytes
 
 _PREFIX = "profile-"
 _SUFFIX = ".npz"
@@ -51,17 +52,7 @@ class ProfileStore:
         """
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self.path_for(key)
-        fd, tmp = tempfile.mkstemp(
-            dir=str(self.directory), prefix=f".{path.stem}.", suffix=_SUFFIX
-        )
-        os.close(fd)
-        try:
-            save_attack(attack, tmp)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        buffer = io.BytesIO()
+        save_attack(attack, buffer)
+        atomic_write_bytes(path, buffer.getvalue())
         return path

@@ -872,15 +872,47 @@ def _run_orchestrated_case(case: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _run_campaign_reference(case: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.attack.campaign import run_campaign
+    """The campaign payload from a plain per-seed loop over the public
+    per-trace API (capture, segment, attack), folded coefficient by
+    coefficient here: no grain, record, fold or aggregation code."""
+    from repro.attack.branch import sign_of
+    from repro.errors import AttackError
 
-    report = run_campaign(
-        _campaign_oracle_attack(),
-        case["trace_count"],
-        coeffs_per_trace=case["coeffs_per_trace"],
-        first_seed=case["first_seed"],
-    )
-    return _campaign_payload(report)
+    attack = _campaign_oracle_attack()
+    coeffs = case["coeffs_per_trace"]
+    first = case["first_seed"]
+    outcomes, failures, confusion = [], [], {}
+    for seed in range(first, first + case["trace_count"]):
+        (captured,) = attack.acquisition.capture_batch(1, coeffs, first_seed=seed)
+        try:
+            aligned = attack.segmenter.aligned_slices(
+                captured.trace.samples, refiner=attack.refiner
+            )
+            if len(aligned) != len(captured.values):
+                raise AttackError(
+                    f"segmented {len(aligned)} coefficients, "
+                    f"expected {len(captured.values)}"
+                )
+            result = attack.attack_aligned(aligned)
+        except AttackError as exc:
+            failures.append([seed, str(exc)])
+            continue
+        for value, sign, estimate, table in zip(
+            captured.values, result.signs, result.estimates, result.probabilities
+        ):
+            outcomes.append([value, sign, estimate, sorted(table.items())])
+            confusion[(value, estimate)] = confusion.get((value, estimate), 0) + 1
+    total = len(outcomes)
+    return {
+        "outcomes": outcomes,
+        "failures": failures,
+        "confusion": sorted((list(pair), count) for pair, count in confusion.items()),
+        "sign_accuracy": sum(sign_of(v) == s for v, s, _, _ in outcomes) / total,
+        "value_accuracy": sum(v == e for v, _, e, _ in outcomes) / total,
+        "coefficients_attacked": total,
+        "traces_attacked": case["trace_count"] - len(failures),
+        "traces_failed": len(failures),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -1092,10 +1124,10 @@ register(
 register(
     Oracle(
         name="campaign.orchestrated",
-        description="orchestrated campaign (grain futures on a forked "
-        "pool, random grain, optionally resumed from a checkpoint with "
-        "sampled shard archives deleted) vs serial run_campaign — "
-        "bit-identical deterministic report payload; expensive",
+        description="orchestrated campaign (random workers and grain, "
+        "optionally resumed from a checkpoint with sampled shard archives "
+        "deleted) vs a plain per-trace loop — bit-identical deterministic "
+        "report payload; expensive",
         sample=_sample_orchestrated_case,
         fast=_run_orchestrated_case,
         reference=_run_campaign_reference,

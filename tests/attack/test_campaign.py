@@ -1,4 +1,6 @@
-"""Tests for the parallel campaign engine and the profile cache."""
+"""Tests for the campaign entry point, its report and the profile cache.
+
+Worker-count and engine invariance lives in ``test_orchestrator.py``."""
 
 import numpy as np
 import pytest
@@ -39,21 +41,6 @@ class TestRunCampaign:
         assert report.workers == 1
         assert report.coefficients_per_second > 0
 
-    def test_pool_bit_identical_to_serial(self, profiled_attack):
-        serial = run_campaign(
-            profiled_attack, trace_count=10, coeffs_per_trace=4, first_seed=1
-        )
-        pooled = run_campaign(
-            profiled_attack, trace_count=10, coeffs_per_trace=4, first_seed=1,
-            workers=2,
-        )
-        assert pooled.workers == 2
-        assert [o[:3] for o in serial.outcomes] == [o[:3] for o in pooled.outcomes]
-        for a, b in zip(serial.outcomes, pooled.outcomes):
-            assert a[3] == b[3]  # probability tables, exact
-        assert serial.sign_accuracy == pooled.sign_accuracy
-        assert serial.value_accuracy == pooled.value_accuracy
-
     def test_per_stage_timings(self, profiled_attack):
         report = run_campaign(
             profiled_attack, trace_count=4, coeffs_per_trace=3, first_seed=1
@@ -90,19 +77,6 @@ class TestRunCampaign:
         assert threaded.sign_accuracy == compiled.sign_accuracy
         assert threaded.value_accuracy == compiled.value_accuracy
         assert f"{compiled.engine} engine" in compiled.format_timings()
-
-    def test_compiled_pool_bit_identical_to_compiled_serial(self, profiled_attack):
-        serial = run_campaign(
-            profiled_attack, trace_count=8, coeffs_per_trace=3, first_seed=1,
-            engine="compiled",
-        )
-        pooled = run_campaign(
-            profiled_attack, trace_count=8, coeffs_per_trace=3, first_seed=1,
-            engine="compiled", workers=2,
-        )
-        assert pooled.workers == 2
-        assert [o[:3] for o in serial.outcomes] == [o[:3] for o in pooled.outcomes]
-        assert serial.sign_accuracy == pooled.sign_accuracy
 
     def test_summary_mentions_budget(self, profiled_attack):
         report = run_campaign(
