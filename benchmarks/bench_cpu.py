@@ -1,13 +1,13 @@
 """Interpreter and template-matching throughput benchmark.
 
 Measures instructions/second of the RV32IM core on the Gaussian
-sampling kernel — the compiled (generated-C), threaded
+sampling kernel — the compiled (one fixed C interpreter core), threaded
 (block-translating) and scalar reference engines, with and without
 event recording — plus the batched vs scalar template-matching rate.
 The acceptance bars are >= 5x reference for the threaded engine with
 recording enabled, and >= 1x threaded for the compiled engine on the
-no-event path (it measures ~10x; the guard only proves the C modules
-actually engaged).
+no-event path (it measures several times that; the guard only proves
+the C core actually engaged).
 
 Every arm pins its program seed explicitly (``--seed``/``--count``
 flow into each ``device.run`` call), so interleaved A/B comparisons
@@ -203,7 +203,7 @@ def main(argv=None) -> int:
         print(
             "FAIL: the compiled engine ran slower than threaded on the "
             f"no-event path ({cpu['compiled_vs_threaded_events_off']:.2f}x) "
-            "— the generated-C modules are not engaging"
+            "— the C core is not engaging"
         )
         return 1
     print("Template matching (256 slices, 29 classes, 24 POIs, slices/sec):")

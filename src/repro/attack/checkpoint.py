@@ -41,6 +41,10 @@ from repro.utils.files import atomic_write_bytes
 CHECKPOINT_VERSION = 1
 
 _MANIFEST = "manifest.json"
+#: Manifest fields a resume needs, in constructor order.
+_FIELDS = (
+    "fingerprint", "trace_count", "first_seed", "coeffs_per_trace", "shard_size",
+)
 _SHARD_DIR = "shards"
 
 
@@ -150,9 +154,9 @@ class CampaignCheckpoint:
         """Open an existing campaign directory for resumption.
 
         Raises :class:`AttackError` when the directory holds no
-        manifest, a manifest that does not parse, a different layout
-        version, or (when ``fingerprint`` is given) state from a
-        different campaign configuration.
+        manifest, a manifest that does not parse or lacks a field, a
+        different layout version, or (when ``fingerprint`` is given)
+        state from a different campaign configuration.
         """
         directory = Path(directory)
         path = directory / _MANIFEST
@@ -171,20 +175,19 @@ class CampaignCheckpoint:
                 f"campaign checkpoint version {manifest.get('version')!r} "
                 f"!= supported {CHECKPOINT_VERSION}"
             )
+        missing = [field for field in _FIELDS if field not in manifest]
+        if missing:
+            raise AttackError(
+                f"campaign manifest {path} lacks field(s) "
+                f"{', '.join(missing)}"
+            )
         if fingerprint is not None and manifest["fingerprint"] != fingerprint:
             raise AttackError(
                 "campaign directory was checkpointed under a different "
                 "configuration (fingerprint mismatch); refusing to mix "
                 "results"
             )
-        state = cls(
-            directory,
-            manifest["fingerprint"],
-            manifest["trace_count"],
-            manifest["first_seed"],
-            manifest["coeffs_per_trace"],
-            manifest["shard_size"],
-        )
+        state = cls(directory, *(manifest[field] for field in _FIELDS))
         # Trust only shards whose archive actually landed: a crash
         # between shard write and manifest write leaves an extra file,
         # never a manifest entry without its file.

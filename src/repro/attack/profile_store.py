@@ -7,12 +7,14 @@ here, one ``profile-<key16>.npz`` per key.  Archives land via
 rename in the same directory), so concurrent writers of
 the same key race benignly (last complete archive wins — both are
 bit-identical, being pure functions of the key) and a reader never
-observes a torn file.
+observes a torn file.  An archive damaged some other way loads as a
+miss and is overwritten by the fresh profile.
 """
 
 from __future__ import annotations
 
 import io
+import zipfile
 from pathlib import Path
 from typing import Optional, Union
 
@@ -37,11 +39,19 @@ class ProfileStore:
         return self.path_for(key).exists()
 
     def load(self, acquisition, key: str) -> Optional[SingleTraceAttack]:
-        """The profiled attack for ``key``, or ``None`` on a miss."""
+        """The profiled attack for ``key``, or ``None`` on a miss.
+
+        An archive that does not load (truncated, garbage, or missing a
+        member) is a miss too: the caller profiles afresh and
+        :meth:`save` overwrites it.
+        """
         path = self.path_for(key)
         if not path.exists():
             return None
-        return load_attack(acquisition, path)
+        try:
+            return load_attack(acquisition, path)
+        except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile):
+            return None
 
     def save(self, attack: SingleTraceAttack, key: str) -> Path:
         """Persist atomically (temp file + rename).

@@ -27,6 +27,7 @@ import importlib.machinery
 import importlib.util
 import os
 import shutil
+import struct
 import sysconfig
 import tempfile
 
@@ -259,19 +260,43 @@ def _load_extension(modname: str, path: str):
     return module
 
 
+def _truncated(path: str) -> bool:
+    """True when an ELF file ends before its section-header table.
+
+    The linker writes that table last, so a copy cut short loses it.
+    ``dlopen`` would map the missing pages regardless, and the first
+    touch of one kills the process with SIGBUS instead of raising.
+    Anything that is not a 64-bit ELF is left to the loader to judge.
+    """
+    with open(path, "rb") as fh:
+        head = fh.read(64)
+        size = os.fstat(fh.fileno()).st_size
+    if len(head) < 64 or head[:5] != b"\x7fELF\x02":
+        return False
+    order = "<" if head[5] == 1 else ">"
+    (shoff,) = struct.unpack_from(order + "Q", head, 0x28)
+    shentsize, shnum = struct.unpack_from(order + "HH", head, 0x3A)
+    return size < shoff + shentsize * shnum
+
+
 def build_extension(modname: str, cdef: str, source: str, cflags):
     """Build (or reuse) the cffi extension ``modname``; returns the module.
 
     The shared object lives in ``$REVEAL_NATIVE_CACHE`` under
     ``modname``, which callers key by a digest of everything that goes
-    into it, so a cached file is reused as is.  A missing ``cffi`` or C
-    compiler raises; callers treat that as "unavailable".
+    into it, so a cached file is reused as is.  A cached file that is
+    truncated or does not load is built once more, over it; a second
+    failure propagates.  A missing ``cffi`` or C compiler raises;
+    callers treat that as "unavailable".
     """
     cache_dir = _cache_dir()
     suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
     target = os.path.join(cache_dir, modname + suffix)
-    if os.path.exists(target):
-        return _load_extension(modname, target)
+    if os.path.exists(target) and not _truncated(target):
+        try:
+            return _load_extension(modname, target)
+        except ImportError:
+            pass  # garbage: the build below replaces it
 
     import cffi  # capability probe: missing cffi -> caller falls back
 

@@ -13,8 +13,8 @@ instruction-set simulator:
   :mod:`repro.power` expands into synthetic power traces;
 - :mod:`repro.riscv.threaded` — the threaded-code engine: basic blocks
   translated once into direct-dispatch handler chains;
-- :mod:`repro.riscv.compiled` — the compiled engine: the same
-  translation units lowered to generated C through cffi;
+- :mod:`repro.riscv.compiled` — the compiled engine: one fixed
+  RV32IM interpreter core in C, built once per machine through cffi;
 - :mod:`repro.riscv.programs` — the Gaussian-sampling kernel in RV32IM
   assembly, mirroring SEAL's ``set_poly_coeffs_normal`` (Fig. 2).
 """

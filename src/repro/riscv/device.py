@@ -118,15 +118,11 @@ class GaussianSamplerDevice:
         if 4 * len(self.program.words) > _MOD_TABLE:
             raise SimulationError("kernel does not fit below the modulus table")
         # Warm translation state shared across runs: the program is
-        # fixed for the device's lifetime, so compiled blocks carry over
+        # fixed for the device's lifetime, so translated blocks carry over
         # between the fresh per-run Cpu instances (see
         # :meth:`Cpu.adopt_translations`).
         self._block_cache: dict = {}
         self._code_words: set = set()
-        # Compiled-engine warm state: one CompiledProgram (translated
-        # blocks + the generated C extension module) reused across runs.
-        # Lazy — built on the first engine="compiled" run.
-        self._compiled_program = None
         # Most recent retire-recording run's log(s), kept for
         # interactive inspection (None unless a run asked for retires).
         self.last_retires: Optional[List[RetireLog]] = None
@@ -137,7 +133,6 @@ class GaussianSamplerDevice:
         state = self.__dict__.copy()
         state["_block_cache"] = {}
         state["_code_words"] = set()
-        state["_compiled_program"] = None
         state["last_retires"] = None
         return state
 
@@ -155,9 +150,9 @@ class GaussianSamplerDevice:
 
         ``record_events=False`` skips event collection for functional-only
         runs (about 2x faster).  ``engine`` selects the execution engine:
-        ``"compiled"`` (the default: block translation units lowered to
-        generated C via cffi, the fastest engine where a toolchain
-        exists, and a silent bit-identical fall-back to threaded where
+        ``"compiled"`` (the default: one fixed RV32IM interpreter core in
+        C, built once per machine via cffi, the fastest engine where a
+        toolchain exists, and a bit-identical fall-back to threaded where
         none does), ``"threaded"`` (the block-translating Python engine,
         reusing this device's warm translation cache across runs), or
         ``"reference"`` (the scalar interpreter, bit-identical but much
@@ -186,15 +181,9 @@ class GaussianSamplerDevice:
         if engine == "threaded":
             cpu.run(max_instructions=budget)
         elif engine == "compiled":
-            from repro.riscv.compiled import CompiledProgram, run_compiled
+            from repro.riscv.compiled import run_compiled
 
-            if self._compiled_program is None:
-                self._compiled_program = CompiledProgram()
-            run_compiled(
-                cpu,
-                max_instructions=budget,
-                program=self._compiled_program,
-            )
+            run_compiled(cpu, max_instructions=budget)
         else:
             cpu.run_reference(max_instructions=budget)
 

@@ -241,10 +241,9 @@ for _spec in SPECS.values():
 def branch_offset(word: int) -> int:
     """Signed byte offset of a B-type branch word, without a full decode.
 
-    Both block-translation walks (threaded and compiled engines) peek only
-    at the opcode plus this immediate to decide where a block extends,
-    so the B-immediate scatter lives here once rather than inline in
-    each walk.
+    The threaded engine's block-translation walk peeks only at the
+    opcode plus this immediate to decide where a block extends, so the
+    B-immediate scatter lives here once rather than inline in the walk.
     """
     imm = (
         (((word >> 31) & 1) << 12)

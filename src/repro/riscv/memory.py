@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import List
 
+import numpy as np
+
 from repro.errors import SimulationError
 
 _MASK32 = 0xFFFFFFFF
@@ -78,5 +80,13 @@ class Memory:
         )
 
     def read_words(self, address: int, count: int) -> List[int]:
-        """Read ``count`` consecutive words (for test assertions)."""
-        return [self.load_word(address + 4 * i) for i in range(count)]
+        """Read ``count`` consecutive little-endian words.
+
+        An in-range aligned read is one slice; the out-of-range /
+        misaligned cases read word by word, so the fault matches
+        :meth:`load_word` exactly.
+        """
+        end = address + 4 * count
+        if count < 1 or address % 4 or address < 0 or end > self.size:
+            return [self.load_word(address + 4 * i) for i in range(count)]
+        return np.frombuffer(self._data, dtype="<u4", count=count, offset=address).tolist()

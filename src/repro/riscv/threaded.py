@@ -226,9 +226,8 @@ class TranslatedBlock:
     # -- lazy bytecode compilation -------------------------------------
     # ``_generate`` only writes the two functions' source; each is
     # ``exec``'d on its first call, which rebinds the slot to the real
-    # function, so later calls pay no indirection.  The compiled engine
-    # translates every reachable block but runs them in C, so most of
-    # its Python functions are never compiled at all.
+    # function, so later calls pay no indirection.  A run records events
+    # or it does not, so one of the two is usually never compiled.
     def _lazy_recording(self, cpu, regs, mem, ex, mb):
         return self._materialise("run_recording")(cpu, regs, mem, ex, mb)
 

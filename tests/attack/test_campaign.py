@@ -11,6 +11,7 @@ from repro.attack.campaign import (
     run_campaign,
 )
 from repro.attack.pipeline import SingleTraceAttack
+from repro.attack.profile_store import ProfileStore
 from repro.errors import AttackError
 from repro.power.capture import TraceAcquisition
 from repro.power.scope import Oscilloscope
@@ -117,6 +118,36 @@ class TestProfileCache:
         assert profile_cache_key(other, 40, 4, 50_000, "sequential") != base
         standardized = SingleTraceAttack(bench, standardize=True)
         assert profile_cache_key(standardized, 40, 4, 50_000, "sequential") != base
+
+    @pytest.mark.parametrize("fault", ["garbage", "truncated"])
+    def test_corrupt_archive_reprofiles(self, tmp_path, fault):
+        """A damaged archive is a miss: the fresh profile equals an
+        uncached one and overwrites the archive."""
+        kwargs = dict(num_traces=40, coeffs_per_trace=4, first_seed=50_000)
+        uncached, _, _ = profiled_attack_cached(
+            fresh_bench(), tmp_path / "reference", **kwargs
+        )
+        store = ProfileStore(tmp_path / "store")
+        key = profile_cache_key(
+            SingleTraceAttack(fresh_bench()), 40, 4, 50_000, "sequential"
+        )
+        path = store.save(uncached, key)
+        if fault == "garbage":
+            path.write_bytes(b"not a profile archive\n" * 4)
+        else:
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        assert store.load(fresh_bench(), key) is None
+        again, cached, report = profiled_attack_cached(
+            fresh_bench(), tmp_path / "store", **kwargs
+        )
+        assert not cached and report is not None
+        assert again.templates.pois == uncached.templates.pois
+        np.testing.assert_array_equal(
+            again.templates.precision, uncached.templates.precision
+        )
+        for label, mean in uncached.templates.means.items():
+            np.testing.assert_array_equal(again.templates.means[label], mean)
+        assert store.load(fresh_bench(), key) is not None
 
     def test_config_change_misses(self, tmp_path):
         profiled_attack_cached(

@@ -1,6 +1,7 @@
 """Tests for the campaign executor: in-process and pooled grains, the
 fold, checkpoint/resume and injected faults."""
 
+import json
 import os
 import signal
 
@@ -172,6 +173,20 @@ def _empty_manifest(directory):
     (directory / "manifest.json").write_bytes(b"")
 
 
+def _fieldless_manifest(directory):
+    (directory / "manifest.json").write_text('{"version": 1}')
+
+
+def _manifest_without(field):
+    def fault(directory):
+        path = directory / "manifest.json"
+        manifest = json.loads(path.read_text())
+        del manifest[field]
+        path.write_text(json.dumps(manifest))
+
+    return fault
+
+
 def _shard_1(directory):
     return CampaignCheckpoint.resume(directory).shard_path(1)
 
@@ -324,6 +339,11 @@ class TestCheckpointResume:
         [
             pytest.param(_tear_manifest, False, id="torn-manifest"),
             pytest.param(_empty_manifest, False, id="empty-manifest"),
+            pytest.param(_fieldless_manifest, False, id="fieldless-manifest"),
+            pytest.param(
+                _manifest_without("trace_count"), False,
+                id="manifest-without-trace-count",
+            ),
             pytest.param(_truncate_shard, True, id="truncated-shard"),
             pytest.param(_garbage_shard, True, id="garbage-shard"),
             pytest.param(_misshaped_shard, True, id="misshaped-shard"),
@@ -332,9 +352,10 @@ class TestCheckpointResume:
     def test_corrupt_checkpoint_on_resume(
         self, profiled_attack, tmp_path, fault, recovers
     ):
-        """A manifest that does not parse is a typed error naming it; a
-        shard archive that does not load, or holds another shape, is
-        attacked again and rewritten, and the report is unchanged."""
+        """A manifest that does not parse or lacks a field is a typed
+        error naming it; a shard archive that does not load, or holds
+        another shape, is attacked again and rewritten, and the report
+        is unchanged."""
         directory = tmp_path / "camp"
 
         def run(**resume):
@@ -354,6 +375,12 @@ class TestCheckpointResume:
         assert_reports_identical(first, resumed)
         assert resumed.orchestrator["checkpoints"] == 1
         assert CampaignCheckpoint.resume(directory).load_shard(1) is not None
+
+
+    def test_manifest_lacking_a_field_names_it(self, tmp_path):
+        (tmp_path / "manifest.json").write_text('{"version": 1}')
+        with pytest.raises(AttackError, match="lacks field.*fingerprint"):
+            CampaignCheckpoint.resume(tmp_path, "0" * 64)
 
 
 def _kill_worker_at_seed_7(marker):

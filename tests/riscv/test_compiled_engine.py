@@ -1,17 +1,16 @@
-"""Unit tests for the compiled (generated-C) RV32IM engine.
+"""Unit tests for the compiled RV32IM engine (one fixed C core).
 
 The conformance fuzz (``cpu.retire_log``) proves cross-engine
-bit-exactness at volume; this file pins the targeted hard paths the
-ISSUE names — SMC invalidation, mid-block faults, budget exhaustion at
-every block offset — via the shared adversarial generators, plus the
-engine's plumbing contract: device parity, graceful no-toolchain
-fallback, translation-cache statistics, and the pickle behaviour
-(devices never ship compiled caches across process boundaries).
+bit-exactness at volume; this file pins the targeted hard paths —
+self-modifying code, mid-run faults, budget exhaustion at every offset,
+illegal words — via the shared adversarial generators, plus the
+engine's plumbing contract: device parity, one core module for every
+program, graceful no-toolchain fallback and the pickle behaviour
+(devices never ship warm caches across process boundaries).
 
-The compiled engine degrades to interpreting through the threaded
-engine's generated Python when no C toolchain probes, and stays
-bit-identical either way — so every parity test here runs regardless;
-only the tests asserting *C modules actually engaged* skip.
+Without a C toolchain the compiled engine is unavailable and
+``effective_engine`` degrades it to threaded: the device-level tests run
+either way, and the tests that drive the core directly skip.
 """
 
 import os
@@ -20,27 +19,19 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.errors import SimulationError
 from repro.riscv import compiled as compiled_mod
-from repro.riscv import threaded as threaded_mod
 from repro.riscv.assembler import assemble
 from repro.riscv.compiled import (
-    CompiledProgram,
     compiled_available,
     probe_error,
     reset_probe,
-    run_compiled,
-    translation_cache_stats,
 )
-from repro.riscv.cpu import Cpu
 from repro.riscv.device import (
     ENGINES,
     GaussianSamplerDevice,
     effective_engine,
     resolve_engine,
 )
-from repro.riscv.memory import Memory
-from repro.riscv.programs.gaussian import gaussian_sampler_source
 from repro.riscv.threaded import (
     clear_translation_cache,
     translation_cache_stats as threaded_cache_stats,
@@ -71,6 +62,7 @@ def _match(words, registers=None, *, max_instructions=10_000, setup=None):
 # ----------------------------------------------------------------------
 # Adversarial sweeps: the generators the fuzz uses, deterministically
 # ----------------------------------------------------------------------
+@requires_compiled
 @pytest.mark.parametrize("kind", conformance.ADVERSARIAL_KINDS)
 def test_adversarial_kind_sweep(kind):
     rng = np.random.default_rng(0xC0FFEE ^ hash(kind) % (1 << 16))
@@ -84,12 +76,13 @@ def test_adversarial_kind_sweep(kind):
         )
 
 
+@requires_compiled
 def test_budget_exhaustion_at_every_block_offset():
     """The budget raise must land on the same instruction at any offset.
 
-    A straight-line 10-instruction block + ebreak, run under every
-    budget 0..12: exhaustion hits before the block, inside it at every
-    offset, exactly at its end, and not at all.
+    Ten straight-line instructions + ebreak, run under every budget
+    0..12: exhaustion hits before the first, at every offset, exactly
+    at the end, and not at all.
     """
     source = "\n".join(f"addi x1, x1, {i + 1}" for i in range(10)) + "\nebreak"
     words = assemble(source).words
@@ -103,8 +96,9 @@ def test_budget_exhaustion_at_every_block_offset():
             assert run.error is None and run.halted
 
 
+@requires_compiled
 def test_mid_block_fault_unwinds_prefix():
-    """A fault mid-block retires the prefix and reports the exact string."""
+    """A fault mid-run retires the prefix and reports the exact string."""
     source = "\n".join(
         ["addi x1, x0, 7", "addi x6, x0, 257", "lw x7, 0(x6)", "ebreak"]
     )
@@ -114,7 +108,8 @@ def test_mid_block_fault_unwinds_prefix():
     assert run.registers[7] == 0  # the load never committed
 
 
-def test_out_of_range_fault_message():
+@requires_compiled
+def test_out_of_range_fault_text():
     source = "\n".join(
         ["lui x6, 512", "lw x7, 0(x6)", "ebreak"]  # 0x200000 >= 64 KiB
     )
@@ -122,6 +117,26 @@ def test_out_of_range_fault_message():
     assert run.error == "memory access at 0x200000 (+4) outside [0, 0x10000)"
 
 
+@requires_compiled
+def test_illegal_words_and_misaligned_fetch_stop_on_the_reference():
+    """Words the core does not retire get the reference's error text."""
+    cases = {
+        "addi x1, x0, 1\n.word 0xffffffff": "illegal instruction 0xffffffff",
+        "addi x1, x0, 1\n.word 0x00200073": (
+            "unsupported system instruction 0x00200073"
+        ),
+        "addi x1, x0, 1\n.word 0x00002063": "illegal branch funct3=2",
+        "addi x1, x0, 6\njalr x0, 0(x1)\nebreak": (
+            "misaligned 4-byte access at 0x6"
+        ),
+    }
+    for source, error in cases.items():
+        run = _match(assemble(source).words)
+        assert run.error == error
+        assert run.instruction_count >= 1
+
+
+@requires_compiled
 def test_smc_patch_ahead_and_loop_flavors():
     """Both SMC shapes: patch-ahead in-block and patch inside a loop."""
     rng = np.random.default_rng(42)
@@ -135,32 +150,19 @@ def test_smc_patch_ahead_and_loop_flavors():
 
 
 @requires_compiled
-def test_smc_drops_compiled_module_and_recompiles_next_run():
-    """An SMC hit drops the module mid-run; the next run recompiles."""
-    case = {"source": None}
+def test_smc_needs_no_recompile():
+    """A self-patching loop runs on the one core, run after run."""
     rng = np.random.default_rng(7)
-    while True:  # find a loop-flavor case (patch lands on a hot block)
+    while True:  # find a loop-flavor case (the patch lands in a hot loop)
         case = conformance._smc_case(rng)
         if "loop:" in case["source"]:
             break
     words = assemble(case["source"]).words
-    program = CompiledProgram()
-    cpu = Cpu(Memory(1 << 16), record_events=True)
-    cpu.load_program(list(words), 0)
-    run_compiled(cpu, max_instructions=10_000, program=program)
-    assert cpu.halted
-    assert program.module is None  # dropped by the in-run invalidation
-    # Second run on the warm program: attach() recompiles at run start
-    # (the compiles counter moves), then the self-patching store drops
-    # the module again mid-run — with identical architectural results.
-    compiles_before = translation_cache_stats()["compiles"]
-    cpu2 = Cpu(Memory(1 << 16), record_events=True)
-    cpu2.load_program(list(words), 0)
-    run_compiled(cpu2, max_instructions=10_000, program=program)
-    assert cpu2.halted
-    assert translation_cache_stats()["compiles"] > compiles_before
-    assert program.module is None  # this run self-modified too
-    assert cpu2.registers == cpu.registers
+    core = compiled_mod._core()
+    first = _match(words, case["registers"])
+    second = _match(words, case["registers"])
+    assert first.halted and second.registers == first.registers
+    assert compiled_mod._core() is core
 
 
 # ----------------------------------------------------------------------
@@ -186,13 +188,15 @@ def test_device_parity_with_threaded():
 
 
 @requires_compiled
-def test_device_reuses_warm_compiled_program():
-    device = GaussianSamplerDevice(MODULI)
-    device.run(1, 2, engine="compiled")
-    program = device._compiled_program
-    assert program is not None
-    device.run(2, 2, engine="compiled")
-    assert device._compiled_program is program
+def test_one_core_module_for_every_program(tmp_path, monkeypatch):
+    """Two programs and a device share one ``_reveal_cpu_*`` module."""
+    monkeypatch.setenv("REVEAL_NATIVE_CACHE", str(tmp_path))
+    monkeypatch.setitem(compiled_mod._CORE, "module", None)
+    _match(assemble("addi x1, x0, 9\nebreak").words)
+    _match(assemble("addi x2, x0, 3\nmul x3, x2, x2\nebreak").words)
+    GaussianSamplerDevice(MODULI).run(1, 2, engine="compiled")
+    built = [name for name in os.listdir(tmp_path) if name.startswith("_reveal_cpu_")]
+    assert len(built) == 1
 
 
 def test_device_pickle_drops_compiled_caches():
@@ -205,7 +209,6 @@ def test_device_pickle_drops_compiled_caches():
     # the translated blocks and the extension module stay process-local.
     assert len(blob) < baseline + 2048
     clone = pickle.loads(blob)
-    assert clone._compiled_program is None
     assert clone._block_cache == {} and clone._code_words == set()
     assert clone.last_retires is None
     # The unpickled device must still run on the compiled engine.
@@ -230,7 +233,6 @@ def test_disable_env_forces_threaded_fallback(monkeypatch):
         device = GaussianSamplerDevice(MODULI)
         run = device.run(3, 2, engine="compiled")
         assert len(run.values) == 2
-        assert device._compiled_program is None
     finally:
         monkeypatch.delenv("REVEAL_DISABLE_COMPILED")
         reset_probe()
@@ -246,7 +248,6 @@ def test_default_engine_degrades_to_threaded_when_disabled(monkeypatch):
         device = GaussianSamplerDevice(MODULI)
         run = device.run(3, 2)
         assert run.values == device.run(3, 2, engine="reference").values
-        assert device._compiled_program is None
     finally:
         monkeypatch.delenv("REVEAL_DISABLE_COMPILED")
         reset_probe()
@@ -271,50 +272,45 @@ def test_engine_filter_validation():
         conformance.set_engine_filter(None)
 
 
-def test_run_compiled_without_module_is_pure_python(monkeypatch):
-    """compile failure => interpret via threaded blocks, same results."""
-    monkeypatch.setattr(
-        compiled_mod,
-        "_compile_module",
-        lambda source: (_ for _ in ()).throw(OSError("no toolchain")),
-    )
-    words = assemble(
-        "addi x1, x0, 9\naddi x2, x1, 33\nebreak"
-    ).words
-    program = CompiledProgram()
-    cpu = Cpu(Memory(1 << 16), record_events=True)
-    cpu.load_program(list(words), 0)
-    executed = run_compiled(cpu, max_instructions=100, program=program)
-    assert program.module is None
-    assert "no toolchain" in program.compile_error
-    assert executed == 3 and cpu.halted
-    assert cpu.registers[1] == 9 and cpu.registers[2] == 42
+def test_probe_failure_keeps_reason(monkeypatch):
+    """A toolchain failure degrades to threaded with its reason kept."""
+
+    def no_toolchain():
+        raise OSError("no toolchain")
+
+    monkeypatch.setattr(compiled_mod, "_core", no_toolchain)
+    monkeypatch.delenv("REVEAL_DISABLE_COMPILED", raising=False)
+    reset_probe()
+    try:
+        assert not compiled_available()
+        assert probe_error() == "OSError: no toolchain"
+        assert effective_engine("compiled") == "threaded"
+    finally:
+        monkeypatch.undo()
+        reset_probe()
 
 
-def test_discovery_execs_no_python_block(monkeypatch):
-    """Discovery translates every reachable block but compiles none of
-    their Python functions: the C path never calls them."""
-    calls = []
+def test_probe_does_not_hide_unexpected_errors(monkeypatch):
+    """Only toolchain failures count as "unavailable"; a bug raises."""
 
-    def counting_exec(source, namespace):
-        calls.append(source)
-        exec(source, namespace)  # noqa: S102 - forwards the template JIT
+    def broken():
+        raise ZeroDivisionError("bug")
 
-    monkeypatch.setattr(threaded_mod, "exec", counting_exec, raising=False)
-    clear_translation_cache()
-    cpu = Cpu(Memory(1 << 16), record_events=True)
-    cpu.load_program(list(assemble(gaussian_sampler_source()).words), 0)
-    program = CompiledProgram()
-    program._discover(cpu)
-    assert len(program.blocks) > 10
-    assert calls == []
-    for block in program.blocks.values():
-        assert block.run_recording == block._lazy_recording
-        assert block.run_fast == block._lazy_fast
+    monkeypatch.setattr(compiled_mod, "_core", broken)
+    monkeypatch.delenv("REVEAL_DISABLE_COMPILED", raising=False)
+    reset_probe()
+    try:
+        with pytest.raises(ZeroDivisionError):
+            compiled_available()
+        with pytest.raises(ZeroDivisionError):  # not cached as "unavailable"
+            probe_error()
+    finally:
+        monkeypatch.undo()
+        reset_probe()
 
 
 # ----------------------------------------------------------------------
-# Translation-cache statistics
+# Threaded translation-cache statistics
 # ----------------------------------------------------------------------
 def test_threaded_translation_cache_stats():
     clear_translation_cache()
@@ -349,49 +345,6 @@ def test_threaded_translation_cache_stats():
 
     clear_translation_cache()
     assert threaded_cache_stats()["misses"] == 0
-
-
-def test_compiled_translation_cache_stats():
-    compiled_mod.clear_compiled_stats()
-    stats = translation_cache_stats()
-    assert stats["hits"] == stats["misses"] == 0
-    assert stats["invalidations"] == stats["compiles"] == 0
-    assert stats["max_size"] == compiled_mod.MAX_COMPILED_BLOCKS
-
-    source = "addi x1, x0, 1\nebreak"
-    run = conformance.run_scalar_engine(
-        assemble(source).words, engine="compiled"
-    )
-    assert run.halted
-    after = translation_cache_stats()
-    assert after["compiles"] == 1
-    assert after["hits"] >= 1  # the block dispatched (C or Python)
-    assert after["compile_time_s"] > 0.0
-
-
-@requires_compiled
-def test_compiled_stats_count_native_dispatches_and_invalidations():
-    compiled_mod.clear_compiled_stats()
-    source = (
-        "addi x2, x0, 3\n"
-        "loop:\n"
-        "addi x1, x1, 1\n"
-        "addi x2, x2, -1\n"
-        "bne x2, x0, loop\n"
-        "ebreak"
-    )
-    run = conformance.run_scalar_engine(assemble(source).words, engine="compiled")
-    assert run.halted and run.error is None
-    stats = translation_cache_stats()
-    assert stats["hits"] >= 1 and stats["size"] >= 1
-    assert stats["invalidations"] == 0
-
-    rng = np.random.default_rng(5)
-    case = conformance._smc_case(rng)
-    conformance.run_scalar_engine(
-        assemble(case["source"]).words, engine="compiled"
-    )
-    assert translation_cache_stats()["invalidations"] >= 1
 
 
 # ----------------------------------------------------------------------

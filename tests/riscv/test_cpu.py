@@ -165,6 +165,23 @@ class TestMemoryOps:
         with pytest.raises(SimulationError):
             run_program("li t0, 0x7FFFFFF0\nlw a0, 0(t0)\nebreak")
 
+    def test_read_words_matches_word_loads(self):
+        memory = Memory(64)
+        for i in range(16):
+            memory.store_word(4 * i, 0x01010101 * i + 0x80000000 * (i & 1))
+
+        def word_loop(address, count):
+            return [memory.load_word(address + 4 * i) for i in range(count)]
+
+        for address, count in [(0, 16), (8, 5), (60, 1), (4, 0), (4, -1)]:
+            assert memory.read_words(address, count) == word_loop(address, count)
+        for address, count in [(56, 3), (64, 1), (2, 2), (-4, 2)]:
+            with pytest.raises(SimulationError) as expected:
+                word_loop(address, count)
+            with pytest.raises(SimulationError) as got:
+                memory.read_words(address, count)
+            assert str(got.value) == str(expected.value)
+
 
 class TestEvents:
     def test_event_count_matches_instructions(self):
