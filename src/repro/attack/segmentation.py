@@ -17,6 +17,12 @@ On our device those peaks are:
   draws).  Its end is the alignment anchor; the sign-assignment branches
   and stores follow it at fixed offsets, and the value-dependent
   multiplier state precedes it.
+
+Two implementations give this stage the same output bits: the native
+backend's exact ``segment`` kernel (:mod:`repro.backends.native`), which
+runs wherever it builds, and the numpy code here, its reference twin
+(``use_backend("reference")``).  The ``segmentation.windows`` oracle
+pins the two together.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.backends import get_kernel
 from repro.errors import AttackError
 
 
@@ -51,70 +58,27 @@ class SegmenterConfig:
 
 
 def _moving_average_reference(x: np.ndarray, window: int) -> np.ndarray:
-    """Original convolution-based sliding mean (O(n*w)); kept as the
-    parity reference for :func:`_moving_average`."""
+    """Original convolution-based sliding mean (O(n*w)); the parity
+    reference for :func:`_moving_average`, and its path for windows
+    wider than the trace."""
     if window <= 1:
         return x
     kernel = np.ones(window) / window
     return np.convolve(x, kernel, mode="same")
 
 
-def _moving_average_gather(x: np.ndarray, window: int) -> np.ndarray:
-    """Index-gather cumulative-sum sliding mean; kept as the bit-exact
-    reference for :func:`_moving_average` (and used by
-    :func:`_windows_reference`)."""
-    if window <= 1:
-        return x
-    n = len(x)
-    if window > n:
-        return _moving_average_reference(x, window)
-    csum = np.empty(n + 1, dtype=np.float64)
-    csum[0] = 0.0
-    np.cumsum(x, dtype=np.float64, out=csum[1:])
-    mid = np.arange(n) + (window - 1) // 2
-    lo = np.maximum(mid - window + 1, 0)
-    hi = np.minimum(mid, n - 1) + 1
-    return (csum[hi] - csum[lo]) / window
+#: Segmentation failures by reason; the numpy path and the native
+#: ``segment`` kernel (which reports the reason) raise the same text.
+_FAILURES = {
+    "empty": "cannot segment an empty trace",
+    "non-finite": "cannot segment a trace with non-finite samples",
+    "no-bursts": "no distribution-call bursts found in trace",
+    "no-anchor": "no value-burst anchor found in window {} [{}, {})",
+}
 
 
-def _windows_reference(
-    segmenter: "Segmenter", samples: np.ndarray
-) -> List["CoefficientWindow"]:
-    """Original :meth:`Segmenter.windows`: gather sliding means, two
-    percentile passes per threshold and a scan of every engine burst per
-    window (O(windows * bursts)); kept as its bit-exact reference."""
-    cfg = segmenter.config
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.size == 0:
-        raise AttackError("cannot segment an empty trace")
-    if not np.isfinite(samples).all():
-        raise AttackError("cannot segment a trace with non-finite samples")
-
-    def threshold(envelope: np.ndarray, fraction: float) -> float:
-        lo = float(np.percentile(envelope, 10))
-        hi = float(np.percentile(envelope, 90))
-        return lo + fraction * (hi - lo)
-
-    envelope = _moving_average_gather(samples, cfg.envelope_window)
-    frac_envelope = _moving_average_gather(samples, cfg.frac_window)
-    frac_mask = frac_envelope > threshold(frac_envelope, 0.35)
-    frac_bursts = _active_regions(frac_mask, cfg.frac_merge_gap, cfg.frac_min_length)
-    if not frac_bursts:
-        raise AttackError("no distribution-call bursts found in trace")
-    engine_mask = envelope > threshold(envelope, 0.5)
-    bursts = _active_regions(engine_mask, cfg.burst_merge_gap, cfg.burst_min_length)
-    result = []
-    starts = [s for (s, _) in frac_bursts] + [len(samples)]
-    for i in range(len(frac_bursts)):
-        w_start, w_end = starts[i], starts[i + 1]
-        inside = [b for b in bursts if w_start <= b[0] < w_end]
-        anchor = segmenter._find_anchor(inside, w_end, i == len(frac_bursts) - 1)
-        if anchor is None:
-            raise AttackError(
-                f"no value-burst anchor found in window {i} [{w_start}, {w_end})"
-            )
-        result.append(CoefficientWindow(i, w_start, w_end, anchor))
-    return result
+def _failure(reason: str, detail: Tuple[int, ...] = ()) -> AttackError:
+    return AttackError(_FAILURES[reason].format(*detail))
 
 
 def _padded_prefix_sum(x: np.ndarray, pad: int) -> np.ndarray:
@@ -204,13 +168,33 @@ class Segmenter:
         return lo + fraction * (hi - lo)
 
     def windows(self, samples: np.ndarray) -> List[CoefficientWindow]:
-        """Locate every coefficient's window and anchor in the trace."""
-        cfg = self.config
+        """Locate every coefficient's window and anchor in the trace.
+
+        Runs the native backend's exact ``segment`` kernel where it
+        probes (see :mod:`repro.backends.native`), otherwise the numpy
+        path below, which is its reference twin: both return the same
+        windows and raise the same errors.
+        """
         samples = np.asarray(samples, dtype=np.float64)
+        kernel = get_kernel("segment")
+        if kernel is not None:
+            reason, located = kernel(samples, self.config)
+            if reason == "ok":
+                return [
+                    CoefficientWindow(i, start, end, anchor)
+                    for i, (start, end, anchor) in enumerate(located.tolist())
+                ]
+            if reason != "defer":
+                raise _failure(reason, located)
+        return self._windows_numpy(samples)
+
+    def _windows_numpy(self, samples: np.ndarray) -> List[CoefficientWindow]:
+        """:meth:`windows` in numpy: the native kernel's reference twin."""
+        cfg = self.config
         if samples.size == 0:
-            raise AttackError("cannot segment an empty trace")
+            raise _failure("empty")
         if not np.isfinite(samples).all():
-            raise AttackError("cannot segment a trace with non-finite samples")
+            raise _failure("non-finite")
         prefix = _padded_prefix_sum(
             samples, max(cfg.envelope_window, cfg.frac_window) // 2
         )
@@ -224,7 +208,7 @@ class Segmenter:
         frac_mask = frac_envelope > self._engine_threshold(frac_envelope, fraction=0.35)
         frac_bursts = _active_regions(frac_mask, cfg.frac_merge_gap, cfg.frac_min_length)
         if not frac_bursts:
-            raise AttackError("no distribution-call bursts found in trace")
+            raise _failure("no-bursts")
 
         # 2. engine bursts for anchoring
         engine_mask = envelope > threshold
@@ -243,9 +227,7 @@ class Segmenter:
             is_last = i == len(frac_bursts) - 1
             anchor = self._find_anchor(inside, w_end, is_last)
             if anchor is None:
-                raise AttackError(
-                    f"no value-burst anchor found in window {i} [{w_start}, {w_end})"
-                )
+                raise _failure("no-anchor", (i, w_start, w_end))
             result.append(CoefficientWindow(i, w_start, w_end, anchor))
         return result
 
@@ -290,21 +272,42 @@ class Segmenter:
         of window ``i`` and is zero-padded at trace edges, so the result
         is one ``(n, slice_length)`` matrix.  With a ``refiner``, each
         window's anchor is re-aligned by matched filtering first (see
-        :class:`AnchorRefiner`).
+        :class:`AnchorRefiner`).  Like :meth:`windows`, this runs the
+        native ``segment`` kernel where it probes; the windows it cannot
+        refine exactly on its own come back ``pending`` and take
+        :meth:`AnchorRefiner.refine` here.
         """
-        cfg = self.config
         samples = np.asarray(samples, dtype=np.float64)
-        windows = self.windows(samples)
+        kernel = get_kernel("segment")
+        if kernel is not None:
+            reason, result = kernel(samples, self.config, refiner, slices=True)
+            if reason == "ok":
+                slices, located, pending = result
+                for row in pending.tolist():
+                    start, end, anchor = located[row].tolist()
+                    window = CoefficientWindow(row, start, end, anchor)
+                    slices[row] = 0.0
+                    self._place(slices[row], samples, refiner.refine(samples, window))
+                return slices
+            if reason != "defer":
+                raise _failure(reason, result)
+        windows = self._windows_numpy(samples)
         slices = np.zeros((len(windows), self.slice_length))
         for row, window in zip(slices, windows):
             anchor = window.anchor
             if refiner is not None:
                 anchor = refiner.refine(samples, window)
-            lo = anchor - cfg.slice_before
-            src_lo = max(lo, 0)
-            src_hi = min(anchor + cfg.slice_after, len(samples))
-            row[src_lo - lo : src_hi - lo] = samples[src_lo:src_hi]
+            self._place(row, samples, anchor)
         return slices
+
+    def _place(self, row: np.ndarray, samples: np.ndarray, anchor: int) -> None:
+        """Copy ``[anchor - slice_before, anchor + slice_after)`` into
+        the zeroed ``row``, clipped to the trace."""
+        cfg = self.config
+        lo = anchor - cfg.slice_before
+        src_lo = max(lo, 0)
+        src_hi = min(anchor + cfg.slice_after, len(samples))
+        row[src_lo - lo : src_hi - lo] = samples[src_lo:src_hi]
 
     @property
     def slice_length(self) -> int:

@@ -6,9 +6,9 @@ kernel glue are the floor; Intel HEXL makes the case that SEAL-class
 workloads get their remaining order of magnitude from *dedicated
 kernels*, not better algorithms.  This package is that layer for the
 reproduction: the numeric hot kernels — NTT butterflies, negacyclic
-pointwise products and leakage expansion — are abstracted behind a
-uniform :func:`get_backend` / :func:`get_kernel` interface with
-pluggable implementations.
+pointwise products, leakage expansion and trace segmentation — are
+abstracted behind a uniform :func:`get_backend` / :func:`get_kernel`
+interface with pluggable implementations.
 
 Backends
 --------
@@ -38,10 +38,12 @@ tests pin the reference twin with it).
 Bit-exactness
 -------------
 Every kernel is bit-exact against the reference twin: integer
-NTT/pointwise arithmetic, and leakage expansion whose float evaluation
-order is mirrored operation for operation.  Outputs are therefore
-identical on hosts with and without a compiler, and ``repro.verify``
-registers one EXACT oracle per backend kernel group to enforce it.
+NTT/pointwise arithmetic, leakage expansion whose float evaluation
+order is mirrored operation for operation, and segmentation, which
+mirrors numpy the same way except for one dot product that it screens
+under a rigorous rounding bound.  Outputs are therefore identical on
+hosts with and without a compiler, and ``repro.verify`` registers
+EXACT oracles (``backend.*``, ``segmentation.windows``) to enforce it.
 """
 
 from __future__ import annotations

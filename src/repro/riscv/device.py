@@ -126,14 +126,20 @@ class GaussianSamplerDevice:
         # Most recent retire-recording run's log(s), kept for
         # interactive inspection (None unless a run asked for retires).
         self.last_retires: Optional[List[RetireLog]] = None
+        # Largest events per coefficient of any run so far: later runs
+        # reserve their event log once from it instead of doubling it
+        # (each doubling holds the old and the new buffer at once).
+        self._events_per_coeff = 0
 
     # -- pickling (translated blocks hold unpicklable generated code; the
-    # caches and any retained retire logs are per-process warm state) --
+    # caches, the event-log sizing and any retained retire logs are
+    # per-process warm state) --
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["_block_cache"] = {}
         state["_code_words"] = set()
         state["last_retires"] = None
+        state["_events_per_coeff"] = 0
         return state
 
     # ------------------------------------------------------------------
@@ -166,6 +172,11 @@ class GaussianSamplerDevice:
         k = len(self.moduli)
         memory = Memory(size_bytes=_next_pow2(_OUT_BASE + 4 * k * count + 4096))
         cpu = Cpu(memory, record_events=record_events, record_retires=record_retires)
+        if record_events and self._events_per_coeff:
+            # one exact-size buffer (EventLog.reserve would round it up
+            # to a power-of-two multiple of its starting capacity)
+            expected = self._events_per_coeff * count
+            cpu.events = EventLog(expected + expected // 16)
         cpu.load_program(self.program.words, _CODE_BASE)
         if engine == "threaded":
             cpu.adopt_translations(self._block_cache, self._code_words)
@@ -190,6 +201,10 @@ class GaussianSamplerDevice:
         residues = [
             memory.read_words(_OUT_BASE + 4 * j * count, count) for j in range(k)
         ]
+        if record_events:
+            self._events_per_coeff = max(
+                self._events_per_coeff, -(-len(cpu.events) // count)
+            )
         q0 = self.moduli[0]
         values = [r - q0 if r > q0 // 2 else r for r in residues[0]]
         retires = cpu.retires if record_retires else None

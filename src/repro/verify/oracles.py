@@ -13,9 +13,9 @@ driven by the same harness:
 - ``attack.segmentation.moving_average`` — cumulative-sum sliding mean
   vs ``np.convolve`` (input-scaled envelope: both reassociate float
   sums, with error proportional to ``eps * sum(|x|)``);
-- ``segmentation.windows`` — the linear window/anchor scan vs the
-  original per-window burst scan, on synthetic burst traces
-  (bit-exact);
+- ``segmentation.windows`` — the native ``segment`` kernel vs the numpy
+  reference path: windows, anchors, aligned slices with and without an
+  anchor refiner, and errors, on synthetic burst traces (bit-exact);
 - ``ring.ntt`` — level-order vectorized butterflies vs the per-group
   loops, plus the inverse∘forward identity;
 - ``ring.negacyclic_multiply`` — NTT-domain product vs a schoolbook
@@ -516,15 +516,21 @@ def _sample_moving_average_case(rng: np.random.Generator) -> Dict[str, Any]:
 
 def _sample_windows_case(rng: np.random.Generator) -> Dict[str, Any]:
     """Synthetic burst trace: per coefficient, one long log burst, then
-    engine bursts separated by random (sometimes too short) quiet gaps.
+    engine bursts separated by random (sometimes too short) quiet gaps,
+    plus an anchor refiner.
 
     Half the cases segment with unsmoothed envelopes (``window = 1``), so
     rectangular bursts are detected at their exact first sample: each
     log burst is then also an engine burst starting exactly at its
     window's ``w_start`` and at the previous window's ``w_end``, the two
-    edges of the ``w_start <= start < w_end`` rule.
+    edges of the ``w_start <= start < w_end`` rule.  Noise-free traces
+    are 0/1-valued, so every refiner score is an exact integer; the
+    reference is then often the trace's own pattern, planted a second
+    time further on (an exact tie wherever both copies fall in one
+    window, which the first offset wins).  Some traces are flat (one
+    constant level), so their envelopes hold no burst at all.
     """
-    from repro.attack.segmentation import SegmenterConfig
+    from repro.attack.segmentation import AnchorRefiner, SegmenterConfig
 
     if rng.random() < 0.5:
         config = SegmenterConfig(envelope_window=1, frac_window=1)
@@ -541,23 +547,58 @@ def _sample_windows_case(rng: np.random.Generator) -> Dict[str, Any]:
             pieces.append(np.ones(int(rng.integers(20, 130))))
         pieces.append(np.zeros(int(rng.integers(0, 300))))
     samples = np.concatenate(pieces)
+    if rng.random() < 0.05:
+        samples = np.full(samples.size, float(rng.choice([0.0, 1.0, 7.25])))
+    before, after = int(rng.integers(1, 160)), int(rng.integers(0, 60))
+    length = before + after
+    style = rng.random()
+    if style < 0.4 and samples.size >= 2 * length + 2:
+        # the trace's own pattern, planted again further on
+        first = int(rng.integers(0, samples.size - 2 * length))
+        second = int(rng.integers(first + length, samples.size - length + 1))
+        reference = samples[first : first + length].copy()
+        samples[second : second + length] = reference
+    elif style < 0.5:
+        reference = np.full(length, float(rng.choice([0.0, 1.0])))
+    else:
+        reference = rng.normal(0.5, 0.5, length)
     samples += rng.normal(0.0, float(rng.choice([0.0, 0.02, 0.1])), samples.size)
-    return {"samples": samples, "config": config}
+    return {
+        "samples": samples,
+        "config": config,
+        "refiner": AnchorRefiner(reference, before=before, after=after),
+    }
 
 
-def _windows_with(case: Dict[str, Any], reference: bool) -> Dict[str, Any]:
-    from repro.attack import segmentation
+def _segment_with(case: Dict[str, Any], backend: str) -> Dict[str, Any]:
+    """Windows, plain and refined slices (or the error) on ``backend``."""
+    from repro.attack.segmentation import Segmenter
+    from repro.backends import use_backend
     from repro.errors import AttackError
 
-    segmenter = segmentation.Segmenter(case["config"])
-    try:
-        if reference:
-            windows = segmentation._windows_reference(segmenter, case["samples"])
-        else:
-            windows = segmenter.windows(case["samples"])
-    except AttackError as exc:
-        return {"error": str(exc)}
-    return {"windows": [(w.index, w.start, w.end, w.anchor) for w in windows]}
+    segmenter = Segmenter(case["config"])
+    samples = case["samples"]
+    result: Dict[str, Any] = {}
+    with use_backend(backend):
+        try:
+            result["windows"] = [
+                (w.index, w.start, w.end, w.anchor)
+                for w in segmenter.windows(samples)
+            ]
+            result["slices"] = segmenter.aligned_slices(samples)
+            if case.get("refiner") is not None:
+                result["refined"] = segmenter.aligned_slices(
+                    samples, case["refiner"]
+                )
+        except AttackError as exc:
+            result["error"] = str(exc)
+    return result
+
+
+def _fastest_backend() -> str:
+    from repro.backends import probe_backend
+
+    return "native" if probe_backend("native") is not None else "reference"
 
 
 #: Small NTT-friendly (q, n) pairs used by the ring oracles.  Built
@@ -1006,12 +1047,11 @@ register(
 register(
     Oracle(
         name="segmentation.windows",
-        description="bisected burst lookup, shared prefix sum and one "
-        "percentile pass vs the original per-window burst scan "
-        "(bit-exact windows and anchors)",
+        description="native segment kernel vs the numpy reference path "
+        "(bit-exact windows, anchors, aligned and refined slices, errors)",
         sample=_sample_windows_case,
-        fast=lambda case: _windows_with(case, reference=False),
-        reference=lambda case: _windows_with(case, reference=True),
+        fast=lambda case: _segment_with(case, _fastest_backend()),
+        reference=lambda case: _segment_with(case, "reference"),
         summarize=lambda case: (
             f"{case['samples'].size} samples, "
             f"windows {case['config'].envelope_window}/{case['config'].frac_window}"

@@ -7,16 +7,16 @@ import repro.attack.segmentation as segmentation
 from repro.attack.segmentation import (
     AnchorRefiner,
     Segmenter,
-    SegmenterConfig,
     _active_regions,
     _moving_average,
-    _moving_average_gather,
     _moving_average_reference,
     _padded_prefix_sum,
-    _windows_reference,
 )
+from repro.backends import probe_backend, use_backend
 from repro.errors import AttackError
 from repro.riscv import cycles as cy
+
+NATIVE = probe_backend("native") is not None
 
 
 def true_anchor_ends(device, cap, run):
@@ -112,10 +112,28 @@ class TestMovingAverageParity:
             "_moving_average",
             lambda x, window, prefix=None: _moving_average_reference(x, window),
         )
-        slow = Segmenter().windows(cap.trace.samples)
+        with use_backend("reference"):  # the numpy path reads the patch
+            slow = Segmenter().windows(cap.trace.samples)
         assert [(w.start, w.end, w.anchor) for w in fast] == [
             (w.start, w.end, w.anchor) for w in slow
         ]
+
+
+def _gather_mean(x, window):
+    """Index-gather cumulative-sum sliding mean, the formula the sliced
+    prefix-sum mean replaced (same rounding sequence by construction)."""
+    if window <= 1:
+        return x
+    n = len(x)
+    if window > n:
+        return _moving_average_reference(x, window)
+    csum = np.empty(n + 1, dtype=np.float64)
+    csum[0] = 0.0
+    np.cumsum(x, dtype=np.float64, out=csum[1:])
+    mid = np.arange(n) + (window - 1) // 2
+    lo = np.maximum(mid - window + 1, 0)
+    hi = np.minimum(mid, n - 1) + 1
+    return (csum[hi] - csum[lo]) / window
 
 
 class TestMovingAverageBitExact:
@@ -128,14 +146,14 @@ class TestMovingAverageBitExact:
         for n in (window, window + 1, 257, 5000):
             x = rng.normal(40.0, 3.0, n)
             np.testing.assert_array_equal(
-                _moving_average(x, window), _moving_average_gather(x, window)
+                _moving_average(x, window), _gather_mean(x, window)
             )
 
     @pytest.mark.parametrize("window", [2, 3, 16, 17, 64])
     def test_window_equal_to_length(self, window):
         x = np.random.default_rng(1).normal(0.0, 5.0, window)
         np.testing.assert_array_equal(
-            _moving_average(x, window), _moving_average_gather(x, window)
+            _moving_average(x, window), _gather_mean(x, window)
         )
 
     @pytest.mark.parametrize("window", [3, 16, 17, 64])
@@ -143,7 +161,7 @@ class TestMovingAverageBitExact:
         for n in range(1, (window - 1) // 2 + 1):
             x = np.random.default_rng(n).normal(0.0, 5.0, n)
             np.testing.assert_array_equal(
-                _moving_average(x, window), _moving_average_gather(x, window)
+                _moving_average(x, window), _gather_mean(x, window)
             )
 
     @pytest.mark.parametrize("window", [2, 3, 16, 17, 64])
@@ -152,37 +170,29 @@ class TestMovingAverageBitExact:
         for pad in (window // 2, 32, 100):
             np.testing.assert_array_equal(
                 _moving_average(x, window, _padded_prefix_sum(x, pad)),
-                _moving_average_gather(x, window),
+                _gather_mean(x, window),
             )
 
 
+@pytest.mark.skipif(not NATIVE, reason="no C toolchain: one implementation")
 class TestWindowsReference:
-    """The linear window scan against the original per-window burst scan
-    on one long captured trace (identical windows, anchors and slices)."""
+    """The native kernel against the numpy reference path on one long
+    captured trace: identical windows, anchors and slices."""
 
     @pytest.fixture(scope="class")
     def long_trace(self, bench):
         return bench.capture(4242, 256).trace.samples
 
     @staticmethod
-    def _reference_slices(segmenter, samples, refiner=None):
-        cfg = segmenter.config
-        pieces = []
-        for window in _windows_reference(segmenter, samples):
-            anchor = window.anchor
-            if refiner is not None:
-                anchor = refiner.refine(samples, window)
-            lo, hi = anchor - cfg.slice_before, anchor + cfg.slice_after
-            piece = np.zeros(segmenter.slice_length)
-            src_lo, src_hi = max(lo, 0), min(hi, len(samples))
-            piece[src_lo - lo : src_hi - lo] = samples[src_lo:src_hi]
-            pieces.append(piece)
-        return np.vstack(pieces)
+    def _both(call):
+        with use_backend("native"):
+            fast = call()
+        with use_backend("reference"):
+            slow = call()
+        return fast, slow
 
     def test_identical_windows(self, long_trace):
-        seg = Segmenter()
-        fast = seg.windows(long_trace)
-        slow = _windows_reference(seg, long_trace)
+        fast, slow = self._both(lambda: Segmenter().windows(long_trace))
         assert len(fast) == 256
         assert [(w.start, w.end, w.anchor) for w in fast] == [
             (w.start, w.end, w.anchor) for w in slow
@@ -190,20 +200,18 @@ class TestWindowsReference:
 
     def test_identical_slices(self, long_trace):
         seg = Segmenter()
-        slices = seg.aligned_slices(long_trace)
-        assert slices.shape == (256, seg.slice_length)
-        np.testing.assert_array_equal(
-            slices, self._reference_slices(seg, long_trace)
-        )
+        fast, slow = self._both(lambda: seg.aligned_slices(long_trace))
+        assert fast.shape == (256, seg.slice_length)
+        np.testing.assert_array_equal(fast, slow)
 
     def test_identical_refined_slices(self, bench, long_trace):
         seg = Segmenter()
         pool = [bench.capture(800 + i, 4).trace.samples for i in range(10)]
         refiner = AnchorRefiner.learn(seg, pool)
-        np.testing.assert_array_equal(
-            seg.aligned_slices(long_trace, refiner=refiner),
-            self._reference_slices(seg, long_trace, refiner),
+        fast, slow = self._both(
+            lambda: seg.aligned_slices(long_trace, refiner=refiner)
         )
+        np.testing.assert_array_equal(fast, slow)
 
 
 class TestWindows:

@@ -1,10 +1,10 @@
-"""Differential: linear segmentation window scan vs the original.
+"""Differential: the native segmentation kernel vs the numpy path.
 
-``Segmenter.windows`` bisects the sorted engine-burst starts, shares one
-prefix sum between its two sliding means and takes both threshold
-percentiles in one pass; ``_windows_reference`` is the original
-per-window burst scan.  Every window, anchor and error must match bit
-for bit, including bursts that start exactly on a window boundary.
+The ``segmentation.windows`` oracle runs ``Segmenter.windows`` and
+``aligned_slices`` (with and without an anchor refiner) on the native
+backend and on the numpy reference path.  Every window, anchor, slice
+and error must match bit for bit, including bursts that start exactly
+on a window boundary.
 """
 
 import numpy as np

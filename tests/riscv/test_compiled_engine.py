@@ -360,3 +360,45 @@ def test_probe_is_cached_and_resettable():
 @requires_compiled
 def test_probe_reports_no_error_when_available():
     assert probe_error() is None
+
+
+class TestEventLogReservation:
+    """A device reserves each run's event log once, sized from the
+    largest events per coefficient it has seen, instead of doubling the
+    buffer (each doubling holds the old and the new buffer at once)."""
+
+    COUNT = 256
+
+    def test_reserved_log_is_bit_identical(self):
+        device = GaussianSamplerDevice(MODULI)
+        first = device.run(5, self.COUNT).events.columns().copy()
+        assert device._events_per_coeff > 0
+        again = device.run(5, self.COUNT).events.columns()
+        np.testing.assert_array_equal(again, first)
+        fresh = GaussianSamplerDevice(MODULI).run(5, self.COUNT)
+        np.testing.assert_array_equal(fresh.events.columns(), first)
+
+    def test_underestimate_still_grows(self):
+        device = GaussianSamplerDevice(MODULI)
+        device.run(5, 4)
+        device._events_per_coeff = 1  # far too small: the log must grow
+        run = device.run(9, self.COUNT)
+        expected = GaussianSamplerDevice(MODULI).run(9, self.COUNT)
+        np.testing.assert_array_equal(
+            run.events.columns(), expected.events.columns()
+        )
+
+    @requires_compiled
+    def test_second_run_peak_stays_near_log_size(self):
+        import tracemalloc
+
+        device = GaussianSamplerDevice(MODULI)
+        device.run(5, self.COUNT, engine="compiled")
+        tracemalloc.start()
+        try:
+            run = device.run(7, self.COUNT, engine="compiled")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        log_bytes = len(run.events) * run.events.columns().shape[0] * 8
+        assert peak < 1.3 * log_bytes
