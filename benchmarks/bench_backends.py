@@ -15,9 +15,12 @@ Kernels:
 * ``pointwise_mulmod`` — the negacyclic product's O(n) core;
 * ``expand`` — ``LeakageModel.expand`` over a real device event log
   (the compiled event emitter vs the vectorized numpy expansion);
+* ``expand_1024`` — the same over the event log of a 1024-coefficient
+  run (about 310k events), where the kernel reads the log's rows in
+  place instead of copying its columns;
 * ``segment`` — ``Segmenter.aligned_slices`` with an anchor refiner on a
-  captured 1024-coefficient trace (the exact native segmentation kernel
-  vs the numpy path).
+  captured 1024-coefficient trace (the exact native segmentation kernel,
+  with its bound-pruned matched filter, vs the numpy path).
 
 Run directly::
 
@@ -55,10 +58,12 @@ KERNELS: Tuple[Tuple[str, int], ...] = (
     ("ntt_inverse", 50),
     ("pointwise_mulmod", 50),
     ("expand", 50),
+    ("expand_1024", 2),
     ("segment", 2),
 )
 
-#: Coefficients in the captured trace behind the ``segment`` row.
+#: Coefficients in the captured trace behind the ``segment`` row and in
+#: the run behind the ``expand_1024`` row.
 SEGMENT_COUNT = 1024
 
 
@@ -80,6 +85,9 @@ def _build_cases() -> Dict[str, Callable[[], None]]:
     events = GaussianSamplerDevice([PAPER_Q]).run(
         seed=7, count=COUNT, record_events=True
     ).events
+    long_events = GaussianSamplerDevice([PAPER_Q]).run(
+        seed=4242, count=SEGMENT_COUNT, record_events=True
+    ).events
 
     bench = TraceAcquisition(
         GaussianSamplerDevice([PAPER_Q]), scope=Oscilloscope(noise_std=1.0),
@@ -96,6 +104,7 @@ def _build_cases() -> Dict[str, Callable[[], None]]:
         "ntt_inverse": lambda: context.inverse(a),
         "pointwise_mulmod": lambda: context.multiply(a, b),
         "expand": lambda: model.expand(events),
+        "expand_1024": lambda: model.expand(long_events),
         "segment": lambda: segmenter.aligned_slices(trace, refiner),
     }
 
@@ -159,7 +168,7 @@ def main(argv=None) -> int:
         with use_backend(backend):
             ident = backend_id()
         print(f"backend {ident} vs reference "
-              f"({COUNT}-coefficient expand, n={N} NTT, "
+              f"({COUNT}- and {SEGMENT_COUNT}-coefficient expand, n={N} NTT, "
               f"{SEGMENT_COUNT}-coefficient segment, best of {repetitions}):")
         table = bench_backend(backend, repetitions)
         results[backend] = table
@@ -170,8 +179,8 @@ def main(argv=None) -> int:
                   f"-> {row['speedup']:.2f}x")
 
         # Guard: the compiled kernels must hold a decisive win on the
-        # hottest microbenches.  Measured ~9x (NTT forward), ~2.6x
-        # (expand) and ~2.9x (segment) for the native backend on a
+        # hottest microbenches.  Measured ~9x (NTT forward), ~4.3x
+        # (expand) and ~6x (segment) for the native backend on a
         # 2-vCPU Xeon; the floors tolerate one noisy shared-runner
         # repetition while still catching a backend that silently fell
         # back to numpy (1.0x).  A floor only applies when the backend

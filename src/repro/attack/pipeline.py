@@ -283,14 +283,16 @@ class SingleTraceAttack:
 
         # Sign classes are unions of value classes, so their moments are
         # exact Chan merges of the per-value accumulators (all observed
-        # values, including ones rarer than min_class_count).
+        # values, including ones rarer than min_class_count).  The
+        # branch templates read the scatter at POIs inside the branch
+        # region only, so only that block of it is merged.
+        region = slice(*self.branch_region)
         by_sign: Dict[int, RunningMoments] = {}
         for value, m in sorted(moments.items()):
             sign = sign_of(value)
-            if sign in by_sign:
-                by_sign[sign].merge(m.copy())
-            else:
-                by_sign[sign] = m.copy()
+            if sign not in by_sign:
+                by_sign[sign] = RunningMoments(len(m.mean))
+            by_sign[sign].merge(m, region)
         self.branch_classifier = BranchClassifier.from_moments(
             by_sign, self.branch_region[0], self.branch_region[1]
         )

@@ -282,13 +282,7 @@ class Segmenter:
         if kernel is not None:
             reason, result = kernel(samples, self.config, refiner, slices=True)
             if reason == "ok":
-                slices, located, pending = result
-                for row in pending.tolist():
-                    start, end, anchor = located[row].tolist()
-                    window = CoefficientWindow(row, start, end, anchor)
-                    slices[row] = 0.0
-                    self._place(slices[row], samples, refiner.refine(samples, window))
-                return slices
+                return self._refine_pending(samples, refiner, *result)
             if reason != "defer":
                 raise _failure(reason, result)
         windows = self._windows_numpy(samples)
@@ -298,6 +292,24 @@ class Segmenter:
             if refiner is not None:
                 anchor = refiner.refine(samples, window)
             self._place(row, samples, anchor)
+        return slices
+
+    def _refine_pending(
+        self,
+        samples: np.ndarray,
+        refiner: Optional["AnchorRefiner"],
+        slices: np.ndarray,
+        located: np.ndarray,
+        pending: np.ndarray,
+    ) -> np.ndarray:
+        """The native kernel's slices, with the ``pending`` rows (those
+        its screen could not settle) re-anchored by
+        :meth:`AnchorRefiner.refine` and re-cut."""
+        for row in pending.tolist():
+            start, end, anchor = located[row].tolist()
+            window = CoefficientWindow(row, start, end, anchor)
+            slices[row] = 0.0
+            self._place(slices[row], samples, refiner.refine(samples, window))
         return slices
 
     def _place(self, row: np.ndarray, samples: np.ndarray, anchor: int) -> None:

@@ -57,20 +57,33 @@ class RunningMoments:
         other.scatter = centered.T @ centered
         return self.merge(other)
 
-    def merge(self, other: "RunningMoments") -> "RunningMoments":
-        """Chan's parallel combine of two accumulators (in place)."""
+    def merge(
+        self, other: "RunningMoments", block: Optional[slice] = None
+    ) -> "RunningMoments":
+        """Chan's parallel combine of two accumulators (in place).
+
+        ``other`` is only read.  With ``block``, only ``scatter[block,
+        block]`` is combined and the rest of ``scatter`` is not kept up
+        to date: the same elementwise operations on those entries, for
+        callers that read no others.
+        """
         if other.count == 0:
             return self
+        if block is None:
+            block = slice(None)
         if self.count == 0:
             self.count = other.count
             self.mean = other.mean.copy()
-            self.scatter = other.scatter.copy()
+            self.scatter[block, block] = other.scatter[block, block]
             return self
         total = self.count + other.count
         delta = other.mean - self.mean
-        self.scatter += other.scatter + np.outer(delta, delta) * (
-            self.count * other.count / total
-        )
+        # scatter += other.scatter + outer(delta, delta) * weight, in
+        # one temporary (IEEE addition commutes, so the bits are the same)
+        correction = np.outer(delta[block], delta[block])
+        correction *= self.count * other.count / total
+        correction += other.scatter[block, block]
+        self.scatter[block, block] += correction
         self.mean += delta * (other.count / total)
         self.count = total
         return self

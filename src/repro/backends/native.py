@@ -46,13 +46,10 @@ void reveal_ntt_inverse(int64_t *a, int64_t n, const uint64_t *w,
                         uint64_t n_inv, uint64_t n_inv_s);
 void reveal_pointwise_mulmod(const int64_t *a, const int64_t *b,
                              int64_t *out, int64_t n, uint64_t q);
-void reveal_expand_events(int64_t n, const int64_t *op,
-                          const int64_t *word, const int64_t *rs1,
-                          const int64_t *rs2, const int64_t *result,
-                          const int64_t *old_rd, const int64_t *address,
-                          const int64_t *prev, const int64_t *starts,
-                          double *samples, double wd, double wt,
-                          double wf, double we, double eoff, double base);
+int64_t reveal_expand_starts(int64_t n, const int64_t *rows, int64_t *starts);
+void reveal_expand_events(int64_t n, const int64_t *rows, const int64_t *starts,
+                          double *samples, double wd, double wt, double wf,
+                          double we, double eoff, double base);
 int64_t reveal_segment_windows(const double *x, int64_t n, const int64_t *cfg,
                                int64_t *win, int64_t cap, int64_t *info);
 int64_t reveal_segment_refine(const double *x, int64_t n, int64_t *win,
@@ -64,6 +61,7 @@ void reveal_segment_gather(const double *x, int64_t n, const int64_t *win,
                            double *out);
 void reveal_segment_percentiles(const double *env, int64_t n, double *out);
 int reveal_segment_avx2(void);
+int reveal_all_finite(const double *x, int64_t n);
 """
 
 # The op-class ids are spliced in from repro.riscv.cycles at build time
@@ -154,17 +152,22 @@ void reveal_pointwise_mulmod(const int64_t *a, const int64_t *b,
     }
 }
 
-/* Expand ONE event at s: every defined cycle of its op class, padding
-   cycles keep the prefilled baseline.  Expression trees mirror
-   LeakageModel.expand exactly — see that method for the
-   cycle-layout rationale.  half_wd/half_we/eng_base are the hoisted
-   (0.5*wd, we*0.5, base+eoff) products shared across events. */
-static inline void expand_one(int64_t op, int64_t word, int64_t prevw,
-                              int64_t rs1, int64_t rs2, int64_t result,
-                              int64_t old_rd, int64_t address, double *s,
-                              double wd, double half_wd, double wt,
-                              double wf, double we, double half_we,
-                              double eng_base, double base) {
+/* Cycles per op class (repro.riscv.cycles.CYCLES), spliced in. */
+#define EXPAND_CLASSES @NUM_CLASSES@
+static const int64_t expand_cycles[EXPAND_CLASSES] = {@CYCLES@};
+
+/* Expand ONE event at s: every defined cycle of its op class; returns
+   how many leading cycles it wrote (the rest of the class's cycles are
+   baseline).  Expression trees mirror LeakageModel.expand exactly — see
+   that method for the cycle-layout rationale.  half_wd/half_we/eng_base
+   are the hoisted (0.5*wd, we*0.5, base+eoff) products shared across
+   events. */
+static inline int expand_one(int64_t op, int64_t word, int64_t prevw,
+                             int64_t rs1, int64_t rs2, int64_t result,
+                             int64_t old_rd, int64_t address, double *s,
+                             double wd, double half_wd, double wt,
+                             double wf, double we, double half_we,
+                             double eng_base, double base) {
     s[0] = base + wf * (double)(hw32(word) + hw32(word ^ prevw));
     double operand_v = base + half_wd * (double)(hw32(rs1) + hw32(rs2));
     double writeback_v = (base + wd * (double)hw32(result)) +
@@ -173,7 +176,7 @@ static inline void expand_one(int64_t op, int64_t word, int64_t prevw,
     case @OP_ALU@:
         s[1] = operand_v;
         s[2] = writeback_v;
-        break;
+        return 3;
     case @OP_MUL@: {
         s[1] = operand_v;
         uint32_t a = (uint32_t)rs1, b = (uint32_t)rs2;
@@ -184,7 +187,7 @@ static inline void expand_one(int64_t op, int64_t word, int64_t prevw,
             s[2 + i] = eng_base + we * (double)__builtin_popcount(acc);
         }
         s[34] = writeback_v;
-        break;
+        return 35;
     }
     case @OP_DIV@: {
         s[1] = operand_v;
@@ -200,49 +203,66 @@ static inline void expand_one(int64_t op, int64_t word, int64_t prevw,
                                           __builtin_popcountll(quo));
         }
         s[34] = writeback_v;
-        break;
+        return 35;
     }
     case @OP_LOAD@:
         s[1] = base + half_wd * (double)hw32(address);
         s[2] = base + wd * (double)hw32(result);
         s[3] = writeback_v;
-        break;
+        return 4;
     case @OP_STORE@:
         s[1] = base + half_wd * (double)hw32(address);
         s[2] = base + wd * (double)hw32(result);
         s[3] = base + half_wd * (double)hw32(result);
-        break;
+        return 4;
     case @OP_BRANCH_NOT_TAKEN@:
         s[1] = operand_v;
-        break;
+        return 2;
     case @OP_BRANCH_TAKEN@:
         s[1] = operand_v;
         s[2] = base + wf * (double)hw32(result);
-        break;
+        return 3;
     case @OP_JUMP@:
         s[1] = base + wf * (double)hw32(result);
         s[2] = base + wt * (double)hw32(result ^ old_rd);
-        break;
+        return 3;
     default: /* OP_SYSTEM: fetch cycle only */
-        break;
+        return 1;
     }
 }
 
-/* One pass over a whole event log (the row-major expand path). */
-void reveal_expand_events(int64_t n, const int64_t *op,
-                          const int64_t *word, const int64_t *rs1,
-                          const int64_t *rs2, const int64_t *result,
-                          const int64_t *old_rd, const int64_t *address,
-                          const int64_t *prev, const int64_t *starts,
-                          double *samples, double wd, double wt,
-                          double wf, double we, double eoff, double base) {
+/* starts[e] = cycles before event e of an event-major (n, 8) log, in
+   place; returns the total cycle count, or -1 when an op class is out
+   of range (the numpy path then decides what that means). */
+int64_t reveal_expand_starts(int64_t n, const int64_t *rows, int64_t *starts) {
+    int64_t total = 0;
+    for (int64_t e = 0; e < n; e++) {
+        int64_t op = rows[8 * e];
+        if (op < 0 || op >= EXPAND_CLASSES) return -1;
+        starts[e] = total;
+        total += expand_cycles[op];
+    }
+    return total;
+}
+
+/* One pass over a whole event-major (n, 8) log: every cycle of every
+   event, padding cycles at the baseline. */
+void reveal_expand_events(int64_t n, const int64_t *rows, const int64_t *starts,
+                          double *samples, double wd, double wt, double wf,
+                          double we, double eoff, double base) {
     double half_wd = 0.5 * wd;
     double half_we = we * 0.5;
     double eng_base = base + eoff;
-    for (int64_t e = 0; e < n; e++)
-        expand_one(op[e], word[e], prev[e], rs1[e], rs2[e], result[e],
-                   old_rd[e], address[e], samples + starts[e], wd,
-                   half_wd, wt, wf, we, half_we, eng_base, base);
+    int64_t prevw = 0;
+    for (int64_t e = 0; e < n; e++) {
+        const int64_t *r = rows + 8 * e;
+        double *s = samples + starts[e];
+        int64_t c = expand_one(r[0], r[1], prevw, r[2], r[3], r[4], r[5],
+                               r[6], s, wd, half_wd, wt, wf, we, half_we,
+                               eng_base, base);
+        for (int64_t end = expand_cycles[r[0]]; c < end; c++) s[c] = base;
+        prevw = r[1];
+    }
 }
 
 /* ------------------------------------------------------------------
@@ -468,7 +488,24 @@ static int seg_percentiles(const seg_env *e, uint32_t *hist, double out[2]) {
     }
     uint64_t *scratch = gathered + total;
     for (int s = 0; s < ns; s++) slot[tb[s]] = (uint8_t)(s + 1);
+#ifdef __SSE2__
+    __m128i want[4];
+    for (int s = 0; s < 4; s++) want[s] = _mm_set1_epi16((short)tb[s < ns ? s : 0]);
+#endif
     for (int64_t i = 0; i < n; i++) {
+#ifdef __SSE2__
+        /* the wanted buckets are few: skip eight values holding none */
+        if (i + 8 <= n) {
+            __m128i v = _mm_loadu_si128((const __m128i *)(e->bk + i));
+            __m128i hit = _mm_or_si128(
+                _mm_or_si128(_mm_cmpeq_epi16(v, want[0]), _mm_cmpeq_epi16(v, want[1])),
+                _mm_or_si128(_mm_cmpeq_epi16(v, want[2]), _mm_cmpeq_epi16(v, want[3])));
+            if (_mm_movemask_epi8(hit) == 0) {
+                i += 7;
+                continue;
+            }
+        }
+#endif
         int s = slot[e->bk[i]];
         if (s) {
             s--;
@@ -552,6 +589,33 @@ static int seg_regions(const seg_env *e, double thr, int64_t gap,
     const uint16_t tb = (uint16_t)seg_bucket(thr, e->shift);
     int64_t start = -1, last = -1;
     for (int64_t i = 0; i < n; i++) {
+#ifdef __SSE2__
+        /* bursts and the gaps between them are long: eight buckets all
+           below the threshold's are eight inactive values, eight all
+           above it eight active ones (which, with gap >= 0, can only
+           break a region at the first) */
+        if (i + 8 <= n) {
+            __m128i v = _mm_loadu_si128((const __m128i *)(e->bk + i));
+            __m128i t = _mm_set1_epi16((short)tb), zero = _mm_setzero_si128();
+            if (_mm_movemask_epi8(_mm_cmpeq_epi16(_mm_subs_epu16(t, v), zero)) == 0) {
+                i += 7;
+                continue;
+            }
+            if (gap >= 0 &&
+                _mm_movemask_epi8(_mm_cmpeq_epi16(_mm_subs_epu16(v, t), zero)) == 0) {
+                if (start < 0) {
+                    start = i;
+                } else if (i - last > gap + 1) {
+                    if (last + 1 - start >= min_len && runs_push(out, start, last + 1))
+                        return -1;
+                    start = i;
+                }
+                last = i + 7;
+                i += 7;
+                continue;
+            }
+        }
+#endif
         uint16_t b = e->bk[i];
         if (b < tb || (b == tb && !(seg_env_at(e, i) > thr))) continue;
         if (start < 0) {
@@ -762,31 +826,228 @@ int reveal_segment_avx2(void) {
 #endif
 }
 
+/* One cross term sum_k seg[k] * ref[k], in any rounding order (screened
+   like seg_cross_*). */
+static double seg_dot_portable(const double *seg, const double *ref, int64_t L) {
+    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+    int64_t k = 0;
+    for (; k + 4 <= L; k += 4) {
+        a0 += seg[k] * ref[k];
+        a1 += seg[k + 1] * ref[k + 1];
+        a2 += seg[k + 2] * ref[k + 2];
+        a3 += seg[k + 3] * ref[k + 3];
+    }
+    for (; k < L; k++) a0 += seg[k] * ref[k];
+    return (a0 + a1) + (a2 + a3);
+}
+
+#ifdef SEG_X86
+__attribute__((target("avx2,fma")))
+static double seg_dot_avx2(const double *seg, const double *ref, int64_t L) {
+    __m256d a0 = _mm256_setzero_pd(), a1 = a0;
+    int64_t k = 0;
+    for (; k + 8 <= L; k += 8) {
+        a0 = _mm256_fmadd_pd(_mm256_loadu_pd(seg + k), _mm256_loadu_pd(ref + k), a0);
+        a1 = _mm256_fmadd_pd(_mm256_loadu_pd(seg + k + 4),
+                             _mm256_loadu_pd(ref + k + 4), a1);
+    }
+    for (; k + 4 <= L; k += 4)
+        a0 = _mm256_fmadd_pd(_mm256_loadu_pd(seg + k), _mm256_loadu_pd(ref + k), a0);
+    double lane[4];
+    _mm256_storeu_pd(lane, _mm256_add_pd(a0, a1));
+    double s = (lane[0] + lane[1]) + (lane[2] + lane[3]);
+    for (; k < L; k++) s += seg[k] * ref[k];
+    return s;
+}
+#endif
+
+/* ---- the offset bound (see _segment_kernel's docstring) ----------- */
+
+/* Reference chunks of the bound: chunk c covers ref[cend[c-1], cend[c])
+   (cend[-1] = 0), all of width ceil(L / SEG_CHUNKS) but the last. */
+#define SEG_CHUNKS 11
+
+typedef struct {
+    int64_t nc, cend[SEG_CHUNKS];
+    double rho[SEG_CHUNKS], inv_w[SEG_CHUNKS];
+} seg_chunks;
+
+/* One chunk's bound term over blocks of four offsets: for every block
+   start d in blk[0..nb), c[d + l] += the chunk difference (pe - pb) - r
+   at d + l, less its error allowance delta, clamped at zero ((t + |t|)
+   / 2 is exact), squared and scaled by the chunk's 1 / width.  Blocks
+   with a lane whose c * shrink is still at most thr are kept, in order,
+   in out; returns their count. */
+static int64_t seg_bound_blocks(const double *pb, const double *pe, double r,
+                                double inv_w, double delta, double shrink,
+                                double thr, double *c, const int64_t *blk,
+                                int64_t nb, int64_t *out) {
+    int64_t kept = 0;
+    for (int64_t j = 0; j < nb; j++) {
+        int64_t d = blk[j];
+        int any = 0;
+        for (int64_t l = d; l < d + 4; l++) {
+            double t = fabs((pe[l] - pb[l]) - r) - delta;
+            t = (t + fabs(t)) * 0.5;
+            double v = c[l] + t * t * inv_w;
+            c[l] = v;
+            any |= v * shrink <= thr;
+        }
+        out[kept] = d;
+        kept += any;
+    }
+    return kept;
+}
+
+#ifdef SEG_X86
+/* seg_bound_blocks with a block per AVX2 vector: the same operations
+   in the same order, four lanes at once. */
+__attribute__((target("avx2")))
+static int64_t seg_bound_blocks_avx2(const double *pb, const double *pe,
+                                     double r, double inv_w, double delta,
+                                     double shrink, double thr, double *c,
+                                     const int64_t *blk, int64_t nb,
+                                     int64_t *out) {
+    const __m256d vr = _mm256_set1_pd(r), vw = _mm256_set1_pd(inv_w);
+    const __m256d vd = _mm256_set1_pd(delta), vs = _mm256_set1_pd(shrink);
+    const __m256d vt = _mm256_set1_pd(thr), half = _mm256_set1_pd(0.5);
+    const __m256d sign = _mm256_set1_pd(-0.0);
+    int64_t kept = 0;
+    for (int64_t j = 0; j < nb; j++) {
+        int64_t d = blk[j];
+        __m256d t = _mm256_sub_pd(
+            _mm256_sub_pd(_mm256_loadu_pd(pe + d), _mm256_loadu_pd(pb + d)), vr);
+        t = _mm256_sub_pd(_mm256_andnot_pd(sign, t), vd);
+        t = _mm256_mul_pd(_mm256_add_pd(t, _mm256_andnot_pd(sign, t)), half);
+        __m256d v = _mm256_add_pd(_mm256_loadu_pd(c + d),
+                                  _mm256_mul_pd(_mm256_mul_pd(t, t), vw));
+        _mm256_storeu_pd(c + d, v);
+        int any = _mm256_movemask_pd(
+            _mm256_cmp_pd(_mm256_mul_pd(v, vs), vt, _CMP_LE_OQ));
+        out[kept] = d;
+        kept += any != 0;
+    }
+    return kept;
+}
+#endif
+
+typedef struct {
+    void (*cross)(const double *, const double *, int64_t, int64_t, double *);
+    double (*dot)(const double *, const double *, int64_t);
+    int64_t (*bound)(const double *, const double *, double, double, double,
+                     double, double, double *, const int64_t *, int64_t,
+                     int64_t *);
+} seg_loops;
+
+/* Blocks of four offsets of one window with a lane whose bound c[d] *
+   shrink stays at most thr after every chunk, into *blk; returns their
+   count.  Chunks most unlike the segment's mean level mu prune most, so
+   they go first; each chunk runs over the blocks still in the running,
+   ping-ponged between *blk and *spare.  c covers m rounded up to whole
+   blocks (P has three samples of padding); lanes past m and the lane
+   skip (whose score is taken already) start at +inf, so they are never
+   kept. */
+static int64_t seg_prune(const seg_loops *lp, const seg_chunks *ch,
+                         const double *P, int64_t m, double mu, double delta,
+                         double shrink, double thr, int64_t skip, double *c,
+                         int64_t **blk, int64_t **spare) {
+    int64_t ord[SEG_CHUNKS];
+    double key[SEG_CHUNKS];
+    for (int64_t a = 0; a < ch->nc; a++) {
+        int64_t b = a ? ch->cend[a - 1] : 0;
+        double dev = ch->rho[a] - (double)(ch->cend[a] - b) * mu;
+        double kv = dev * dev * ch->inv_w[a];
+        int64_t j = a;
+        while (j > 0 && key[j - 1] < kv) { key[j] = key[j - 1]; ord[j] = ord[j - 1]; j--; }
+        key[j] = kv;
+        ord[j] = a;
+    }
+    int64_t live = (m + 3) / 4;
+    for (int64_t j = 0; j < live; j++) (*blk)[j] = 4 * j;
+    memset(c, 0, (size_t)m * sizeof(double));
+    for (int64_t d = m; d < 4 * live; d++) c[d] = INFINITY;
+    c[skip] = INFINITY;
+    for (int64_t a = 0; a < ch->nc && live; a++) {
+        int64_t q = ord[a], b = q ? ch->cend[q - 1] : 0;
+        live = lp->bound(P + b, P + ch->cend[q], ch->rho[q], ch->inv_w[q],
+                         delta, shrink, thr, c, *blk, live, *spare);
+        int64_t *t = *blk;
+        *blk = *spare;
+        *spare = t;
+    }
+    return live;
+}
+
+typedef struct { double lb; int64_t d; } seg_cand;
+
+/* Per-window scratch, grown as windows grow. */
+typedef struct {
+    int64_t room;
+    double *Q, *P, *c, *cs;
+    int64_t *idx, *spare, *cd;
+    seg_cand *cand;
+} seg_scratch;
+
+static void seg_scratch_free(seg_scratch *w) {
+    free(w->Q); free(w->P); free(w->c); free(w->cs);
+    free(w->idx); free(w->spare); free(w->cd); free(w->cand);
+    memset(w, 0, sizeof(*w));
+}
+
+static int seg_scratch_fit(seg_scratch *w, int64_t len) {
+    if (len + 4 <= w->room) return 0;
+    seg_scratch_free(w);
+    w->room = 2 * (len + 4);
+    size_t nd = (size_t)w->room * sizeof(double), ni = (size_t)w->room * sizeof(int64_t);
+    w->Q = malloc(nd); w->P = malloc(nd); w->c = malloc(nd); w->cs = malloc(nd);
+    w->idx = malloc(ni); w->spare = malloc(ni); w->cd = malloc(ni);
+    w->cand = malloc((size_t)w->room * sizeof(seg_cand));
+    if (w->Q && w->P && w->c && w->cs && w->idx && w->spare && w->cd && w->cand)
+        return 0;
+    seg_scratch_free(w);
+    return -1;
+}
+
 /* AnchorRefiner.refine for every window whose argmin the screen pins
    down; the rest get pending[i] = 1 and keep their coarse anchor.
-   variant: 0 portable cross terms, 1 AVX2/FMA (where the CPU has it),
-   -1 the best available.  Returns the pending count, -1 on no memory. */
+   variant bit 0: AVX2 loops (where the CPU has AVX2 and FMA), else
+   portable ones; bit 1: no offset pruning (every offset's cross term
+   is taken); -1 is the best available (AVX2, pruning).  Returns the
+   pending count, -1 on no memory. */
 int64_t reveal_segment_refine(const double *x, int64_t n, int64_t *win,
                               int64_t k, const double *ref, int64_t L,
                               int64_t before, int64_t after, int64_t variant,
                               uint8_t *pending) {
-    void (*cross)(const double *, const double *, int64_t, int64_t, double *) =
-        seg_cross_portable;
+    seg_loops lp = {seg_cross_portable, seg_dot_portable, seg_bound_blocks};
 #ifdef SEG_X86
-    if (variant != 0 && reveal_segment_avx2()) cross = seg_cross_avx2;
-#else
-    (void)variant;  /* the portable loop is the only one */
+    if ((variant < 0 || (variant & 1)) && reveal_segment_avx2())
+        lp = (seg_loops){seg_cross_avx2, seg_dot_avx2, seg_bound_blocks_avx2};
 #endif
+    const int prune = variant < 0 || !(variant & 2);
     const double u = 0x1p-53;
-    double rr = 0.0;
-    for (int64_t j = 0; j < L; j++) rr += ref[j] * ref[j];
+    double rr = 0.0, r1 = 0.0;
+    for (int64_t j = 0; j < L; j++) { rr += ref[j] * ref[j]; r1 += fabs(ref[j]); }
     int screenable = rr <= 1e300;  /* false for inf and NaN too */
     double gl = 1.01 * (double)(L + 2) * u;
     double rnorm = sqrt(rr) * (1.0 + 2.0 * gl);
     double floor_abs = 64.0 * (double)(L + 2) * 0x1p-1022;
 
-    int64_t room = 0, count = 0;
-    double *Q = NULL, *c = NULL;
+    seg_chunks ch;
+    int64_t cw = (L + SEG_CHUNKS - 1) / SEG_CHUNKS;
+    ch.nc = (L + cw - 1) / cw;
+    for (int64_t a = 0; a < ch.nc; a++) {
+        int64_t b = a * cw, e = b + cw < L ? b + cw : L;
+        double sum = 0.0;
+        for (int64_t j = b; j < e; j++) sum += ref[j];
+        ch.rho[a] = sum;
+        ch.inv_w[a] = 1.0 / (double)(e - b);
+        ch.cend[a] = e;
+    }
+    /* the bound's own rounding, relative (see the docstring) */
+    const double shrink = 1.0 - 2.0 * (double)(ch.nc + 4) * u;
+
+    int64_t count = 0;
+    seg_scratch w = {0};
     for (int64_t i = 0; i < k; i++) {
         pending[i] = 0;
         int64_t lo = win[3 * i] > 0 ? win[3 * i] : 0;
@@ -794,47 +1055,138 @@ int64_t reveal_segment_refine(const double *x, int64_t n, int64_t *win,
         int64_t len = hi > lo ? hi - lo : 0;
         if (len < L) continue;  /* refine keeps the coarse anchor */
         if (!screenable) { pending[i] = 1; count++; continue; }
-        if (len + 1 > room) {
-            free(Q);
-            free(c);
-            room = 2 * (len + 1);
-            Q = malloc((size_t)room * sizeof(double));
-            c = malloc((size_t)room * sizeof(double));
-            if (!Q || !c) { free(Q); free(c); return -1; }
-        }
+        if (seg_scratch_fit(&w, len)) return -1;
         const double *seg = x + lo;
+        double *Q = w.Q, *P = w.P, *cs = w.cs;
+        int64_t *cd = w.cd;
         int64_t m = len - L + 1;
-        /* numpy: squared[0] = 0, cumsum(segment * segment) after it */
-        double acc = 0.0;
+        /* numpy: squared[0] = 0, cumsum(segment * segment) after it; the
+           plain prefix sum P and the absolute mass ab feed the bound */
+        double acc = 0.0, ps = 0.0, ab = 0.0;
         Q[0] = 0.0;
-        for (int64_t j = 0; j < len; j++) { acc = acc + seg[j] * seg[j]; Q[j + 1] = acc; }
+        P[0] = 0.0;
+        for (int64_t j = 0; j < len; j++) {
+            acc = acc + seg[j] * seg[j];
+            Q[j + 1] = acc;
+            ps += seg[j];
+            P[j + 1] = ps;
+            ab += fabs(seg[j]);
+        }
+        for (int64_t j = len + 1; j <= len + 3; j++) P[j] = ps;
         if (!(acc <= 1e300)) { pending[i] = 1; count++; continue; }
         /* every window energy E_d is at most the whole segment's, whose
            computed sum acc is off by at most g_len * acc */
         double gn = 1.01 * (double)(len + 2) * u;
-        double slack = 8.0 * gl * sqrt(acc * (1.0 + 2.0 * gn)) * rnorm + floor_abs;
-        cross(seg, ref, L, m, c);
+        double T = sqrt(acc * (1.0 + 2.0 * gn)) * rnorm;
+        double slack = 8.0 * gl * T + floor_abs;
+        /* the offsets whose screened scores s are taken: cd, cs; a
+           squared chunk difference stays finite below 1e150 of mass */
+        int64_t done = 0;
+        if (!prune || !(ab + r1 <= 1e150)) {
+            lp.cross(seg, ref, L, m, w.c);
+            for (int64_t d = 0; d < m; d++) {
+                cs[d] = (Q[L + d] - Q[d]) - 2.0 * w.c[d];
+                cd[d] = d;
+            }
+            done = m;
+        } else {
+            /* seed: the coarse anchor's offset, one dot */
+            int64_t d0 = win[3 * i + 2] - before - lo;
+            d0 = d0 < 0 ? 0 : (d0 > m - 1 ? m - 1 : d0);
+            double s0 = (Q[L + d0] - Q[d0]) - 2.0 * lp.dot(seg + d0, ref, L);
+            cs[0] = s0;
+            cd[0] = d0;
+            done = 1;
+            double best_upper = s0 + (slack + 8.0 * u * fabs(s0));
+            /* numpy's score at d is at least LB(d) - R - margin */
+            double margin = 3.0 * gn * acc + 2.0 * gl * T + 2.0 * u * (acc + 2.0 * T);
+            double base = rr * (1.0 + 2.0 * gl) + 2.0 * margin +
+                          64.0 * (double)(len + L + ch.nc + 4) * 0x1p-1022;
+            double delta = 4.0 * gn * (ab + r1);
+            double thr = best_upper + base;
+            thr += 4.0 * u * (fabs(best_upper) + base);
+            int64_t blocks = seg_prune(&lp, &ch, P, m, ps / (double)len, delta,
+                                       shrink, thr, d0, w.c, &w.idx, &w.spare);
+            /* the surviving offsets, lowest bound first: each new best
+               score lowers the threshold and drops the offsets whose
+               bound now exceeds it */
+            seg_cand *cand = w.cand;
+            int64_t live = 0;
+            for (int64_t j = 0; j < blocks; j++)
+                for (int64_t d = w.idx[j]; d < w.idx[j] + 4; d++)
+                    if (w.c[d] * shrink <= thr) {
+                        cand[live].lb = w.c[d];
+                        cand[live++].d = d;
+                    }
+            while (live) {
+                int64_t first = 0;
+                for (int64_t j = 1; j < live; j++)
+                    if (cand[j].lb < cand[first].lb) first = j;
+                seg_cand next = cand[first];
+                cand[first] = cand[--live];
+                int64_t d = next.d;
+                double s = (Q[L + d] - Q[d]) - 2.0 * lp.dot(seg + d, ref, L);
+                double upper = s + (slack + 8.0 * u * fabs(s));
+                cs[done] = s;
+                cd[done++] = d;
+                if (upper < best_upper) {
+                    best_upper = upper;
+                    thr = best_upper + base;
+                    thr += 4.0 * u * (fabs(best_upper) + base);
+                    int64_t kept = 0;
+                    for (int64_t j = 0; j < live; j++) {
+                        cand[kept] = cand[j];
+                        kept += cand[j].lb * shrink <= thr;
+                    }
+                    live = kept;
+                }
+            }
+        }
         /* screened SSD s and bound slack + 8u|s|; smallest upper end */
         double best_upper = INFINITY;
         int ok = 1;
-        for (int64_t d = 0; d < m; d++) {
-            double s = (Q[L + d] - Q[d]) - 2.0 * c[d];
+        for (int64_t j = 0; j < done; j++) {
+            double s = cs[j];
             double upper = s + (slack + 8.0 * u * fabs(s));
             ok &= (upper - upper) == 0.0;
-            c[d] = s;
             best_upper = upper < best_upper ? upper : best_upper;
         }
         int64_t survivors = 0, best = -1;
-        for (int64_t d = 0; ok && d < m && survivors < 2; d++) {
-            double s = c[d];
-            if (s - (slack + 8.0 * u * fabs(s)) <= best_upper) { survivors++; best = d; }
+        for (int64_t j = 0; ok && j < done && survivors < 2; j++) {
+            double s = cs[j];
+            if (s - (slack + 8.0 * u * fabs(s)) <= best_upper) { survivors++; best = cd[j]; }
         }
         if (!ok || survivors != 1) { pending[i] = 1; count++; continue; }
         win[3 * i + 2] = lo + best + before;
     }
-    free(Q);
-    free(c);
+    seg_scratch_free(&w);
     return count;
+}
+
+/* 1 when every x[i] is finite: x * 0 is +-0 for a finite x and NaN
+   otherwise, and a sum of zeros stays zero while NaN sticks (eight
+   independent sums, so the loop vectorizes). */
+#define ALL_FINITE_BODY                                                  \
+    double a[8] = {0, 0, 0, 0, 0, 0, 0, 0};                              \
+    int64_t i = 0;                                                       \
+    for (; i + 8 <= n; i += 8)                                           \
+        for (int j = 0; j < 8; j++) a[j] += x[i + j] * 0.0;              \
+    for (; i < n; i++) a[0] += x[i] * 0.0;                               \
+    return ((a[0] + a[1]) + (a[2] + a[3])) +                             \
+           ((a[4] + a[5]) + (a[6] + a[7])) == 0.0;
+
+static int all_finite_portable(const double *x, int64_t n) { ALL_FINITE_BODY }
+
+#ifdef SEG_X86
+__attribute__((target("avx2")))
+static int all_finite_avx2(const double *x, int64_t n) { ALL_FINITE_BODY }
+#endif
+
+int reveal_all_finite(const double *x, int64_t n) {
+#ifdef SEG_X86
+    if (reveal_segment_avx2()) return all_finite_avx2(x, n);
+#endif
+    return all_finite_portable(x, n);
 }
 
 /* aligned_slices' rows: [anchor - before, anchor + after), zero-padded
@@ -865,7 +1217,9 @@ def _c_source() -> str:
         "OP_BRANCH_NOT_TAKEN", "OP_BRANCH_TAKEN", "OP_JUMP",
     ):
         source = source.replace(f"@{name}@", str(getattr(cy, name)))
-    return source
+    cycles = [cy.CYCLES[op] for op in range(len(cy.CYCLES))]
+    source = source.replace("@NUM_CLASSES@", str(len(cycles)))
+    return source.replace("@CYCLES@", ", ".join(map(str, cycles)))
 
 
 def _cache_dir() -> str:
@@ -1014,15 +1368,22 @@ def build_backend() -> Backend:
         lib.reveal_pointwise_mulmod(i64(a), i64(b), i64(out), a.size, q)
         return out
 
-    def expand_events(cols, prev, starts, samples, weights) -> None:
-        wd, wt, wf, we, eoff, base = weights
-        rows = [np.ascontiguousarray(cols[i]) for i in range(7)]
-        prev = np.ascontiguousarray(prev)
-        starts_c = np.ascontiguousarray(starts)
-        lib.reveal_expand_events(
-            cols.shape[1], *(i64(r) for r in rows), i64(prev),
-            i64(starts_c), f64(samples), wd, wt, wf, we, eoff, base,
-        )
+    def expand_events(cols, weights):
+        # cols is the (8, n) transpose of an event-major log, so its
+        # transpose is the log's own rows: read in place, never copied
+        rows = np.ascontiguousarray(cols.T, dtype=np.int64)
+        n = rows.shape[0]
+        starts = np.empty(n, dtype=np.int64)
+        total = lib.reveal_expand_starts(n, i64(rows), i64(starts))
+        if total < 0:
+            return None
+        samples = np.empty(total, dtype=np.float64)
+        lib.reveal_expand_events(n, i64(rows), i64(starts), f64(samples), *weights)
+        return samples, starts
+
+    def all_finite(samples: np.ndarray) -> bool:
+        x = np.ascontiguousarray(samples, dtype=np.float64)
+        return bool(lib.reveal_all_finite(f64(x), x.size))
 
     return Backend(
         name="native",
@@ -1034,6 +1395,7 @@ def build_backend() -> Backend:
             "pointwise_mulmod": pointwise_mulmod,
             "expand_events": expand_events,
             "segment": _segment_kernel(module),
+            "all_finite": all_finite,
         },
     )
 
@@ -1135,9 +1497,55 @@ def _segment_kernel(module):
     every special value stay numpy's by construction.  On captured
     traces the screen leaves one survivor per window.
 
-    ``variant`` picks the cross-term loop: ``0`` portable, ``1`` AVX2/FMA
-    where the CPU has it, ``-1`` the best available.  It exists so the
-    tests can check both loops; every variant returns the same bits.
+    Most offsets never get a cross term: a cheap lower bound proves them
+    beaten first.  Split the reference into ``K`` chunks (11 of width
+    ``ceil(L / 11)``, the last one shorter) with sums ``rho_c``, and let
+    ``S_c(d)`` be the window's matching chunk sums at offset ``d``, read
+    off a prefix sum ``P`` of the segment.  By Cauchy-Schwarz on each
+    chunk, ``sum (x - r)**2 >= (S_c - rho_c)**2 / w_c`` over a chunk of
+    width ``w_c``, so the true SSD is at least ``LB(d) = sum_c (S_c(d) -
+    rho_c)**2 / w_c``.  Numpy's score is the SSD less ``R = ||r||**2``,
+    perturbed by three errors: its windowed energy ``W`` against the
+    true one (both ends of ``Q`` are off by at most ``g_len`` of the
+    segment energy ``A2``), its dot (``g_L T``, as above) and its final
+    subtraction (``u (A2 + 2T)``).  So numpy's score is at least
+    ``LB(d) - R - M`` with ``M = 3 g_len A2 + 2 g_L T + 2u (A2 + 2T)``,
+    and an offset whose bound exceeds ``best_upper + R + M`` (the
+    smallest screened upper end so far) cannot be numpy's argmin.  The
+    kernel enforces that with rigorous margins:
+
+    - each computed chunk difference ``(P[d+e] - P[d+b]) - rho_c`` is
+      off by at most ``delta = 4 g_len (A1 + ||r||_1)`` (the prefix sums
+      and the reference sums each err by at most ``g_len`` of the
+      absolute masses ``A1 = sum |x|`` and ``||r||_1``), so the kernel
+      squares ``max(|D| - delta, 0)``, a lower bound of ``|S_c - rho_c|``;
+    - squaring, scaling by ``1 / w_c`` and summing ``K`` non-negative
+      terms round up by at most ``(K + 4) u`` relative; the kernel
+      multiplies the bound by ``1 - 2 (K + 4) u`` before comparing;
+    - the threshold takes ``R (1 + 2 g_L) + 2M`` plus an underflow floor,
+      and ``4u`` of its own magnitude for the rounding of that sum;
+    - a window whose absolute mass ``A1 + ||r||_1`` exceeds ``1e150``,
+      where a squared chunk difference could overflow, takes every
+      offset's cross term instead.
+
+    A loose margin costs speed, never bits.  The threshold starts from
+    the screened score at the coarse anchor's offset (one dot).  The
+    chunks go most-informative first (those whose sums lie furthest from
+    the segment's mean level), each over the blocks of four offsets that
+    still have a lane under the threshold; the offsets left after every
+    chunk get their cross terms lowest bound first, and each new best
+    score tightens the threshold and drops more of them.  The screen
+    above then runs over the offsets that were scored, unchanged: numpy's
+    argmin is never dropped, so when one survivor remains it is numpy's.
+    On captured traces the bound leaves about 1% of offsets, and a window
+    takes about seven dots instead of two thousand.
+
+    ``variant`` picks the loops: bit 0 the AVX2/FMA cross terms and
+    bound passes where the CPU has them (else portable ones), bit 1
+    turns the offset pruning off (every offset's cross term is taken);
+    ``-1`` is the best available (AVX2, pruning).  It exists so the
+    tests can check every combination; every variant returns the same
+    bits.
     """
     lib, ffi = module.lib, module.ffi
 

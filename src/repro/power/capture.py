@@ -28,6 +28,7 @@ from typing import Iterator, List, Optional
 
 import numpy as np
 
+from repro.backends import get_kernel
 from repro.errors import ParameterError, TraceValidationError
 from repro.power.leakage import LeakageModel
 from repro.power.scope import Oscilloscope
@@ -49,13 +50,15 @@ class CapturedTrace:
 
     def __post_init__(self) -> None:
         # Fail at the bench, not as a numpy warning three stages later
-        # inside segmentation or template fitting.
+        # inside segmentation or template fitting (a native kernel, where
+        # one builds, makes the check one vectorized pass).
         samples = self.trace.samples
         if samples.size == 0:
             raise TraceValidationError(
                 f"captured trace for seed {self.seed} is empty"
             )
-        if not np.isfinite(samples).all():
+        finite = get_kernel("all_finite")
+        if not (finite(samples) if finite else np.isfinite(samples).all()):
             bad = int(np.count_nonzero(~np.isfinite(samples)))
             raise TraceValidationError(
                 f"captured trace for seed {self.seed} contains {bad} "
@@ -266,7 +269,7 @@ class TraceAcquisition:
             seed, count=count, record_events=True, engine=self.engine
         )
         noiseless, starts = self.leakage.expand(run.events)
-        measured = self.scope.capture(noiseless, rng=self._rng)
+        measured = self.scope.capture(noiseless, rng=self._rng, out=noiseless)
         return CapturedTrace(
             trace=Trace(measured, metadata={"seed": seed, "count": count}),
             values=run.values,

@@ -123,14 +123,26 @@ class LeakageModel:
         n = cols.shape[1]
         if n == 0:
             return np.zeros(0, dtype=np.float64), np.zeros(0, dtype=np.int64)
-        op, word, rs1, rs2, result, old_rd, address, _pc = cols
-
         wd = self.weight_data
         wt = self.weight_transition
         wf = self.weight_fetch
         we = self.weight_engine
         base = self.baseline
 
+        # A compiled compute backend replaces everything below with two
+        # passes over the event log's rows, read in place: one for the
+        # cycle offsets, one writing every sample (padding cycles at the
+        # baseline).  Bit-exact by the backend contract: its float
+        # expression trees mirror this method operation for operation
+        # (``backend.*.expand`` oracles).  It declines an op class
+        # outside the cycle table, which only this path can judge.
+        kernel = get_kernel("expand_events")
+        if kernel is not None:
+            expanded = kernel(cols, (wd, wt, wf, we, self.engine_offset, base))
+            if expanded is not None:
+                return expanded
+
+        op, word, rs1, rs2, result, old_rd, address, _pc = cols
         cycles = _CYCLES_BY_CLASS[op]
         starts = np.zeros(n, dtype=np.int64)
         np.cumsum(cycles[:-1], out=starts[1:])
@@ -141,18 +153,6 @@ class LeakageModel:
         previous_word = np.empty_like(word)
         previous_word[0] = 0
         previous_word[1:] = word[:-1]
-
-        # A compiled compute backend replaces the whole per-class
-        # scatter below with one pass over the event log — bit-exact by
-        # the backend contract (its float expression trees mirror this
-        # method operation for operation; ``backend.*.expand`` oracles).
-        kernel = get_kernel("expand_events")
-        if kernel is not None:
-            kernel(
-                cols, previous_word, starts, samples,
-                (wd, wt, wf, we, self.engine_offset, base),
-            )
-            return samples, starts
 
         # Event indices of one op class, ascending (the same order a
         # stable sort would give).  A boolean scan per class beats one

@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
-from typing import List
+from functools import lru_cache
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.errors import SimulationError
 
 _MASK32 = 0xFFFFFFFF
+
+
+@lru_cache(maxsize=32)
+def _program_image(words: Tuple[int, ...]) -> bytes:
+    """The little-endian bytes of a program, built once per program."""
+    return b"".join((word & _MASK32).to_bytes(4, "little") for word in words)
 
 
 class Memory:
@@ -65,19 +72,18 @@ class Memory:
     def load_program(self, words: List[int], base_address: int = 0) -> None:
         """Copy a list of 32-bit words into memory at ``base_address``.
 
-        An in-range aligned program blits in one slice assignment; the
-        out-of-range / misaligned cases fall back to per-word stores so
-        the fault (including which prefix was written before it) matches
-        the word-at-a-time behaviour exactly.
+        An in-range aligned program blits its image (built once per
+        distinct program) in one slice assignment; the out-of-range /
+        misaligned cases fall back to per-word stores so the fault
+        (including which prefix was written before it) matches the
+        word-at-a-time behaviour exactly.
         """
         end = base_address + 4 * len(words)
         if base_address % 4 or base_address < 0 or end > self.size:
             for i, word in enumerate(words):
                 self.store_word(base_address + 4 * i, word)
             return
-        self._data[base_address:end] = b"".join(
-            (word & _MASK32).to_bytes(4, "little") for word in words
-        )
+        self._data[base_address:end] = _program_image(tuple(words))
 
     def read_words(self, address: int, count: int) -> List[int]:
         """Read ``count`` consecutive little-endian words.

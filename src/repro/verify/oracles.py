@@ -15,7 +15,9 @@ driven by the same harness:
   sums, with error proportional to ``eps * sum(|x|)``);
 - ``segmentation.windows`` — the native ``segment`` kernel vs the numpy
   reference path: windows, anchors, aligned slices with and without an
-  anchor refiner, and errors, on synthetic burst traces (bit-exact);
+  anchor refiner (the refined ones under every variant of the kernel's
+  loops and offset pruning), and errors, on synthetic burst traces
+  (bit-exact);
 - ``ring.ntt`` — level-order vectorized butterflies vs the per-group
   loops, plus the inverse∘forward identity;
 - ``ring.negacyclic_multiply`` — NTT-domain product vs a schoolbook
@@ -529,6 +531,11 @@ def _sample_windows_case(rng: np.random.Generator) -> Dict[str, Any]:
     time further on (an exact tie wherever both copies fall in one
     window, which the first offset wins).  Some traces are flat (one
     constant level), so their envelopes hold no burst at all.
+
+    The rest stress the refiner's offset bound: a periodic texture over
+    the bursts (many offsets share chunk sums), a reference constant
+    over chunks, and traces scaled far up or down or shifted negative
+    (the bound's margins then dominate).
     """
     from repro.attack.segmentation import AnchorRefiner, SegmenterConfig
 
@@ -549,10 +556,19 @@ def _sample_windows_case(rng: np.random.Generator) -> Dict[str, Any]:
     samples = np.concatenate(pieces)
     if rng.random() < 0.05:
         samples = np.full(samples.size, float(rng.choice([0.0, 1.0, 7.25])))
+    elif rng.random() < 0.15:
+        period = int(rng.integers(2, 30))
+        texture = rng.integers(0, 3, period).astype(np.float64) * 0.25
+        samples += np.resize(texture, samples.size)
     before, after = int(rng.integers(1, 160)), int(rng.integers(0, 60))
     length = before + after
     style = rng.random()
-    if style < 0.4 and samples.size >= 2 * length + 2:
+    if style < 0.1:
+        # constant over chunks of the kernel's width, ceil(length / 11)
+        width = -(-length // 11)
+        levels = rng.normal(0.5, 0.5, -(-length // width))
+        reference = np.repeat(levels, width)[:length]
+    elif style < 0.4 and samples.size >= 2 * length + 2:
         # the trace's own pattern, planted again further on
         first = int(rng.integers(0, samples.size - 2 * length))
         second = int(rng.integers(first + length, samples.size - length + 1))
@@ -563,11 +579,50 @@ def _sample_windows_case(rng: np.random.Generator) -> Dict[str, Any]:
     else:
         reference = rng.normal(0.5, 0.5, length)
     samples += rng.normal(0.0, float(rng.choice([0.0, 0.02, 0.1])), samples.size)
+    if rng.random() < 0.15:
+        shift = float(rng.choice([0.0, -3.0]))
+        scale = float(rng.choice([1e-150, 1e-20, 1e100, 1e140, 1e148]))
+        samples = (samples + shift) * scale
+        reference = (reference + shift) * scale
     return {
         "samples": samples,
         "config": config,
         "refiner": AnchorRefiner(reference, before=before, after=after),
     }
+
+
+#: The native refiner's ``variant`` bits (see ``_segment_kernel``): 1
+#: for its AVX2 loops, 2 to switch its offset pruning off.
+_SEGMENT_VARIANTS = (0, 1, 2, 3)
+
+
+def _segment_variants(case: Dict[str, Any], backend: str) -> Dict[str, Any]:
+    """:func:`_segment_with`, plus the refined slices of every variant of
+    the native refiner (numpy's own refined slices on the reference
+    backend, which has no variants)."""
+    from repro.attack.segmentation import Segmenter
+    from repro.backends import probe_backend
+
+    result = _segment_with(case, backend)
+    if "refined" not in result:
+        return result
+    if backend == "reference":
+        result["variants"] = [result["refined"]] * len(_SEGMENT_VARIANTS)
+        return result
+    kernel = probe_backend(backend).kernels["segment"]
+    segmenter = Segmenter(case["config"])
+    samples, refiner = case["samples"], case["refiner"]
+    variants = []
+    for variant in _SEGMENT_VARIANTS:
+        reason, found = kernel(
+            samples, case["config"], refiner, slices=True, variant=variant
+        )
+        if reason == "ok":
+            variants.append(segmenter._refine_pending(samples, refiner, *found))
+        else:  # deferred to numpy, as aligned_slices does
+            variants.append(result["refined"])
+    result["variants"] = variants
+    return result
 
 
 def _segment_with(case: Dict[str, Any], backend: str) -> Dict[str, Any]:
@@ -1048,10 +1103,11 @@ register(
     Oracle(
         name="segmentation.windows",
         description="native segment kernel vs the numpy reference path "
-        "(bit-exact windows, anchors, aligned and refined slices, errors)",
+        "(bit-exact windows, anchors, aligned and refined slices under "
+        "every refiner variant, errors)",
         sample=_sample_windows_case,
-        fast=lambda case: _segment_with(case, _fastest_backend()),
-        reference=lambda case: _segment_with(case, "reference"),
+        fast=lambda case: _segment_variants(case, _fastest_backend()),
+        reference=lambda case: _segment_variants(case, "reference"),
         summarize=lambda case: (
             f"{case['samples'].size} samples, "
             f"windows {case['config'].envelope_window}/{case['config'].frac_window}"

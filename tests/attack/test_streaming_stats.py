@@ -54,6 +54,21 @@ class TestRunningMoments:
         np.testing.assert_allclose(merged.mean, union.mean, atol=1e-12)
         np.testing.assert_allclose(merged.scatter, union.scatter, atol=1e-9)
 
+    def test_block_merge_is_the_full_merge_on_the_block(self):
+        rng = np.random.default_rng(4)
+        parts = [RunningMoments.from_matrix(rng.normal(v, 1 + v, (9, 8))) for v in range(4)]
+        before = [(p.mean.copy(), p.scatter.copy()) for p in parts]
+        full, block = RunningMoments(8), RunningMoments(8)
+        for part in parts:
+            full.merge(part)
+            block.merge(part, slice(3, 7))
+        assert block.count == full.count
+        assert block.mean.tobytes() == full.mean.tobytes()
+        assert block.scatter[3:7, 3:7].tobytes() == full.scatter[3:7, 3:7].tobytes()
+        for part, (mean, scatter) in zip(parts, before):  # arguments only read
+            assert part.mean.tobytes() == mean.tobytes()
+            assert part.scatter.tobytes() == scatter.tobytes()
+
 
 class TestMomentAccumulator:
     def test_matches_per_label_grouping(self):

@@ -2,17 +2,23 @@
 
 ``repro.backends.native`` computes ``Segmenter.windows`` and
 ``aligned_slices`` in C.  Every step but the refiner's cross term is the
-same sequence of IEEE operations as numpy's, and the cross term is
-screened under a rigorous error bound, so the kernel must reproduce the
-numpy path bit for bit: thresholds, windows, anchors, slices and error
-messages.  These tests pin each piece; the ``segmentation.windows``
-oracle sweeps random cases.
+same sequence of IEEE operations as numpy's, the cross term is screened
+under a rigorous error bound, and the offsets a chunk-sum lower bound
+rules out never get one, so the kernel must reproduce the numpy path bit
+for bit: thresholds, windows, anchors, slices and error messages.  These
+tests pin each piece, under every ``variant`` of the refiner's loops;
+the ``segmentation.windows`` oracle sweeps random cases.
 """
 
 import numpy as np
 import pytest
 
-from repro.attack.segmentation import AnchorRefiner, Segmenter, SegmenterConfig
+from repro.attack.segmentation import (
+    AnchorRefiner,
+    CoefficientWindow,
+    Segmenter,
+    SegmenterConfig,
+)
 from repro.backends import probe_backend, use_backend
 from repro.errors import AttackError
 from repro.power.capture import TraceAcquisition
@@ -24,6 +30,10 @@ pytestmark = pytest.mark.skipif(
 )
 
 PAPER_Q = 132120577
+
+#: The refiner's ``variant`` bits: 1 for the AVX2 loops (portable on a
+#: CPU without them), 2 to switch the offset pruning off.
+VARIANTS = (0, 1, 2, 3)
 
 
 @pytest.fixture(scope="module")
@@ -302,3 +312,143 @@ class TestRefinedSlices:
         seg = Segmenter(config)
         fast, slow = _both(lambda: seg.aligned_slices(samples, refiner))
         np.testing.assert_array_equal(fast, slow)
+
+
+def _refine_direct(lib, samples, windows, refiner, variant):
+    """``reveal_segment_refine`` on hand-made ``(start, end, anchor)``
+    rows: the refined anchors and the pending mask."""
+    ffi = lib.ffi
+    x = np.ascontiguousarray(samples, dtype=np.float64)
+    win = np.array(windows, dtype=np.int64).reshape(-1, 3)
+    ref = np.ascontiguousarray(refiner.reference)
+    pending = np.zeros(len(win), dtype=np.uint8)
+    count = lib.lib.reveal_segment_refine(
+        ffi.cast("double *", ffi.from_buffer(x)), x.size,
+        ffi.cast("int64_t *", ffi.from_buffer(win)), len(win),
+        ffi.cast("double *", ffi.from_buffer(ref)), ref.size,
+        refiner.before, refiner.after, variant,
+        ffi.cast("uint8_t *", ffi.from_buffer(pending)),
+    )
+    assert count == int(pending.sum())
+    return win[:, 2], pending.astype(bool)
+
+
+def _check_direct(lib, samples, windows, refiner):
+    """Every variant settles a window to numpy's anchor or leaves it
+    pending; returns the pending mask of each variant."""
+    want = [
+        refiner.refine(samples, CoefficientWindow(i, *row))
+        for i, row in enumerate(windows)
+    ]
+    masks = {}
+    for variant in VARIANTS:
+        anchors, pending = _refine_direct(lib, samples, windows, refiner, variant)
+        for i in np.flatnonzero(~pending):
+            assert anchors[i] == want[i], (variant, i)
+        masks[variant] = pending
+    return masks
+
+
+def _check_public(kernel, samples, config, refiner):
+    """Every variant's slices, pending rows finished as aligned_slices
+    does, equal the numpy path's."""
+    seg = Segmenter(config)
+    with use_backend("reference"):
+        want = seg.aligned_slices(samples, refiner)
+    for variant in VARIANTS:
+        reason, result = kernel(samples, config, refiner, slices=True, variant=variant)
+        assert reason == "ok"
+        got = seg._refine_pending(samples, refiner, *result)
+        np.testing.assert_array_equal(got, want, err_msg=f"variant {variant}")
+
+
+class TestPruning:
+    """The chunk-sum bound drops offsets, never numpy's argmin."""
+
+    def test_real_trace_every_variant(self, kernel, bench, refiner):
+        samples = bench.capture(557, 48).trace.samples
+        _check_public(kernel, samples, Segmenter().config, refiner)
+        for variant in VARIANTS:
+            reason, (_rows, _located, pending) = kernel(
+                samples, Segmenter().config, refiner, slices=True, variant=variant
+            )
+            assert len(pending) == 0
+
+    @pytest.mark.parametrize("period", [7, 20, 21])
+    def test_periodic_trace(self, lib, period):
+        # every offset a whole number of periods away from the planted
+        # copy shares its chunk sums; integer samples tie exactly
+        rng = np.random.default_rng(period)
+        x = np.tile(rng.integers(0, 5, period).astype(np.float64), 4000 // period)
+        refiner = AnchorRefiner(x[300:520].copy(), before=160, after=60)
+        windows = [(0, 1500, 800), (1500, 3000, 1600), (700, 2900, 2000)]
+        masks = _check_direct(lib, x, windows, refiner)
+        for mask in masks.values():
+            assert mask.all()  # exact ties: numpy's refine decides
+        noisy = x + rng.normal(0.0, 0.05, x.size)
+        _check_direct(lib, noisy, windows, refiner)
+
+    def test_chunk_constant_reference(self, lib, bench, refiner):
+        # a reference constant over each 20-sample chunk: the bound is
+        # then exact wherever the window is chunk-constant too
+        rng = np.random.default_rng(5)
+        levels = np.repeat(rng.normal(10.0, 5.0, 11), 20)
+        flat = AnchorRefiner(levels, before=160, after=60)
+        x = np.repeat(rng.normal(10.0, 5.0, 300), 20)
+        x[2000:2220] = levels
+        windows = [(1500, 2600, 1900), (0, 5800, 100), (2100, 4000, 3000)]
+        _check_direct(lib, x, windows, flat)
+        _check_direct(lib, x + rng.normal(0.0, 0.01, x.size), windows, flat)
+        samples = bench.capture(558, 8).trace.samples
+        with use_backend("reference"):
+            located = Segmenter().windows(samples)
+        rows = [(w.start, w.end, w.anchor) for w in located]
+        masks = _check_direct(lib, samples, rows, flat)
+        assert masks[0].sum() == masks[2].sum() == 0
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-40, 1e100, 1e145, 1e148, 1e150])
+    @pytest.mark.parametrize("shift", [0.0, -60.0])
+    def test_extreme_magnitudes_and_negative_samples(
+        self, lib, bench, refiner, scale, shift
+    ):
+        # where the margins dominate the bound: huge or tiny samples,
+        # negative ones, and squares past 1e300 (pending)
+        samples = bench.capture(559, 6).trace.samples
+        with use_backend("reference"):
+            located = Segmenter().windows(samples)
+        rows = [(w.start, w.end, w.anchor) for w in located]
+        x = (samples + shift) * scale
+        scaled = AnchorRefiner((refiner.reference + shift) * scale, 160, 60)
+        masks = _check_direct(lib, x, rows, scaled)
+        if 1e-40 <= scale <= 1e100:  # else underflow or 1e300 defers
+            assert not any(mask.any() for mask in masks.values())
+
+    def test_planted_tie_first_offset_wins(self, kernel, lib):
+        config = SegmenterConfig(envelope_window=1, frac_window=1)
+        pattern = np.r_[np.ones(20), np.zeros(15), np.ones(10)]
+        samples = np.concatenate(
+            [np.zeros(200), np.ones(800), np.zeros(100), pattern,
+             np.zeros(100), pattern, np.zeros(100), np.ones(90),
+             np.zeros(300)]
+        )
+        refiner = AnchorRefiner(pattern, before=30, after=15)
+        for mask in _check_direct(lib, samples, [(200, 1800, 1700)], refiner).values():
+            assert mask.all()
+        _check_public(kernel, samples, config, refiner)
+
+    def test_coarse_anchor_far_from_minimum(self, lib, bench, refiner):
+        # the seed score comes from the coarse anchor; from the window's
+        # far ends (clamped) or anywhere, the refined anchor is numpy's
+        samples = bench.capture(560, 16).trace.samples
+        with use_backend("reference"):
+            located = Segmenter().windows(samples)
+        rng = np.random.default_rng(11)
+        for anchor_of in (
+            lambda w: w.start - 10_000,
+            lambda w: w.end + 10_000,
+            lambda w: w.start + 170,
+            lambda w: int(rng.integers(w.start, w.end)),
+        ):
+            rows = [(w.start, w.end, anchor_of(w)) for w in located]
+            masks = _check_direct(lib, samples, rows, refiner)
+            assert not any(mask.any() for mask in masks.values())

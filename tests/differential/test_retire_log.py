@@ -12,9 +12,11 @@ cpu.retire_log --case-seed N`` (or sweeps via ``python -m repro.verify
 fuzz cpu.retire_log``).
 """
 
+import pytest
 from hypothesis import given
 
 from repro.riscv.assembler import assemble
+from repro.riscv.compiled import compiled_available, probe_error
 from repro.verify.conformance import (
     ENGINE_PAIRS,
     assert_engines_match,
@@ -27,6 +29,13 @@ from tests.differential.helpers import assert_ok
 from tests.strategies import adversarial_programs, case_seeds, rv32im_programs
 
 ORACLE = get_oracle("cpu.retire_log")
+
+#: The fixed scenarios below run the compiled engine by name; without a
+#: C toolchain they skip, as ``tests/riscv/test_compiled_engine.py`` does.
+requires_compiled = pytest.mark.skipif(
+    not compiled_available(),
+    reason=f"compiled engine unavailable: {probe_error()}",
+)
 
 
 @given(rv32im_programs())
@@ -62,6 +71,7 @@ def _all_engines(source, registers=None, max_instructions=10_000):
     return runs[0]
 
 
+@requires_compiled
 def test_self_loop_budget_exhaustion():
     run = _all_engines("jal x0, 0", max_instructions=13)
     assert run.error is not None and "budget" in run.error
@@ -69,6 +79,7 @@ def test_self_loop_budget_exhaustion():
     assert not run.retires[:, 10].any()  # budget is a limit, not a trap
 
 
+@requires_compiled
 def test_fault_mid_block_trap_record():
     run = _all_engines("addi x1, x0, 101\nlw x2, 0(x1)\nebreak")
     assert run.error is not None
@@ -76,6 +87,7 @@ def test_fault_mid_block_trap_record():
     assert run.retires.shape[0] == 2
 
 
+@requires_compiled
 def test_misaligned_jump_traps_with_zero_insn():
     run = _all_engines("addi x1, x0, 6\njalr x0, x1, 0\nebreak")
     assert run.error is not None
@@ -83,6 +95,7 @@ def test_misaligned_jump_traps_with_zero_insn():
     assert run.retires[-1, 3] == 0  # pc=6 not fetchable as a word
 
 
+@requires_compiled
 def test_smc_patch_ahead_retires_patched_word():
     patch = assemble("addi x4, x0, 77").words[0]
     low = patch & 0xFFF
@@ -120,6 +133,7 @@ def test_divergence_report_is_structural():
     assert any("retire counts diverge" in line for line in report)
 
 
+@requires_compiled
 def test_oracle_reports_every_engine_pair():
     payload = ORACLE.fast(
         {"source": "addi x1, x0, 3\nebreak", "registers": {}, "max_instructions": 100}

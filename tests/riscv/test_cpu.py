@@ -279,3 +279,29 @@ class TestEventStorageConsistency:
         assert events[-1].op_class == cy.OP_SYSTEM
         assert events[0:2] == as_list[0:2]
         assert events == as_list
+
+
+class TestLoadProgram:
+    def test_image_matches_word_stores(self):
+        words = [0x00100073, 0xFFFFFFFF, -1, 1 << 33 | 5]
+        blit, stored = Memory(64), Memory(64)
+        blit.load_program(words, 8)
+        for i, word in enumerate(words):
+            stored.store_word(8 + 4 * i, word)
+        assert blit.read_words(0, 16) == stored.read_words(0, 16)
+
+    def test_program_changed_in_place_reloads_new_words(self):
+        words = [1, 2, 3]
+        memory = Memory(64)
+        memory.load_program(words, 0)
+        words[1] = 7
+        memory.load_program(words, 0)
+        assert memory.read_words(0, 3) == [1, 7, 3]
+
+    @pytest.mark.parametrize("base", [2, 60, -4])
+    def test_misaligned_or_out_of_range_faults_after_prefix(self, base):
+        memory = Memory(64)
+        with pytest.raises(SimulationError):
+            memory.load_program([0x11, 0x22], base)
+        if base == 60:  # the first word fits and is written
+            assert memory.load_word(60) == 0x11
