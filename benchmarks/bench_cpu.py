@@ -32,7 +32,7 @@ from typing import Dict
 import numpy as np
 
 from repro.attack.template import TemplateSet, gaussian_priors
-from repro.riscv.compiled import compiled_available, probe_error
+from repro.backends import probe_backend, probe_error
 from repro.riscv.device import GaussianSamplerDevice
 
 MODULI = [0xFFEE001, 0xFFC4001, 0x7FE2001, 0x7F54001]
@@ -47,16 +47,16 @@ def bench_cpu(
 
     ``seed``/``count`` are passed explicitly to every run so all arms
     execute the same program on the same data.  The compiled engine's
-    rows appear only where its toolchain probe passes; the probe
+    rows appear only where the native backend's probe passes; the probe
     failure reason is recorded under ``compiled_unavailable`` instead.
     """
     device = GaussianSamplerDevice(MODULI)
     results: Dict[str, float] = {}
     engines = ["threaded", "reference"]
-    if compiled_available():
+    if probe_backend("native") is not None:
         engines.insert(1, "compiled")
     else:
-        results["compiled_unavailable"] = probe_error()  # type: ignore[assignment]
+        results["compiled_unavailable"] = probe_error("native")  # type: ignore[assignment]
     for engine in engines:
         for record in (True, False):
             # warm-up covers translation, C compilation and numpy

@@ -18,13 +18,17 @@ Backends
     vectorized numpy path, which stays the semantic twin every other
     backend is verified against.
 ``native``
-    C kernels compiled once per machine through ``cffi`` + the system C
+    One cffi module, compiled once per machine with the system C
     compiler (``-O3 -ffp-contract=off``; the contraction barrier keeps
-    float kernels bit-identical to numpy's non-fused arithmetic).  The
-    shared object is cached on disk keyed by the C source hash, so
-    probes after the first are a plain import and forked pool workers
-    inherit the loaded library.  Probing never raises when no compiler
-    is present — the registry silently falls back to ``reference``.
+    float kernels bit-identical to numpy's non-fused arithmetic).  It
+    carries these kernels and the compiled RV32IM engine's core, whose
+    one ``ebreak`` must retire before the probe passes.  The shared
+    object is cached on disk keyed by the C source hash, so probes
+    after the first are a plain import and forked pool workers inherit
+    the loaded library.  A missing cffi or compiler makes the probe
+    return ``None`` with its reason kept (:func:`probe_error`): the
+    registry falls back to ``reference`` and the compiled engine to
+    threaded.  Any other error is a bug and propagates.
 
 Selection
 ---------
@@ -51,9 +55,9 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
-from repro.errors import ParameterError
+from repro.errors import ParameterError, SimulationError
 
 #: Canonical backend names, in the order reported to users.
 BACKEND_NAMES = ("reference", "native")
@@ -67,6 +71,9 @@ class Backend:
     version: str
     priority: int
     kernels: Dict[str, Callable] = field(default_factory=dict)
+    #: The loaded cffi module behind the kernels (``None`` for
+    #: ``reference``); the compiled engine runs its core from it.
+    module: Any = field(default=None, repr=False)
 
     @property
     def ident(self) -> str:
@@ -101,6 +108,18 @@ _PROBE_ERRORS: Dict[str, str] = {}
 _ACTIVE: Optional[Backend] = None
 
 
+def _probe_failures() -> tuple:
+    """What a failed probe raises: a missing cffi or C compiler, an
+    unwritable cache, a cdef cffi rejects, or a core that does not
+    retire one ``ebreak``."""
+    failures = (ImportError, OSError, SimulationError)
+    try:
+        from cffi import CDefError, VerificationError
+    except ImportError:
+        return failures
+    return failures + (CDefError, VerificationError)
+
+
 def _validate(name: str) -> str:
     if name not in BACKEND_NAMES:
         raise ParameterError(
@@ -113,9 +132,10 @@ def _validate(name: str) -> str:
 def probe_backend(name: str) -> Optional[Backend]:
     """Build (or fetch the cached) backend; ``None`` if unavailable.
 
-    A probe failure is cached with its reason and never raises: a
-    missing compiler must degrade to the reference
-    path, not break imports.
+    A toolchain failure (:func:`_probe_failures`) is cached with its
+    reason and never raises: a missing compiler must degrade to the
+    reference path, not break imports.  Any other error propagates and
+    is not cached.
     """
     name = _validate(name)
     with _LOCK:
@@ -123,7 +143,7 @@ def probe_backend(name: str) -> Optional[Backend]:
             return _PROBED[name]
     try:
         backend = _FACTORIES[name]()
-    except Exception as exc:  # noqa: BLE001 - probe must never propagate
+    except _probe_failures() as exc:
         with _LOCK:
             _PROBED[name] = None
             _PROBE_ERRORS[name] = f"{type(exc).__name__}: {exc}"

@@ -14,7 +14,8 @@ instruction-set simulator:
 - :mod:`repro.riscv.threaded` — the threaded-code engine: basic blocks
   translated once into direct-dispatch handler chains;
 - :mod:`repro.riscv.compiled` — the compiled engine: one fixed
-  RV32IM interpreter core in C, built once per machine through cffi;
+  RV32IM interpreter core in C, built once per machine into the
+  native backend's cffi module;
 - :mod:`repro.riscv.programs` — the Gaussian-sampling kernel in RV32IM
   assembly, mirroring SEAL's ``set_poly_coeffs_normal`` (Fig. 2).
 """

@@ -60,18 +60,19 @@ def resolve_engine(engine: Optional[str] = None) -> str:
 def effective_engine(engine: Optional[str] = None) -> str:
     """Resolve an engine and apply capability degradation.
 
-    ``"compiled"`` requires a working C toolchain; when its probe fails
-    the selection degrades to ``"threaded"`` (bit-identical, slower) —
-    the same graceful-fallback contract as the compute-backend registry.
-    The recorded reason is available from
-    :func:`repro.riscv.compiled.probe_error`.  Every other engine
+    ``"compiled"`` runs its core in the native backend's module; where
+    ``probe_backend("native")`` fails (no C toolchain) it degrades to
+    ``"threaded"`` (bit-identical, slower), with the reason kept by
+    :func:`repro.backends.probe_error`.  It reads the probe, not the
+    :func:`~repro.backends.use_backend` selection, so pinning the
+    reference backend does not switch engines.  Every other engine
     resolves unchanged.
     """
     engine = resolve_engine(engine)
     if engine == "compiled":
-        from repro.riscv.compiled import compiled_available
+        from repro.backends import probe_backend
 
-        if not compiled_available():
+        if probe_backend("native") is None:
             return "threaded"
     return engine
 

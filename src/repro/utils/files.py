@@ -13,8 +13,9 @@ def atomic_write_bytes(path: Union[str, Path], payload: bytes) -> None:
     directory and :func:`os.replace`.  On failure the temp file is
     removed, ``path`` keeps its old content and the error propagates.
 
-    ``repro.backends.native.build_extension`` keeps its own ``mkdtemp``
-    build directory: it publishes a compiler output, not bytes it holds.
+    ``repro.backends.native.build_extension``, which builds the one
+    native module, keeps its own ``mkdtemp`` build directory: it
+    publishes a compiler output, not bytes it holds.
     """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(

@@ -81,15 +81,15 @@ def active_engines() -> tuple:
     """The engines the sweeps actually run here and now.
 
     Applies the :func:`set_engine_filter` subset, then drops
-    ``compiled`` when its capability probe fails (no C toolchain): the
-    fuzz must stay green on machines where the engine legitimately
-    degrades to threaded.
+    ``compiled`` when the native backend's probe fails (no C
+    toolchain): the fuzz must stay green on machines where the engine
+    legitimately degrades to threaded.
     """
     engines = _ENGINE_FILTER if _ENGINE_FILTER is not None else ALL_ENGINES
     if "compiled" in engines:
-        from repro.riscv.compiled import compiled_available
+        from repro.backends import probe_backend
 
-        if not compiled_available():
+        if probe_backend("native") is None:
             engines = tuple(e for e in engines if e != "compiled")
     return engines
 

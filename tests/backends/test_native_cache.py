@@ -1,29 +1,31 @@
 """Injected faults in the native module cache (``$REVEAL_NATIVE_CACHE``).
 
-A truncated or garbage file under a cached module's name must be
-rebuilt, not loaded and not left to demote the compiled engine or the
-native backend for every later process.  Both module families are
-covered: the RV32IM core (``_reveal_cpu_*``) and the numeric backend
-(``_reveal_native_*``).
+A truncated or garbage file under the cached module's name must be
+rebuilt, not loaded and not left to demote the native backend and the
+compiled engine for every later process.  The one ``_reveal_native_*``
+module carries both, and both of its users are covered: the RV32IM core
+(the compiled engine, whose rebuilt core must retire an ``ebreak``) and
+the numeric backend (whose rebuilt kernels must be exported).
 """
 
 import os
 
 import pytest
 
-from repro.backends import native
+from repro.backends import native, probe_backend, probe_error
 from repro.riscv import compiled as compiled_mod
 
 pytest.importorskip("cffi")
 
 
 def _build_core():
-    compiled_mod._CORE["module"] = None
-    return compiled_mod._core()
+    module = native._compile_and_load()[0]
+    compiled_mod.check_core(module)
+    return module
 
 
 def _build_native():
-    return native._compile_and_load()[0]
+    return native.build_backend().module
 
 
 #: family -> (builder, one function its module must export)
@@ -42,38 +44,31 @@ def _corrupt(kind: str, good: bytes) -> bytes:
 
 @pytest.fixture(scope="module")
 def built(tmp_path_factory):
-    """One good build per family, in a private cache: ``{family: (name, bytes)}``."""
+    """One good build in a private cache: ``(name, bytes)``."""
+    if probe_backend("native") is None:
+        pytest.skip(f"cannot build the native module here: {probe_error('native')}")
     saved_env = os.environ.get("REVEAL_NATIVE_CACHE")
-    saved_core = compiled_mod._CORE["module"]
-    result = {}
+    cache = tmp_path_factory.mktemp("good")
+    os.environ["REVEAL_NATIVE_CACHE"] = str(cache)
     try:
-        for family, (build, _symbol) in FAMILIES.items():
-            cache = tmp_path_factory.mktemp(f"good-{family}")
-            os.environ["REVEAL_NATIVE_CACHE"] = str(cache)
-            try:
-                build()
-            except compiled_mod._toolchain_errors() as exc:  # pragma: no cover
-                pytest.skip(f"cannot build the {family} module here: {exc}")
-            (name,) = os.listdir(cache)
-            with open(cache / name, "rb") as fh:
-                result[family] = (name, fh.read())
+        native._compile_and_load()
     finally:
         if saved_env is None:
             os.environ.pop("REVEAL_NATIVE_CACHE", None)
         else:
             os.environ["REVEAL_NATIVE_CACHE"] = saved_env
-        compiled_mod._CORE["module"] = saved_core
-    return result
+    (name,) = os.listdir(cache)
+    with open(cache / name, "rb") as fh:
+        return name, fh.read()
 
 
 @pytest.mark.parametrize("kind", ["truncated", "garbage"])
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_corrupt_cached_module_is_rebuilt(built, family, kind, tmp_path, monkeypatch):
-    name, good = built[family]
+    name, good = built
     corrupt = _corrupt(kind, good)
     (tmp_path / name).write_bytes(corrupt)
     monkeypatch.setenv("REVEAL_NATIVE_CACHE", str(tmp_path))
-    monkeypatch.setitem(compiled_mod._CORE, "module", None)
     build, symbol = FAMILIES[family]
     module = build()
     assert hasattr(module.lib, symbol)

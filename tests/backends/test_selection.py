@@ -60,8 +60,9 @@ class TestProbe:
             raise ImportError("no module named 'cffi'")
 
         monkeypatch.setitem(backends._FACTORIES, "native", no_toolchain)
-        monkeypatch.delitem(backends._PROBED, "native", raising=False)
-        monkeypatch.delitem(backends._PROBE_ERRORS, "native", raising=False)
+        # Fresh probe tables: the failure must not outlive this test.
+        monkeypatch.setattr(backends, "_PROBED", {})
+        monkeypatch.setattr(backends, "_PROBE_ERRORS", {})
         assert probe_backend("native") is None
         assert "native" not in available_backends()
         assert probe_error("native")  # reason recorded

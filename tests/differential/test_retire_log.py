@@ -15,8 +15,8 @@ fuzz cpu.retire_log``).
 import pytest
 from hypothesis import given
 
+from repro.backends import probe_backend, probe_error
 from repro.riscv.assembler import assemble
-from repro.riscv.compiled import compiled_available, probe_error
 from repro.verify.conformance import (
     ENGINE_PAIRS,
     assert_engines_match,
@@ -33,8 +33,8 @@ ORACLE = get_oracle("cpu.retire_log")
 #: The fixed scenarios below run the compiled engine by name; without a
 #: C toolchain they skip, as ``tests/riscv/test_compiled_engine.py`` does.
 requires_compiled = pytest.mark.skipif(
-    not compiled_available(),
-    reason=f"compiled engine unavailable: {probe_error()}",
+    probe_backend("native") is None,
+    reason=f"compiled engine unavailable: {probe_error('native')}",
 )
 
 

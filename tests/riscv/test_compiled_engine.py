@@ -8,9 +8,10 @@ engine's plumbing contract: device parity, one core module for every
 program, graceful no-toolchain fallback and the pickle behaviour
 (devices never ship warm caches across process boundaries).
 
-Without a C toolchain the compiled engine is unavailable and
-``effective_engine`` degrades it to threaded: the device-level tests run
-either way, and the tests that drive the core directly skip.
+The core lives in the native backend's module.  Without a C toolchain
+``probe_backend("native")`` fails and ``effective_engine`` degrades the
+compiled engine to threaded: the device-level tests run either way, and
+the tests that drive the core directly skip.
 """
 
 import os
@@ -19,13 +20,12 @@ import pickle
 import numpy as np
 import pytest
 
+from repro import backends
+from repro.backends import probe_backend, probe_error
+from repro.errors import ParameterError
 from repro.riscv import compiled as compiled_mod
+from repro.riscv import Cpu, Memory
 from repro.riscv.assembler import assemble
-from repro.riscv.compiled import (
-    compiled_available,
-    probe_error,
-    reset_probe,
-)
 from repro.riscv.device import (
     ENGINES,
     GaussianSamplerDevice,
@@ -41,9 +41,24 @@ from repro.verify import conformance
 MODULI = [0xFFEE001, 0xFFC4001]
 
 requires_compiled = pytest.mark.skipif(
-    not compiled_available(),
-    reason=f"compiled engine unavailable: {probe_error()}",
+    probe_backend("native") is None,
+    reason=f"compiled engine unavailable: {probe_error('native')}",
 )
+
+
+def _no_toolchain():
+    """A native factory failing as a missing compiler does."""
+    raise OSError("no toolchain")
+
+
+def _reprobe_native(monkeypatch, factory):
+    """Forget the native probe and the active backend selection, and
+    build the native backend with ``factory`` next time."""
+    monkeypatch.setitem(backends._FACTORIES, "native", factory)
+    for name in ("_PROBED", "_PROBE_ERRORS"):
+        kept = {k: v for k, v in getattr(backends, name).items() if k != "native"}
+        monkeypatch.setattr(backends, name, kept)
+    monkeypatch.setattr(backends, "_ACTIVE", None)
 
 
 def _match(words, registers=None, *, max_instructions=10_000, setup=None):
@@ -158,11 +173,11 @@ def test_smc_needs_no_recompile():
         if "loop:" in case["source"]:
             break
     words = assemble(case["source"]).words
-    core = compiled_mod._core()
+    core = probe_backend("native").module
     first = _match(words, case["registers"])
     second = _match(words, case["registers"])
     assert first.halted and second.registers == first.registers
-    assert compiled_mod._core() is core
+    assert probe_backend("native").module is core
 
 
 # ----------------------------------------------------------------------
@@ -189,14 +204,16 @@ def test_device_parity_with_threaded():
 
 @requires_compiled
 def test_one_core_module_for_every_program(tmp_path, monkeypatch):
-    """Two programs and a device share one ``_reveal_cpu_*`` module."""
+    """Two programs, a device and the backend kernels share one module:
+    a cold cache holds exactly one file afterwards."""
     monkeypatch.setenv("REVEAL_NATIVE_CACHE", str(tmp_path))
-    monkeypatch.setitem(compiled_mod._CORE, "module", None)
+    _reprobe_native(monkeypatch, backends._FACTORIES["native"])
     _match(assemble("addi x1, x0, 9\nebreak").words)
     _match(assemble("addi x2, x0, 3\nmul x3, x2, x2\nebreak").words)
     GaussianSamplerDevice(MODULI).run(1, 2, engine="compiled")
-    built = [name for name in os.listdir(tmp_path) if name.startswith("_reveal_cpu_")]
-    assert len(built) == 1
+    assert backends.get_kernel("ntt_forward") is not None
+    (built,) = os.listdir(tmp_path)
+    assert built.startswith("_reveal_native_")
 
 
 def test_device_pickle_drops_compiled_caches():
@@ -217,40 +234,35 @@ def test_device_pickle_drops_compiled_caches():
 
 
 # ----------------------------------------------------------------------
-# Graceful degradation (no C toolchain)
+# Graceful degradation (no C toolchain: the native probe fails)
 # ----------------------------------------------------------------------
-def test_disable_env_forces_threaded_fallback(monkeypatch):
-    monkeypatch.setenv("REVEAL_DISABLE_COMPILED", "1")
-    reset_probe()
-    try:
-        assert not compiled_available()
-        assert probe_error() == "disabled by REVEAL_DISABLE_COMPILED"
-        assert effective_engine("compiled") == "threaded"
-        assert "compiled" not in conformance.active_engines()
-        pairs = conformance.active_engine_pairs()
-        assert pairs and all("compiled" not in pair for pair in pairs)
-        # device.run(engine="compiled") still works — via threaded.
-        device = GaussianSamplerDevice(MODULI)
-        run = device.run(3, 2, engine="compiled")
-        assert len(run.values) == 2
-    finally:
-        monkeypatch.delenv("REVEAL_DISABLE_COMPILED")
-        reset_probe()
+def test_failed_native_probe_forces_threaded_fallback(monkeypatch):
+    _reprobe_native(monkeypatch, _no_toolchain)
+    assert effective_engine("compiled") == "threaded"
+    assert "compiled" not in conformance.active_engines()
+    pairs = conformance.active_engine_pairs()
+    assert pairs and all("compiled" not in pair for pair in pairs)
+    # device.run(engine="compiled") still works — via threaded.
+    device = GaussianSamplerDevice(MODULI)
+    run = device.run(3, 2, engine="compiled")
+    assert len(run.values) == 2
 
 
 def test_default_engine_degrades_to_threaded_when_disabled(monkeypatch):
     monkeypatch.delenv("REVEAL_ENGINE", raising=False)
-    monkeypatch.setenv("REVEAL_DISABLE_COMPILED", "1")
-    reset_probe()
-    try:
-        assert resolve_engine(None) == "compiled"
-        assert effective_engine(None) == "threaded"
-        device = GaussianSamplerDevice(MODULI)
-        run = device.run(3, 2)
-        assert run.values == device.run(3, 2, engine="reference").values
-    finally:
-        monkeypatch.delenv("REVEAL_DISABLE_COMPILED")
-        reset_probe()
+    _reprobe_native(monkeypatch, _no_toolchain)
+    assert resolve_engine(None) == "compiled"
+    assert effective_engine(None) == "threaded"
+    device = GaussianSamplerDevice(MODULI)
+    run = device.run(3, 2)
+    assert run.values == device.run(3, 2, engine="reference").values
+
+
+def test_pinned_reference_backend_keeps_the_compiled_engine():
+    """The engine reads the probe, not the temporary backend selection."""
+    expected = "threaded" if probe_backend("native") is None else "compiled"
+    with backends.use_backend("reference"):
+        assert effective_engine("compiled") == expected
 
 
 def test_effective_engine_passes_through_other_engines():
@@ -274,20 +286,12 @@ def test_engine_filter_validation():
 
 def test_probe_failure_keeps_reason(monkeypatch):
     """A toolchain failure degrades to threaded with its reason kept."""
-
-    def no_toolchain():
-        raise OSError("no toolchain")
-
-    monkeypatch.setattr(compiled_mod, "_core", no_toolchain)
-    monkeypatch.delenv("REVEAL_DISABLE_COMPILED", raising=False)
-    reset_probe()
-    try:
-        assert not compiled_available()
-        assert probe_error() == "OSError: no toolchain"
-        assert effective_engine("compiled") == "threaded"
-    finally:
-        monkeypatch.undo()
-        reset_probe()
+    _reprobe_native(monkeypatch, _no_toolchain)
+    assert probe_backend("native") is None
+    assert probe_error("native") == "OSError: no toolchain"
+    assert effective_engine("compiled") == "threaded"
+    with pytest.raises(ParameterError, match="no toolchain"):
+        compiled_mod.run_compiled(Cpu(Memory(64)))
 
 
 def test_probe_does_not_hide_unexpected_errors(monkeypatch):
@@ -296,17 +300,25 @@ def test_probe_does_not_hide_unexpected_errors(monkeypatch):
     def broken():
         raise ZeroDivisionError("bug")
 
-    monkeypatch.setattr(compiled_mod, "_core", broken)
-    monkeypatch.delenv("REVEAL_DISABLE_COMPILED", raising=False)
-    reset_probe()
-    try:
-        with pytest.raises(ZeroDivisionError):
-            compiled_available()
-        with pytest.raises(ZeroDivisionError):  # not cached as "unavailable"
-            probe_error()
-    finally:
-        monkeypatch.undo()
-        reset_probe()
+    _reprobe_native(monkeypatch, broken)
+    with pytest.raises(ZeroDivisionError):
+        probe_backend("native")
+    assert "native" not in backends._PROBED  # not cached as "unavailable"
+    assert probe_error("native") is None
+    with pytest.raises(ZeroDivisionError):
+        effective_engine("compiled")
+
+
+@requires_compiled
+def test_core_that_does_not_retire_ebreak_fails_the_probe(monkeypatch):
+    """The probe's end-to-end check: one ``ebreak`` must retire in C."""
+    _reprobe_native(monkeypatch, backends._FACTORIES["native"])
+    monkeypatch.setattr(compiled_mod, "_run_loop", lambda cpu, budget, module: 0)
+    assert probe_backend("native") is None
+    assert probe_error("native") == (
+        "SimulationError: probe program did not halt after 1 instruction"
+    )
+    assert effective_engine("compiled") == "threaded"
 
 
 # ----------------------------------------------------------------------
@@ -350,16 +362,17 @@ def test_threaded_translation_cache_stats():
 # ----------------------------------------------------------------------
 # Probe contract
 # ----------------------------------------------------------------------
-def test_probe_is_cached_and_resettable():
-    first = compiled_available()
-    assert compiled_available() == first  # cached, no re-probe
-    reset_probe()
-    assert compiled_available() == first  # same answer after re-probe
+def test_probe_is_cached_and_resettable(monkeypatch):
+    first = probe_backend("native")
+    assert probe_backend("native") is first  # cached, no re-probe
+    _reprobe_native(monkeypatch, backends._FACTORIES["native"])
+    again = probe_backend("native")
+    assert (again is None) == (first is None)  # same answer after re-probe
 
 
 @requires_compiled
 def test_probe_reports_no_error_when_available():
-    assert probe_error() is None
+    assert probe_error("native") is None
 
 
 class TestEventLogReservation:
