@@ -20,7 +20,10 @@ Kernels:
   place instead of copying its columns;
 * ``segment`` — ``Segmenter.aligned_slices`` with an anchor refiner on a
   captured 1024-coefficient trace (the exact native segmentation kernel,
-  with its bound-pruned matched filter, vs the numpy path).
+  with its bound-pruned matched filter, vs the numpy path);
+* ``noise_1024`` — ``noise.add_noise`` in place over the leakage of the
+  same 1024-coefficient run (2.3M samples; the native Philox and
+  ziggurat kernel vs ``Generator(Philox).standard_normal`` and ``+=``).
 
 Run directly::
 
@@ -60,6 +63,7 @@ KERNELS: Tuple[Tuple[str, int], ...] = (
     ("expand", 50),
     ("expand_1024", 2),
     ("segment", 2),
+    ("noise_1024", 2),
 )
 
 #: Coefficients in the captured trace behind the ``segment`` row and in
@@ -71,6 +75,7 @@ def _build_cases() -> Dict[str, Callable[[], None]]:
     """One closure per kernel, running the call site under test."""
     from repro.attack.segmentation import AnchorRefiner, Segmenter
     from repro.power.capture import TraceAcquisition
+    from repro.power import noise
     from repro.power.leakage import LeakageModel
     from repro.power.scope import Oscilloscope
     from repro.riscv.device import GaussianSamplerDevice
@@ -98,6 +103,9 @@ def _build_cases() -> Dict[str, Callable[[], None]]:
         segmenter, [bench.capture(800 + i, 8).trace.samples for i in range(6)]
     )
     trace = bench.capture(4242, SEGMENT_COUNT).trace.samples
+    # in place, onto the same buffer every call: the cost does not
+    # depend on the values
+    noisy = model.expand(long_events)[0]
 
     return {
         "ntt_forward": lambda: context.forward(a),
@@ -106,6 +114,7 @@ def _build_cases() -> Dict[str, Callable[[], None]]:
         "expand": lambda: model.expand(events),
         "expand_1024": lambda: model.expand(long_events),
         "segment": lambda: segmenter.aligned_slices(trace, refiner),
+        "noise_1024": lambda: noise.add_noise(noisy, 2022, 3, 1.0),
     }
 
 
@@ -169,7 +178,8 @@ def main(argv=None) -> int:
             ident = backend_id()
         print(f"backend {ident} vs reference "
               f"({COUNT}- and {SEGMENT_COUNT}-coefficient expand, n={N} NTT, "
-              f"{SEGMENT_COUNT}-coefficient segment, best of {repetitions}):")
+              f"{SEGMENT_COUNT}-coefficient segment and noise, "
+              f"best of {repetitions}):")
         table = bench_backend(backend, repetitions)
         results[backend] = table
         for name, _ in KERNELS:
@@ -180,7 +190,7 @@ def main(argv=None) -> int:
 
         # Guard: the compiled kernels must hold a decisive win on the
         # hottest microbenches.  Measured ~9x (NTT forward), ~4.3x
-        # (expand) and ~6x (segment) for the native backend on a
+        # (expand), ~6x (segment) and ~3x (noise) for the native backend on a
         # 2-vCPU Xeon; the floors tolerate one noisy shared-runner
         # repetition while still catching a backend that silently fell
         # back to numpy (1.0x).  A floor only applies when the backend
@@ -191,6 +201,7 @@ def main(argv=None) -> int:
                 ("ntt_forward", "ntt_forward", 2.0),
                 ("expand", "expand_events", 1.5),
                 ("segment", "segment", 1.3),
+                ("noise_1024", "add_noise", 1.5),
             ):
                 if kernel not in declared:
                     continue

@@ -119,8 +119,10 @@ def _attack_seed(
     _lap(seconds, 3, tick)
 
 
-def _lap(seconds: np.ndarray, stage: int, tick: float) -> float:
-    """Add the time since ``tick`` to ``seconds[stage]``; return now."""
+def _lap(seconds: List[float], stage: int, tick: float) -> float:
+    """Add the time since ``tick`` to ``seconds[stage]``; return now.
+    A grain sums its stage times in a list of floats, not an array:
+    numpy scalar arithmetic costs a microsecond per lap."""
     now = time.perf_counter()
     seconds[stage] += now - tick
     return now
@@ -138,9 +140,10 @@ def _run_grain(
     record: Dict[str, Any] = _empty_arrays(
         hi - lo, count, len(attack.templates.labels)
     )
-    record.update(lo=lo, timings=np.zeros(len(STAGES)), errors=[])
+    record.update(lo=lo, timings=[0.0] * len(STAGES), errors=[])
     for row, seed in enumerate(range(lo, hi)):
         _attack_seed(attack, seed, count, entropy, engine, record, row)
+    record["timings"] = np.array(record["timings"])
     return record
 
 

@@ -190,11 +190,12 @@ class SingleTraceAttack:
         the bench's sequential noise stream so seeded experiments
         reproduce historical results exactly.
         """
-        timings = {"capture": 0.0, "segment": 0.0, "build": 0.0}
+        clock = time.perf_counter
+        capture_s = segment_s = 0.0
         pool_size = _reference_pool_size(num_traces)
 
         # Pass 1: a few traces with coarse anchors teach the re-aligner.
-        tick = time.perf_counter()
+        tick = clock()
         if workers is None:
             head = [
                 self.acquisition.capture(first_seed + i, coeffs_per_trace)
@@ -207,41 +208,41 @@ class SingleTraceAttack:
                 first_seed=first_seed,
                 workers=workers,
             )
-        timings["capture"] += time.perf_counter() - tick
-        tick = time.perf_counter()
+        capture_s += clock() - tick
+        tick = clock()
         self.refiner = AnchorRefiner.learn(
             self.segmenter, [c.trace.samples for c in head]
         )
-        timings["segment"] += time.perf_counter() - tick
+        segment_s += clock() - tick
 
         # Pass 2: stream refined, labelled slices into the accumulators.
         accumulator = MomentAccumulator(self.segmenter.slice_length)
         accumulate = accumulator.add
 
         if workers is None:
+            capture = self.acquisition.capture
+            aligned_slices = self.segmenter.aligned_slices
             for index in range(num_traces):
-                tick = time.perf_counter()
+                tick = clock()
                 if index < len(head):
                     captured = head[index]
                 else:
-                    captured = self.acquisition.capture(
-                        first_seed + index, coeffs_per_trace
-                    )
-                timings["capture"] += time.perf_counter() - tick
-                tick = time.perf_counter()
+                    captured = capture(first_seed + index, coeffs_per_trace)
+                split = clock()
+                capture_s += split - tick
                 try:
-                    aligned = self.segmenter.aligned_slices(
+                    aligned = aligned_slices(
                         captured.trace.samples, refiner=self.refiner
                     )
                 except AttackError:
-                    timings["segment"] += time.perf_counter() - tick
+                    segment_s += clock() - split
                     continue  # a profiling trace may rarely fail to segment
                 if len(aligned) == len(captured.values):
                     accumulate(self._normalise_matrix(aligned),
                                captured.values)
-                timings["segment"] += time.perf_counter() - tick
+                segment_s += clock() - split
         else:
-            tick = time.perf_counter()
+            tick = clock()
             for segmented in self.acquisition.capture_segmented_batch(
                 num_traces,
                 coeffs_per_trace,
@@ -256,7 +257,8 @@ class SingleTraceAttack:
                     accumulate(
                         self._normalise_matrix(segmented.slices), segmented.values
                     )
-            timings["segment"] += time.perf_counter() - tick
+            segment_s += clock() - tick
+        timings = {"capture": capture_s, "segment": segment_s, "build": 0.0}
 
         if accumulator.count == 0:
             raise AttackError("profiling produced no usable slices")

@@ -6,9 +6,10 @@ kernel glue are the floor; Intel HEXL makes the case that SEAL-class
 workloads get their remaining order of magnitude from *dedicated
 kernels*, not better algorithms.  This package is that layer for the
 reproduction: the numeric hot kernels — NTT butterflies, negacyclic
-pointwise products, leakage expansion and trace segmentation — are
-abstracted behind a uniform :func:`get_backend` / :func:`get_kernel`
-interface with pluggable implementations.
+pointwise products, leakage expansion, keyed measurement noise and
+trace segmentation — are abstracted behind a uniform
+:func:`get_backend` / :func:`get_kernel` interface with pluggable
+implementations.
 
 Backends
 --------
@@ -43,12 +44,13 @@ Bit-exactness
 -------------
 Every kernel is bit-exact against the reference twin: integer
 NTT/pointwise arithmetic, leakage expansion whose float evaluation
-order is mirrored operation for operation, and segmentation, which
-mirrors numpy the same way except for one dot product that it screens
-under a rigorous rounding bound.  Outputs are therefore identical on
-hosts with and without a compiler, and ``repro.verify`` registers
-EXACT oracles (``backend.*``, ``segmentation.windows``) to enforce it.
-"""
+order is mirrored operation for operation, keyed noise that replays
+numpy's Philox stream and hands its ziggurat's slow path to numpy's own
+sampler, and segmentation, which mirrors numpy the same way except for
+one dot product that it screens under a rigorous rounding bound.
+Outputs are therefore identical on hosts with and without a compiler,
+and ``repro.verify`` registers EXACT oracles (``backend.*``,
+``segmentation.windows``) to enforce it."""
 
 from __future__ import annotations
 

@@ -1139,3 +1139,242 @@ void reveal_segment_gather(const double *x, int64_t n, const int64_t *win,
                    (size_t)(src_hi - src_lo) * sizeof(double));
     }
 }
+
+/* ------------------------------------------------------------------ */
+/* Keyed Gaussian noise (repro.power.noise): Philox4x64-10 and numpy's
+   ziggurat, bit-identical to Generator(Philox(key)).standard_normal.
+
+   Raw words are textbook Philox4x64-10 at counters 1, 2, 3, ... of a
+   block's key, four words per counter in order, which is what numpy's
+   Philox.random_raw yields.  A draw takes numpy's ziggurat fast path,
+   x = (double)rabs * wi[idx] with the sign in bit 63, whenever
+   rabs < ki[idx]; any other draw is pushed back and numpy's own
+   random_standard_normal (linked from libnpyrandom.a) takes it through
+   a bitgen_t that replays the stream, so the tail, the wedge and their
+   libm calls are numpy's code.  The tables are probed from that same
+   function at load (noise_probe_tables).  Built only where the archive
+   is found (NOISE_NPYRANDOM in the prelude); elsewhere the entry points
+   report the kernel unavailable.  NOISE_BLOCK, the samples per keyed
+   block, comes from the prelude. */
+
+#ifdef NOISE_NPYRANDOM
+#define NOISE_BUF 32 /* raw words per refill: eight counters */
+
+typedef struct {
+    uint64_t k0, k1, ctr;
+    int pos;
+    uint64_t buf[NOISE_BUF];
+} noise_stream;
+
+static void noise_philox(noise_stream *s) {
+    for (int c = 0; c < NOISE_BUF / 4; c += 2) {
+        /* two counters per pass: their round chains are independent */
+        uint64_t a[4] = {s->ctr + 1, 0, 0, 0}, b[4] = {s->ctr + 2, 0, 0, 0};
+        uint64_t k0 = s->k0, k1 = s->k1;
+        for (int round = 0; round < 10; round++) {
+            __uint128_t pa0 = (__uint128_t)0xD2E7470EE14C6C93ULL * a[0];
+            __uint128_t pa1 = (__uint128_t)0xCA5A826395121157ULL * a[2];
+            __uint128_t pb0 = (__uint128_t)0xD2E7470EE14C6C93ULL * b[0];
+            __uint128_t pb1 = (__uint128_t)0xCA5A826395121157ULL * b[2];
+            uint64_t na[4] = {(uint64_t)(pa1 >> 64) ^ a[1] ^ k0, (uint64_t)pa1,
+                              (uint64_t)(pa0 >> 64) ^ a[3] ^ k1, (uint64_t)pa0};
+            uint64_t nb[4] = {(uint64_t)(pb1 >> 64) ^ b[1] ^ k0, (uint64_t)pb1,
+                              (uint64_t)(pb0 >> 64) ^ b[3] ^ k1, (uint64_t)pb0};
+            for (int j = 0; j < 4; j++) { a[j] = na[j]; b[j] = nb[j]; }
+            k0 += 0x9E3779B97F4A7C15ULL;
+            k1 += 0xBB67AE8584CAA73BULL;
+        }
+        for (int j = 0; j < 4; j++) {
+            s->buf[4 * c + j] = a[j];
+            s->buf[4 * c + 4 + j] = b[j];
+        }
+        s->ctr += 2;
+    }
+    s->pos = 0;
+}
+
+/* numpy/random/bitgen.h */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+double random_standard_normal(bitgen_t *bitgen_state);
+
+static double noise_wi[256];
+static uint64_t noise_ki[256]; /* 0: the index always takes numpy's path */
+static int noise_ready;
+
+static uint64_t noise_next64(void *st) {
+    noise_stream *s = (noise_stream *)st;
+    if (s->pos == NOISE_BUF) noise_philox(s);
+    return s->buf[s->pos++];
+}
+
+/* random_standard_normal never reads 32-bit words; next_double is
+   numpy's Philox one. */
+static uint32_t noise_next32(void *st) {
+    return (uint32_t)noise_next64(st);
+}
+
+static double noise_next_double(void *st) {
+    return (double)(noise_next64(st) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+static inline double noise_normal(noise_stream *s, bitgen_t *slow) {
+    if (s->pos == NOISE_BUF) noise_philox(s);
+    uint64_t r = s->buf[s->pos++];
+    uint64_t idx = r & 0xff;
+    uint64_t rabs = (r >> 9) & 0x000fffffffffffffULL;
+    if (__builtin_expect(rabs < noise_ki[idx], 1)) {
+        double x = (double)(int64_t)rabs * noise_wi[idx];
+        uint64_t bits;
+        memcpy(&bits, &x, sizeof bits);
+        bits ^= (r & 0x100) << 55; /* the sign without a branch */
+        memcpy(&x, &bits, sizeof x);
+        return x;
+    }
+    s->pos--; /* numpy's sampler re-reads the draw */
+    return random_standard_normal(slow);
+}
+
+static uint64_t noise_splitmix(uint64_t *state) {
+    uint64_t z = (*state += 0x9E3779B97F4A7C15ULL);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+}
+
+/* A bitgen_t whose first word is scripted; later words come from a
+   splitmix64 sequence, so a rejected draw still terminates. */
+typedef struct {
+    uint64_t first, mix;
+    int calls;
+} noise_probe;
+
+static uint64_t noise_probe_next64(void *st) {
+    noise_probe *p = (noise_probe *)st;
+    return p->calls++ == 0 ? p->first : noise_splitmix(&p->mix);
+}
+
+static uint32_t noise_probe_next32(void *st) {
+    return (uint32_t)noise_probe_next64(st);
+}
+
+static double noise_probe_double(void *st) {
+    return (double)(noise_probe_next64(st) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* numpy's normal of a draw r; *fast is 1 when it read no other word */
+static double noise_probe_one(uint64_t r, int *fast) {
+    noise_probe p = {r, r, 0};
+    bitgen_t g = {&p, noise_probe_next64, noise_probe_next32,
+                  noise_probe_double, noise_probe_next64};
+    double x = random_standard_normal(&g);
+    *fast = p.calls == 1;
+    return x;
+}
+
+static inline uint64_t noise_draw(uint64_t idx, uint64_t sign, uint64_t rabs) {
+    return (rabs << 9) | (sign << 8) | idx;
+}
+
+/* Probe ki and wi from numpy's sampler, then check the fast path against
+   it at the edges of every index and on scrambled draws.  Returns 0 when
+   the tables are in place. */
+static int noise_probe_tables(void) {
+    const uint64_t top = 1ULL << 52;
+    int fast;
+    for (uint64_t idx = 0; idx < 256; idx++) {
+        /* ki: the first rabs numpy sends down its slow path */
+        uint64_t lo = 0, hi = top;
+        while (lo < hi) {
+            uint64_t mid = lo + (hi - lo) / 2;
+            noise_probe_one(noise_draw(idx, 0, mid), &fast);
+            if (fast) lo = mid + 1; else hi = mid;
+        }
+        noise_ki[idx] = 0;
+        noise_wi[idx] = 0.0;
+        if (lo < 2) continue; /* rabs = 1 is not fast: wi unobservable */
+        double w = noise_probe_one(noise_draw(idx, 0, 1), &fast);
+        if (!fast) return -1;
+        noise_wi[idx] = w;
+        noise_ki[idx] = lo;
+    }
+    uint64_t mix = 0x5EA1D15EA5EULL;
+    for (int i = 0; i < 256 * 8 + 4096; i++) {
+        uint64_t r;
+        if (i < 256 * 8) {
+            uint64_t idx = (uint64_t)i >> 3, k = noise_ki[idx];
+            uint64_t edge[4] = {0, 1, k ? k - 1 : 0, k < top ? k : top - 1};
+            r = noise_draw(idx, (uint64_t)i & 1, edge[(i >> 1) & 3]);
+        } else {
+            r = noise_splitmix(&mix);
+        }
+        double want = noise_probe_one(r, &fast);
+        noise_stream s;
+        s.buf[0] = r;
+        s.pos = 0;
+        uint64_t idx = r & 0xff, rabs = (r >> 9) & (top - 1);
+        if (rabs < noise_ki[idx]) {
+            if (!fast) return -1;
+            double got = noise_normal(&s, NULL);
+            if (memcmp(&got, &want, sizeof got) != 0) return -1;
+        }
+    }
+    return 0;
+}
+#endif
+
+/* 0 when the noise kernel is usable (tables probed), else -1. */
+int reveal_noise_init(void) {
+#ifdef NOISE_NPYRANDOM
+    if (!noise_ready) noise_ready = noise_probe_tables() == 0 ? 1 : -1;
+    return noise_ready == 1 ? 0 : -1;
+#else
+    return -1;
+#endif
+}
+
+/* dst[i] = src[i] * gain + z[offset + i] * std for i < n, where z is the
+   standard normal stream of base key (k0, k1): sample j is element
+   j % 16384 of block j / 16384, keyed (k0, k1 ^ block).  This is the
+   expression numpy evaluates in two passes (out *= gain, then
+   out += standard_noise(...) * std), operation for operation; src may
+   be dst.  Returns 0, or -1 where the kernel is unavailable. */
+int reveal_add_noise(const double *src, double *dst, int64_t n, uint64_t k0,
+                     uint64_t k1, int64_t offset, double gain, double std) {
+#ifdef NOISE_NPYRANDOM
+    if (noise_ready != 1) return -1;
+    noise_stream s;
+    bitgen_t slow = {&s, noise_next64, noise_next32, noise_next_double,
+                     noise_next64};
+    int64_t i = 0;
+    while (i < n) {
+        int64_t pos = offset + i;
+        int64_t block = pos / NOISE_BLOCK;
+        int64_t lo = pos - block * NOISE_BLOCK;
+        int64_t take = NOISE_BLOCK - lo;
+        if (take > n - i) take = n - i;
+        s.k0 = k0;
+        s.k1 = k1 ^ (uint64_t)block;
+        s.ctr = 0;
+        noise_philox(&s);
+        for (int64_t j = 0; j < lo; j++) noise_normal(&s, &slow);
+        for (int64_t j = i; j < i + take; j++) {
+            double z = noise_normal(&s, &slow);
+            double t = src[j] * gain;
+            dst[j] = t + z * std;
+        }
+        i += take;
+    }
+    return 0;
+#else
+    (void)src; (void)dst; (void)n; (void)k0; (void)k1; (void)offset;
+    (void)gain; (void)std;
+    return -1;
+#endif
+}

@@ -14,8 +14,10 @@ the compiler cannot fuse ``a*b+c`` into an FMA; together that makes
 the ``backend.native.*`` oracles).  The ``segment`` kernel (see
 :func:`_segment_kernel`) runs trace segmentation the same way and
 screens its one inexact step, a dot product, under a rigorous rounding
-bound.  Every kernel is bit-exact, so the backend changes speed, never
-an output bit.
+bound.  The keyed-noise kernel (see :func:`_noise_kernel`) runs
+Philox4x64-10 and numpy's ziggurat fast path in C and hands every other
+draw to numpy's own sampler, linked from ``libnpyrandom.a``.  Every
+kernel is bit-exact, so the backend changes speed, never an output bit.
 
 Both sources build on one generated ``#define`` prelude (:func:`_prelude`):
 the op classes and cycle costs of :mod:`repro.riscv.cycles` and the
@@ -25,11 +27,12 @@ reports its own file and line.
 Compilation happens once per machine: the shared object is built into
 ``$REVEAL_NATIVE_CACHE`` (default ``~/.cache/reveal-native``) under a
 ``_reveal_native_<digest>`` name keyed by the SHA-256 of the flags, the
-cdef and the C source, so later probes are a plain extension import and
-forked pool workers inherit the loaded library.  A build failure makes
-:func:`repro.backends.probe_backend` report the backend unavailable —
-never an import error — and the compiled engine then degrades to
-threaded.
+cdef, the C source and the linked numpy archive, so later probes are a
+plain extension import and forked pool workers inherit the loaded
+library; a fresh build deletes the cache's older versions.  A build
+failure makes :func:`repro.backends.probe_backend` report the backend
+unavailable — never an import error — and the compiled engine then
+degrades to threaded.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from __future__ import annotations
 import hashlib
 import importlib.machinery
 import importlib.util
+import math
 import operator
 import os
 import shutil
@@ -44,10 +48,12 @@ import struct
 import sysconfig
 import tempfile
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
 from repro.backends import Backend
+from repro.power import noise
 from repro.riscv import compiled
 from repro.riscv import cycles as cy
 
@@ -81,17 +87,30 @@ void reveal_segment_gather(const double *x, int64_t n, const int64_t *win,
 void reveal_segment_percentiles(const double *env, int64_t n, double *out);
 int reveal_segment_avx2(void);
 int reveal_all_finite(const double *x, int64_t n);
+int reveal_noise_init(void);
+int reveal_add_noise(const double *src, double *dst, int64_t n, uint64_t k0,
+                     uint64_t k1, int64_t offset, double gain, double std);
 """
 
 #: The C sources, relative to the ``repro`` package, in build order.
 _SOURCES = ("riscv/compiled.c", "backends/native.c")
 
 
-def _prelude() -> str:
+def _npyrandom() -> Optional[Path]:
+    """numpy's ``libnpyrandom.a``, which the noise kernel links for its
+    slow path, or ``None`` where this numpy does not ship it."""
+    archive = Path(np.random.__file__).parent / "lib" / "libnpyrandom.a"
+    return archive if archive.is_file() else None
+
+
+def _prelude(archive: Optional[Path]) -> str:
     """The ``#define`` prelude of both sources: op classes, their cycle
-    costs and the core's status codes.  It is part of the source, so the
-    digest — and the cached module name — changes with the cost model."""
-    lines = ["#include <stdint.h>"]
+    costs, the core's status codes and whether numpy's sampler archive
+    is linked.  It is part of the source, so the digest — and the cached
+    module name — changes with the cost model."""
+    lines = ["#include <stdint.h>", f"#define NOISE_BLOCK {noise.NOISE_BLOCK}"]
+    if archive is not None:
+        lines.append("#define NOISE_NPYRANDOM 1")
     lines += [
         f"#define {name} {value}"
         for module in (cy, compiled)
@@ -106,9 +125,9 @@ def _prelude() -> str:
     return "\n".join(lines) + "\n"
 
 
-def _c_source() -> str:
+def _c_source(archive: Optional[Path]) -> str:
     root = Path(__file__).resolve().parent.parent
-    source = '#line 1 "<prelude>"\n' + _prelude()
+    source = '#line 1 "<prelude>"\n' + _prelude(archive)
     for name in _SOURCES:
         source += f'#line 1 "repro/{name}"\n' + (root / name).read_text("utf-8")
     # cffi appends its call wrappers after the source.
@@ -151,15 +170,18 @@ def _truncated(path: str) -> bool:
     return size < shoff + shentsize * shnum
 
 
-def build_extension(modname: str, cdef: str, source: str, cflags):
+def build_extension(modname: str, cdef: str, source: str, cflags,
+                    link_args=()):
     """Build (or reuse) the cffi extension ``modname``; returns the module.
 
     The shared object lives in ``$REVEAL_NATIVE_CACHE`` under
     ``modname``, which callers key by a digest of everything that goes
     into it, so a cached file is reused as is.  A cached file that is
     truncated or does not load is built once more, over it; a second
-    failure propagates.  A missing ``cffi`` or C compiler raises;
-    callers treat that as "unavailable".
+    failure propagates.  A fresh build removes the other versions of its
+    family from the cache (the files named like ``modname`` up to its
+    last ``_``), so the cache holds one module per family.  A missing
+    ``cffi`` or C compiler raises; callers treat that as "unavailable".
     """
     cache_dir = _cache_dir()
     suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
@@ -175,7 +197,10 @@ def build_extension(modname: str, cdef: str, source: str, cflags):
     os.makedirs(cache_dir, exist_ok=True)
     ffi = cffi.FFI()
     ffi.cdef(cdef)
-    ffi.set_source(modname, source, extra_compile_args=list(cflags))
+    ffi.set_source(
+        modname, source, extra_compile_args=list(cflags),
+        extra_link_args=list(link_args),
+    )
     # Build in a private temp dir, then publish atomically: concurrent
     # first-use from several processes must not see half-written files.
     build_dir = tempfile.mkdtemp(prefix="build-", dir=cache_dir)
@@ -184,16 +209,49 @@ def build_extension(modname: str, cdef: str, source: str, cflags):
         os.replace(built, target)
     finally:
         shutil.rmtree(build_dir, ignore_errors=True)
-    return _load_extension(modname, target)
+    module = _load_extension(modname, target)
+    family = modname.rsplit("_", 1)[0] + "_"
+    for name in os.listdir(cache_dir):
+        if name.startswith(family) and name != modname + suffix:
+            try:
+                os.unlink(os.path.join(cache_dir, name))
+            except FileNotFoundError:
+                pass  # another process pruned it first
+    return module
 
 
 def _compile_and_load():
-    """Build (or reuse) the module; returns ``(module, digest)``."""
-    source = _c_source()
-    digest = hashlib.sha256(
-        (" ".join(_CFLAGS) + _CDEF + source).encode()
-    ).hexdigest()[:12]
-    module = build_extension(f"_reveal_native_{digest}", _CDEF, source, _CFLAGS)
+    """Build (or reuse) the module; returns ``(module, digest)``.
+
+    The digest covers the flags, the cdef, the C source and, where the
+    noise kernel links numpy's sampler, numpy's version and the
+    archive's SHA-256: the kernel's slow path is that archive's code and
+    its tables are probed from it.  An archive that does not link (say,
+    one built without ``-fPIC``) costs only the noise kernel: the module
+    is built once more without it.
+    """
+    archive = _npyrandom()
+    if archive is None:
+        return _build_module(None)
+    from cffi import VerificationError
+
+    try:
+        return _build_module(archive)
+    except VerificationError:
+        return _build_module(None)
+
+
+def _build_module(archive: Optional[Path]):
+    source = _c_source(archive)
+    link_args = ("-lm",)
+    key = " ".join(_CFLAGS) + _CDEF + source
+    if archive is not None:
+        link_args = (str(archive), "-lm")
+        key += np.__version__ + hashlib.sha256(archive.read_bytes()).hexdigest()
+    digest = hashlib.sha256(key.encode()).hexdigest()[:12]
+    module = build_extension(
+        f"_reveal_native_{digest}", _CDEF, source, _CFLAGS, link_args
+    )
     return module, digest
 
 
@@ -277,20 +335,86 @@ def build_backend() -> Backend:
         x = np.ascontiguousarray(samples, dtype=np.float64)
         return bool(lib.reveal_all_finite(f64(x), x.size))
 
+    kernels = {
+        "ntt_forward": ntt_forward,
+        "ntt_inverse": ntt_inverse,
+        "pointwise_mulmod": pointwise_mulmod,
+        "expand_events": expand_events,
+        "segment": _segment_kernel(module),
+        "all_finite": all_finite,
+    }
+    add_noise = _noise_kernel(module)
+    if add_noise is not None:
+        kernels["add_noise"] = add_noise
     return Backend(
         name="native",
         version=digest[:8],
         priority=10,
         module=module,
-        kernels={
-            "ntt_forward": ntt_forward,
-            "ntt_inverse": ntt_inverse,
-            "pointwise_mulmod": pointwise_mulmod,
-            "expand_events": expand_events,
-            "segment": _segment_kernel(module),
-            "all_finite": all_finite,
-        },
+        kernels=kernels,
     )
+
+
+def _noise_kernel(module):
+    """The exact keyed-noise kernel over ``module``, or ``None``.
+
+    ``add_noise(samples, out, key, offset, gain, std)`` writes
+    ``samples * gain + z * std`` into ``out`` (a new array when ``out``
+    is ``None``; ``out`` may be ``samples``) and returns it, where ``z``
+    is samples ``offset ..`` of the standard normal stream of the 2x64-bit
+    Philox ``key`` (:mod:`repro.power.noise`).  It returns ``None``, and
+    the caller runs numpy, for anything but 1-D C-contiguous float64
+    arrays, partly overlapping buffers, a non-finite ``gain`` or ``std``
+    (where the operand order of a NaN result is numpy's) and an
+    ``offset`` that is not a non-negative ``int`` (numpy raises).
+
+    The kernel is absent where the module was built without numpy's
+    ``libnpyrandom.a``, where the C probe of numpy's ziggurat tables
+    fails, or where a short stream with slow-path draws does not match
+    numpy's ``Generator(Philox(key)).standard_normal`` bit for bit.
+    """
+    lib, ffi = module.lib, module.ffi
+    if lib.reveal_noise_init() != 0:
+        return None
+
+    def f64(arr: np.ndarray):
+        return ffi.cast("double *", ffi.from_buffer(arr))
+
+    def add_noise(samples, out, key, offset, gain, std):
+        if not (
+            type(samples) is np.ndarray and samples.dtype == np.float64
+            and samples.ndim == 1 and samples.flags.c_contiguous
+            and math.isfinite(gain) and math.isfinite(std)
+            and type(offset) is int and offset >= 0
+        ):
+            return None
+        if out is None:
+            out = np.empty_like(samples)
+        elif out is not samples and not (
+            type(out) is np.ndarray and out.dtype == np.float64
+            and out.shape == samples.shape and out.flags.c_contiguous
+            and (out.ctypes.data == samples.ctypes.data
+                 or not np.may_share_memory(out, samples))
+        ):
+            return None
+        if not out.flags.writeable:
+            return None
+        lib.reveal_add_noise(
+            f64(samples), f64(out), out.size, int(key[0]), int(key[1]),
+            offset, gain, std,
+        )
+        return out
+
+    # A stream long enough for numpy's tail and wedge draws: the
+    # replayed next_double must be numpy's too.
+    key = np.array([0x243F6A8885A308D3, 0x13198A2E03707344], dtype=np.uint64)
+    zeros = np.zeros(4096)
+    want = zeros + np.random.Generator(np.random.Philox(key=key)).standard_normal(
+        zeros.size
+    )
+    if add_noise(zeros, None, key, 0, 1.0, 1.0).tobytes() != want.tobytes():
+        return None
+    return add_noise
 
 
 #: C status codes of ``reveal_segment_windows`` → the failure reasons

@@ -25,6 +25,44 @@ Keying
     ``standard_normal`` prefix of a block does not depend on how much
     of it is consumed).
 
+Native twin
+    Where the native backend builds against numpy's
+    ``libnpyrandom.a``, :func:`add_noise` (and the scope's gain, folded
+    into the same pass) runs in C (``reveal_add_noise`` in
+    ``backends/native.c``) with the numpy path kept as its reference
+    twin (``get_kernel("add_noise") is None`` selects it).  The kernel
+    is exact by construction, not by tolerance:
+
+    - the raw words are textbook Philox4x64-10 at counters 1, 2, 3, ...
+      of the block key, four words per counter in order, which is what
+      numpy's ``Philox`` yields, and the kernel crosses block
+      boundaries itself, re-keying each block as :func:`_block_normals`
+      does;
+    - a draw ``r`` takes numpy's ziggurat fast path, ``x = (double)rabs
+      * wi[idx]`` with the sign flipped through bit 63, exactly when
+      ``rabs < ki[idx]``: the same integer compare, one exact int to
+      double conversion and one multiply, so the same bits.  The tables
+      are not copied but probed at load from numpy's own
+      ``random_standard_normal`` (``rabs = 1`` returns ``wi[idx]``, a
+      bisection on ``rabs`` finds ``ki[idx]``), then checked against it
+      on edge and scrambled draws.  Index 1 has ``ki == 0``: it always
+      takes the slow path, so its ``wi`` is never needed;
+    - every other draw is pushed back and numpy's
+      ``random_standard_normal`` takes it through a ``bitgen_t`` that
+      replays the stream (``next_double`` is Philox's ``(r >> 11) *
+      2**-53``), so the tail, the wedge and their libm calls are numpy's
+      code;
+    - ``out[i] * gain + z * std`` is evaluated as numpy's two in-place
+      steps are (``-ffp-contract=off``: no FMA); with ``gain = 1`` the
+      extra multiply is the identity on every value the addition can
+      tell apart.
+
+    The module digest covers numpy's version and the archive's SHA-256.
+    Where the archive is missing or does not link, or a probe or the
+    load-time check of a short stream against numpy fails, the kernel is
+    absent and numpy runs.  :func:`standard_noise` itself stays numpy: filling a zero
+    buffer would turn a ``-0.0`` draw into ``0.0``.
+
 The deliberate bit-compat break with v1 is versioned via
 :data:`NOISE_STREAM_VERSION`; the ``power.noise_v2`` oracle in
 :mod:`repro.verify.oracles` pins the statistical contract against the
@@ -34,6 +72,8 @@ retained v1 reference path.
 from __future__ import annotations
 
 import numpy as np
+
+from repro.backends import get_kernel
 
 #: Bumped whenever the keyed-noise construction changes incompatibly.
 #: Cached profiles and golden fixtures embed this (a stream change
@@ -95,7 +135,31 @@ def add_noise(
     (:meth:`~repro.power.scope.Oscilloscope.capture_keyed`): it adds
     ``standard_noise(...) * std`` with one in-place ``+=``, so every
     engine produces bit-identical traces for the same ``(entropy,
-    seed)`` regardless of worker count or capture order.
+    seed)`` regardless of worker count or capture order.  The native
+    kernel, where it runs, computes the same bits in one pass.
     """
     if std > 0 and out.size:
-        out += standard_noise(entropy, seed, out.size, offset) * std
+        if scaled_noise(out, out, entropy, seed, 1.0, std, offset) is None:
+            out += standard_noise(entropy, seed, out.size, offset) * std
+
+
+def scaled_noise(
+    samples: np.ndarray,
+    out,
+    entropy: int,
+    seed: int,
+    gain: float,
+    std: float,
+    offset: int = 0,
+):
+    """The native kernel's ``samples * gain`` plus ``std``-scaled stream
+    noise, into ``out`` (``None``: a new array; it may be ``samples``).
+
+    Returns the result, or ``None`` where the kernel is absent or
+    declines the arrays; the caller then runs the numpy twin, ``out =
+    samples * gain`` followed by :func:`add_noise`.
+    """
+    kernel = get_kernel("add_noise")
+    if kernel is None:
+        return None
+    return kernel(samples, out, stream_key(entropy, seed), offset, gain, std)

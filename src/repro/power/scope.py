@@ -106,8 +106,16 @@ class Oscilloscope:
         counter-based ``(entropy, seed)``-keyed stream of
         :mod:`repro.power.noise`, so the result is a pure function of
         its arguments — the per-trace path of the batch contract.
+        Without a filter the native noise kernel applies the gain in
+        the same pass, with the same bits as the numpy steps.
         """
-        out = self._front_end(samples, out)
-        noise_stream.add_noise(out, entropy, seed, self.noise_std)
-        self._quantize(out)
-        return out
+        measured = None
+        if self.bandwidth_window == 1 and self.noise_std > 0:
+            measured = noise_stream.scaled_noise(
+                samples, out, entropy, seed, self.gain, self.noise_std
+            )
+        if measured is None:
+            measured = self._front_end(samples, out)
+            noise_stream.add_noise(measured, entropy, seed, self.noise_std)
+        self._quantize(measured)
+        return measured

@@ -13,7 +13,15 @@ registers one oracle per kernel group —
 - ``backend.<name>.expand`` — event-log leakage expansion through
   :meth:`LeakageModel.expand` (float64: the compiled kernel mirrors the
   numpy expression trees operation for operation, compiled without FMA
-  contraction).
+  contraction);
+- ``backend.<name>.noise`` — keyed measurement noise through
+  :func:`repro.power.noise.add_noise` at an offset and
+  :meth:`Oscilloscope.capture_keyed` with a gain, compared as raw bits
+  (so the sign of a zero and a NaN's payload count).  Cases draw
+  counts of 0 and 1, ranges that straddle or end on a 16,384-sample
+  block boundary, streams long enough for numpy's tail and wedge
+  draws, and NaN, infinite and ``-0.0`` input samples.  Fuzzable:
+  ``python -m repro.verify fuzz backend.native.noise --cases 1000``.
 
 Each fast side runs inside :func:`repro.backends.use_backend` so the
 kernel under test is armed; each reference side pins ``use_backend
@@ -30,6 +38,8 @@ Replay a failure like any other oracle::
 from __future__ import annotations
 
 from typing import Any, Dict, Tuple
+
+import numpy as np
 
 from repro.backends import available_backends, probe_backend, use_backend
 from repro.verify.compare import EXACT
@@ -67,6 +77,57 @@ def _expand_with_backend(case: Dict[str, Any], backend: str):
 
 
 # ----------------------------------------------------------------------
+# Keyed measurement noise
+# ----------------------------------------------------------------------
+def _sample_noise_case(rng: np.random.Generator) -> Dict[str, Any]:
+    from repro.power.noise import NOISE_BLOCK
+
+    shape = rng.integers(0, 4)
+    if shape == 0:  # tiny ranges anywhere
+        count = int(rng.integers(0, 3))
+        offset = int(rng.integers(0, 3 * NOISE_BLOCK))
+    elif shape == 1:  # straddle, or end exactly on, a block boundary
+        edge = int(rng.integers(1, 4)) * NOISE_BLOCK
+        offset = edge - int(rng.integers(1, 2000))
+        count = edge - offset + int(rng.choice([0, rng.integers(1, 2000)]))
+    else:  # long streams: numpy's tail and wedge draws
+        count = int(rng.integers(0, 60_000))
+        offset = int(rng.integers(0, 50_000))
+    samples = rng.normal(0.0, 4.0, count)
+    if count and rng.random() < 0.3:
+        specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0])
+        where = rng.integers(0, count, size=min(count, 8))
+        samples[where] = rng.choice(specials, size=where.size)
+    return {
+        "entropy": int(rng.integers(0, 1 << 63)),
+        "seed": int(rng.integers(0, 1 << 40)),
+        "offset": offset,
+        "samples": samples,
+        "std": float(rng.choice([0.0, 0.37, 1.0, 2.5, rng.uniform(0.01, 10)])),
+        "gain": float(rng.choice([1.0, -0.5, rng.uniform(0.1, 3.0)])),
+    }
+
+
+def _noise_with_backend(case: Dict[str, Any], backend: str) -> Dict[str, Any]:
+    from repro.power import noise
+    from repro.power.scope import Oscilloscope
+
+    scope = Oscilloscope(noise_std=case["std"], gain=case["gain"])
+    with use_backend(backend):
+        shifted = case["samples"].copy()
+        noise.add_noise(
+            shifted, case["entropy"], case["seed"], case["std"], case["offset"]
+        )
+        captured = scope.capture_keyed(
+            case["samples"], case["entropy"], case["seed"]
+        )
+    return {
+        "add_noise": shifted.view(np.uint64),
+        "capture_keyed": captured.view(np.uint64),
+    }
+
+
+# ----------------------------------------------------------------------
 # Registration: one oracle per (available backend, kernel group)
 # ----------------------------------------------------------------------
 #: Kernel groups: (oracle suffix, kernels that must all be present,
@@ -83,7 +144,35 @@ _GROUPS: Tuple[Tuple[str, Tuple[str, ...], str], ...] = (
         ("expand_events",),
         "leakage event expansion vs the vectorized numpy emitter",
     ),
+    (
+        "noise",
+        ("add_noise",),
+        "keyed Philox noise and scope gain vs numpy's "
+        "Generator(Philox).standard_normal path",
+    ),
 )
+
+#: Kernel group -> (case sampler, runner, case summary).
+_CASES = {
+    "ntt": (
+        _sample_ntt_case,
+        _ntt_with_backend,
+        lambda case: f"q={case['modulus'].value}, n={case['n']}",
+    ),
+    "expand": (
+        _sample_leakage_case,
+        _expand_with_backend,
+        lambda case: f"{len(case['events'])} events",
+    ),
+    "noise": (
+        _sample_noise_case,
+        _noise_with_backend,
+        lambda case: (
+            f"count={case['samples'].size}, offset={case['offset']}, "
+            f"std={case['std']}, gain={case['gain']}"
+        ),
+    ),
+}
 
 
 def _register_backend_oracles() -> None:
@@ -94,32 +183,16 @@ def _register_backend_oracles() -> None:
         for suffix, kernels, tail in _GROUPS:
             if not all(k in declared for k in kernels):
                 continue
-            if suffix == "ntt":
-                fast = (
-                    lambda case, b=backend: _ntt_with_backend(case, b)
-                )
-                reference = lambda case: _ntt_with_backend(case, "reference")
-                sample = _sample_ntt_case
-                summarize = (
-                    lambda case: f"q={case['modulus'].value}, n={case['n']}"
-                )
-            else:  # expand
-                fast = (
-                    lambda case, b=backend: _expand_with_backend(case, b)
-                )
-                reference = (
-                    lambda case: _expand_with_backend(case, "reference")
-                )
-                sample = _sample_leakage_case
-                summarize = lambda case: f"{len(case['events'])} events"
+            sample, run, summarize = _CASES[suffix]
             register(
                 Oracle(
                     name=f"backend.{backend}.{suffix}",
                     description=f"{backend} backend: {tail} (bit-exact)",
                     sample=sample,
-                    fast=fast,
-                    reference=reference,
+                    fast=lambda case, b=backend, run=run: run(case, b),
+                    reference=lambda case, run=run: run(case, "reference"),
                     tolerance=EXACT,
+                    fuzzable=suffix == "noise",
                     summarize=summarize,
                 )
             )

@@ -95,3 +95,27 @@ def test_second_load_failure_propagates(tmp_path, monkeypatch):
             name, "int reveal_one(void);", "int reveal_one(void) { return 1; }", ("-O0",)
         )
     assert len(loads) == 2
+
+
+@pytest.mark.usefixtures("built")  # skips where no C toolchain builds
+def test_fresh_build_prunes_older_versions(tmp_path, monkeypatch):
+    """Two source versions built into one cache leave one module; a
+    reuse prunes nothing, and other families are left alone."""
+    monkeypatch.setenv("REVEAL_NATIVE_CACHE", str(tmp_path))
+    suffix = native.sysconfig.get_config_var("EXT_SUFFIX") or ".so"
+    (tmp_path / "_reveal_cpu_0123456789ab.so").write_bytes(b"other family")
+    cdef = "int reveal_one(void);"
+    for version in (1, 2):
+        module = native.build_extension(
+            f"_reveal_native_test{version}", cdef,
+            f"int reveal_one(void) {{ return {version}; }}", ("-O0",),
+        )
+        assert module.lib.reveal_one() == version
+    assert sorted(os.listdir(tmp_path)) == [
+        "_reveal_cpu_0123456789ab.so", "_reveal_native_test2" + suffix
+    ]
+    (tmp_path / ("_reveal_native_test1" + suffix)).write_bytes(b"stale")
+    native.build_extension(
+        "_reveal_native_test2", cdef, "int reveal_one(void) { return 2; }", ("-O0",)
+    )
+    assert (tmp_path / ("_reveal_native_test1" + suffix)).exists()

@@ -55,6 +55,8 @@ def test_every_available_backend_has_full_oracle_coverage():
             expected.add("ntt")
         if "expand_events" in declared:
             expected.add("expand")
+        if "add_noise" in declared:
+            expected.add("noise")
         assert registered == expected
 
 
