@@ -23,7 +23,12 @@ Kernels:
   with its bound-pruned matched filter, vs the numpy path);
 * ``noise_1024`` — ``noise.add_noise`` in place over the leakage of the
   same 1024-coefficient run (2.3M samples; the native Philox and
-  ziggurat kernel vs ``Generator(Philox).standard_normal`` and ``+=``).
+  ziggurat kernel vs ``Generator(Philox).standard_normal`` and ``+=``);
+* ``noise_v1_8`` — ``Oscilloscope.capture`` in place over one serial
+  profiling trace (8 coefficients on the quad chain, about 19.6k
+  samples), with noise from a ``default_rng`` stream (the native
+  sequential-stream kernel, drawing through the generator's
+  ``bitgen_t``, vs ``rng.normal`` and ``+=``).
 
 Run directly::
 
@@ -64,7 +69,12 @@ KERNELS: Tuple[Tuple[str, int], ...] = (
     ("expand_1024", 2),
     ("segment", 2),
     ("noise_1024", 2),
+    ("noise_v1_8", 50),
 )
+
+#: The RNS chain of a serial profiling trace behind the ``noise_v1_8``
+#: row (the perfbench workloads' quad moduli).
+PROFILE_MODULI = (0xFFEE001, 0xFFC4001, 0x7FE2001, 0x7F54001)
 
 #: Coefficients in the captured trace behind the ``segment`` row and in
 #: the run behind the ``expand_1024`` row.
@@ -106,6 +116,13 @@ def _build_cases() -> Dict[str, Callable[[], None]]:
     # in place, onto the same buffer every call: the cost does not
     # depend on the values
     noisy = model.expand(long_events)[0]
+    profiling = model.expand(
+        GaussianSamplerDevice(list(PROFILE_MODULI)).run(
+            seed=7, count=COUNT, record_events=True
+        ).events
+    )[0]
+    profile_scope = Oscilloscope(noise_std=1.0)
+    stream = np.random.default_rng(2022)
 
     return {
         "ntt_forward": lambda: context.forward(a),
@@ -115,6 +132,9 @@ def _build_cases() -> Dict[str, Callable[[], None]]:
         "expand_1024": lambda: model.expand(long_events),
         "segment": lambda: segmenter.aligned_slices(trace, refiner),
         "noise_1024": lambda: noise.add_noise(noisy, 2022, 3, 1.0),
+        "noise_v1_8": lambda: profile_scope.capture(
+            profiling, rng=stream, out=profiling
+        ),
     }
 
 
@@ -179,6 +199,7 @@ def main(argv=None) -> int:
         print(f"backend {ident} vs reference "
               f"({COUNT}- and {SEGMENT_COUNT}-coefficient expand, n={N} NTT, "
               f"{SEGMENT_COUNT}-coefficient segment and noise, "
+              f"{COUNT}-coefficient sequential noise, "
               f"best of {repetitions}):")
         table = bench_backend(backend, repetitions)
         results[backend] = table
@@ -190,8 +211,8 @@ def main(argv=None) -> int:
 
         # Guard: the compiled kernels must hold a decisive win on the
         # hottest microbenches.  Measured ~9x (NTT forward), ~4.3x
-        # (expand), ~6x (segment) and ~3x (noise) for the native backend on a
-        # 2-vCPU Xeon; the floors tolerate one noisy shared-runner
+        # (expand), ~6x (segment), ~3x (noise) and ~3x (noise_v1_8) for
+        # the native backend on a 2-vCPU Xeon; the floors tolerate one noisy shared-runner
         # repetition while still catching a backend that silently fell
         # back to numpy (1.0x).  A floor only applies when the backend
         # declares the kernel that accelerates the bench.
@@ -202,6 +223,7 @@ def main(argv=None) -> int:
                 ("expand", "expand_events", 1.5),
                 ("segment", "segment", 1.3),
                 ("noise_1024", "add_noise", 1.5),
+                ("noise_v1_8", "add_normal", 1.5),
             ):
                 if kernel not in declared:
                     continue

@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.backends import get_kernel
 from repro.errors import AttackError
 
 
@@ -78,12 +79,18 @@ class RunningMoments:
             return self
         total = self.count + other.count
         delta = other.mean - self.mean
+        weight = self.count * other.count / total
         # scatter += other.scatter + outer(delta, delta) * weight, in
-        # one temporary (IEEE addition commutes, so the bits are the same)
-        correction = np.outer(delta[block], delta[block])
-        correction *= self.count * other.count / total
-        correction += other.scatter[block, block]
-        self.scatter[block, block] += correction
+        # one temporary (IEEE addition commutes, so the bits are the
+        # same); the native kernel makes the same sums in one pass
+        kernel = get_kernel("moments_merge")
+        if kernel is None or not kernel(
+            self.scatter, other.scatter, delta, block, weight
+        ):
+            correction = np.outer(delta[block], delta[block])
+            correction *= weight
+            correction += other.scatter[block, block]
+            self.scatter[block, block] += correction
         self.mean += delta * (other.count / total)
         self.count = total
         return self

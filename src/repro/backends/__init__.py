@@ -6,8 +6,9 @@ kernel glue are the floor; Intel HEXL makes the case that SEAL-class
 workloads get their remaining order of magnitude from *dedicated
 kernels*, not better algorithms.  This package is that layer for the
 reproduction: the numeric hot kernels — NTT butterflies, negacyclic
-pointwise products, leakage expansion, keyed measurement noise and
-trace segmentation — are abstracted behind a uniform
+pointwise products, leakage expansion, measurement noise (keyed and
+sequential), trace segmentation and the profiling moments' merge — are
+abstracted behind a uniform
 :func:`get_backend` / :func:`get_kernel` interface with pluggable
 implementations.
 
@@ -43,11 +44,12 @@ tests pin the reference twin with it).
 Bit-exactness
 -------------
 Every kernel is bit-exact against the reference twin: integer
-NTT/pointwise arithmetic, leakage expansion whose float evaluation
-order is mirrored operation for operation, keyed noise that replays
-numpy's Philox stream and hands its ziggurat's slow path to numpy's own
-sampler, and segmentation, which mirrors numpy the same way except for
-one dot product that it screens under a rigorous rounding bound.
+NTT/pointwise arithmetic, leakage expansion and the moments' merge
+whose float evaluation order is mirrored operation for operation, noise
+that replays numpy's Philox stream or draws from the caller's own
+generator and hands its ziggurat's slow path to numpy's own sampler,
+and segmentation, which mirrors numpy the same way except for one dot
+product that it screens under a rigorous rounding bound.
 Outputs are therefore identical on hosts with and without a compiler,
 and ``repro.verify`` registers EXACT oracles (``backend.*``,
 ``segmentation.windows``) to enforce it."""

@@ -804,29 +804,49 @@ typedef struct {
     double rho[SEG_CHUNKS], inv_w[SEG_CHUNKS];
 } seg_chunks;
 
+/* Two lanes of a portable vector (gcc's vector extensions): SSE2 on
+   x86-64, NEON on AArch64.  Casts between the two types keep the bits. */
+typedef double seg_v2 __attribute__((vector_size(16)));
+typedef int64_t seg_m2 __attribute__((vector_size(16)));
+
+static inline seg_v2 seg_load2(const double *p) {
+    seg_v2 v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+static inline seg_v2 seg_abs2(seg_v2 x) {
+    return (seg_v2)((seg_m2)x & 0x7fffffffffffffffLL);
+}
+
 /* One chunk's bound term over blocks of four offsets: for every block
    start d in blk[0..nb), c[d + l] += the chunk difference (pe - pb) - r
    at d + l, less its error allowance delta, clamped at zero ((t + |t|)
    / 2 is exact), squared and scaled by the chunk's 1 / width.  Blocks
    with a lane whose c * shrink is still at most thr are kept, in order,
-   in out; returns their count. */
-static int64_t seg_bound_blocks(const double *pb, const double *pe, double r,
+   in out; returns their count.  Each block is two two-lane vectors
+   (gcc does not vectorize the scalar four-lane body by itself); c, blk
+   and out never alias P or each other. */
+static int64_t seg_bound_blocks(const double *restrict pb,
+                                const double *restrict pe, double r,
                                 double inv_w, double delta, double shrink,
-                                double thr, double *c, const int64_t *blk,
-                                int64_t nb, int64_t *out) {
+                                double thr, double *restrict c,
+                                const int64_t *restrict blk, int64_t nb,
+                                int64_t *restrict out) {
     int64_t kept = 0;
     for (int64_t j = 0; j < nb; j++) {
         int64_t d = blk[j];
-        int any = 0;
-        for (int64_t l = d; l < d + 4; l++) {
-            double t = fabs((pe[l] - pb[l]) - r) - delta;
-            t = (t + fabs(t)) * 0.5;
-            double v = c[l] + t * t * inv_w;
-            c[l] = v;
+        seg_m2 any = {0, 0};
+        for (int64_t h = d; h < d + 4; h += 2) {
+            seg_v2 t = seg_abs2((seg_load2(pe + h) - seg_load2(pb + h)) - r)
+                       - delta;
+            t = (t + seg_abs2(t)) * 0.5;
+            seg_v2 v = seg_load2(c + h) + t * t * inv_w;
+            memcpy(c + h, &v, sizeof v);
             any |= v * shrink <= thr;
         }
         out[kept] = d;
-        kept += any;
+        kept += (any[0] | any[1]) != 0;
     }
     return kept;
 }
@@ -1141,6 +1161,22 @@ void reveal_segment_gather(const double *x, int64_t n, const int64_t *win,
 }
 
 /* ------------------------------------------------------------------ */
+/* RunningMoments.merge (repro.attack.template): Chan's scatter update
+   over the block [lo, hi) x [lo, hi) of row-major L x L matrices,
+   s[i][j] += ((d[i] * d[j]) * w) + o[i][j], which numpy forms in four
+   passes (correction = outer(d, d); correction *= w; correction += o;
+   s += correction), operation for operation.  o may be s. */
+void reveal_moments_merge(double *s, const double *o, const double *d,
+                          int64_t L, int64_t lo, int64_t hi, double w) {
+    for (int64_t i = lo; i < hi; i++) {
+        double *si = s + i * L;
+        const double *oi = o + i * L;
+        double di = d[i];
+        for (int64_t j = lo; j < hi; j++) si[j] = si[j] + ((di * d[j]) * w + oi[j]);
+    }
+}
+
+/* ------------------------------------------------------------------ */
 /* Keyed Gaussian noise (repro.power.noise): Philox4x64-10 and numpy's
    ziggurat, bit-identical to Generator(Philox(key)).standard_normal.
 
@@ -1224,20 +1260,77 @@ static double noise_next_double(void *st) {
     return (double)(noise_next64(st) >> 11) * (1.0 / 9007199254740992.0);
 }
 
-static inline double noise_normal(noise_stream *s, bitgen_t *slow) {
-    if (s->pos == NOISE_BUF) noise_philox(s);
-    uint64_t r = s->buf[s->pos++];
+/* numpy's ziggurat fast path for the raw word r: 1 with *x set when
+   rabs < ki[idx], 0 when numpy's sampler must take the draw.  Both word
+   sources (the keyed Philox stream and a caller's bitgen_t) share it. */
+static inline int noise_fast(uint64_t r, double *x) {
     uint64_t idx = r & 0xff;
     uint64_t rabs = (r >> 9) & 0x000fffffffffffffULL;
     if (__builtin_expect(rabs < noise_ki[idx], 1)) {
-        double x = (double)(int64_t)rabs * noise_wi[idx];
+        double v = (double)(int64_t)rabs * noise_wi[idx];
         uint64_t bits;
-        memcpy(&bits, &x, sizeof bits);
+        memcpy(&bits, &v, sizeof bits);
         bits ^= (r & 0x100) << 55; /* the sign without a branch */
-        memcpy(&x, &bits, sizeof x);
-        return x;
+        memcpy(x, &bits, sizeof bits);
+        return 1;
     }
+    return 0;
+}
+
+static inline double noise_normal(noise_stream *s, bitgen_t *slow) {
+    if (s->pos == NOISE_BUF) noise_philox(s);
+    double x;
+    if (noise_fast(s->buf[s->pos++], &x)) return x;
     s->pos--; /* numpy's sampler re-reads the draw */
+    return random_standard_normal(slow);
+}
+
+/* The caller's generator with one word pushed back: the first
+   next_uint64 returns it, every other call goes to the generator, so
+   numpy's sampler re-reads a rejected draw and takes any further words
+   (and its next_double, MT19937's differs from PCG64's) from the
+   generator itself.  random_standard_normal reads a 64-bit word first,
+   so the pushed-back word is never asked for in another width. */
+typedef struct {
+    bitgen_t *real;
+    uint64_t word;
+    int pending;
+} noise_replay;
+
+static uint64_t noise_replay_next64(void *st) {
+    noise_replay *p = (noise_replay *)st;
+    if (p->pending) {
+        p->pending = 0;
+        return p->word;
+    }
+    return p->real->next_uint64(p->real->state);
+}
+
+static uint32_t noise_replay_next32(void *st) {
+    noise_replay *p = (noise_replay *)st;
+    return p->real->next_uint32(p->real->state);
+}
+
+static double noise_replay_double(void *st) {
+    noise_replay *p = (noise_replay *)st;
+    return p->real->next_double(p->real->state);
+}
+
+static uint64_t noise_replay_raw(void *st) {
+    noise_replay *p = (noise_replay *)st;
+    return p->real->next_raw(p->real->state);
+}
+
+/* The next standard normal of the caller's generator, whose
+   next_uint64 and state are next and st, as numpy's
+   random_standard_normal would draw it. */
+static inline double noise_normal_seq(uint64_t (*next)(void *), void *st,
+                                      noise_replay *replay, bitgen_t *slow) {
+    uint64_t r = next(st);
+    double x;
+    if (noise_fast(r, &x)) return x;
+    replay->word = r;
+    replay->pending = 1;
     return random_standard_normal(slow);
 }
 
@@ -1314,14 +1407,10 @@ static int noise_probe_tables(void) {
         } else {
             r = noise_splitmix(&mix);
         }
-        double want = noise_probe_one(r, &fast);
-        noise_stream s;
-        s.buf[0] = r;
-        s.pos = 0;
+        double want = noise_probe_one(r, &fast), got;
         uint64_t idx = r & 0xff, rabs = (r >> 9) & (top - 1);
         if (rabs < noise_ki[idx]) {
-            if (!fast) return -1;
-            double got = noise_normal(&s, NULL);
+            if (!fast || !noise_fast(r, &got)) return -1;
             if (memcmp(&got, &want, sizeof got) != 0) return -1;
         }
     }
@@ -1375,6 +1464,38 @@ int reveal_add_noise(const double *src, double *dst, int64_t n, uint64_t k0,
 #else
     (void)src; (void)dst; (void)n; (void)k0; (void)k1; (void)offset;
     (void)gain; (void)std;
+    return -1;
+#endif
+}
+
+/* dst[i] = src[i] * gain + (0.0 + std * z_i) for i < n, where z_i are
+   the next n standard normals of the caller's numpy bitgen_t (taken as
+   void *: cffi's cdef does not know the struct).  This is what numpy
+   evaluates as out *= gain, then out += rng.normal(0.0, std, n):
+   random_normal returns loc + scale * z, and the 0.0 + turns a -0.0
+   product into 0.0.  The generator ends in numpy's state: every word
+   read is a word numpy's sampler reads.  The caller holds the
+   generator's lock.  src may be dst.  Returns 0, or -1 where the kernel
+   is unavailable. */
+int reveal_add_normal(const double *src, double *dst, int64_t n, void *bitgen,
+                      double gain, double std) {
+#ifdef NOISE_NPYRANDOM
+    if (noise_ready != 1) return -1;
+    bitgen_t *g = (bitgen_t *)bitgen;
+    noise_replay replay = {g, 0, 0};
+    bitgen_t slow = {&replay, noise_replay_next64, noise_replay_next32,
+                     noise_replay_double, noise_replay_raw};
+    /* locals: the generator's calls cannot move them */
+    uint64_t (*next)(void *) = g->next_uint64;
+    void *st = g->state;
+    for (int64_t i = 0; i < n; i++) {
+        double z = noise_normal_seq(next, st, &replay, &slow);
+        double t = src[i] * gain;
+        dst[i] = t + (0.0 + std * z);
+    }
+    return 0;
+#else
+    (void)src; (void)dst; (void)n; (void)bitgen; (void)gain; (void)std;
     return -1;
 #endif
 }

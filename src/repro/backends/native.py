@@ -16,8 +16,10 @@ the ``backend.native.*`` oracles).  The ``segment`` kernel (see
 screens its one inexact step, a dot product, under a rigorous rounding
 bound.  The keyed-noise kernel (see :func:`_noise_kernel`) runs
 Philox4x64-10 and numpy's ziggurat fast path in C and hands every other
-draw to numpy's own sampler, linked from ``libnpyrandom.a``.  Every
-kernel is bit-exact, so the backend changes speed, never an output bit.
+draw to numpy's own sampler, linked from ``libnpyrandom.a``; its
+sequential-stream twin (:func:`_normal_kernel`) shares that fast path
+but draws its words from a caller's numpy generator.  Every kernel is
+bit-exact, so the backend changes speed, never an output bit.
 
 Both sources build on one generated ``#define`` prelude (:func:`_prelude`):
 the op classes and cycle costs of :mod:`repro.riscv.cycles` and the
@@ -87,9 +89,13 @@ void reveal_segment_gather(const double *x, int64_t n, const int64_t *win,
 void reveal_segment_percentiles(const double *env, int64_t n, double *out);
 int reveal_segment_avx2(void);
 int reveal_all_finite(const double *x, int64_t n);
+void reveal_moments_merge(double *s, const double *o, const double *d,
+                          int64_t L, int64_t lo, int64_t hi, double w);
 int reveal_noise_init(void);
 int reveal_add_noise(const double *src, double *dst, int64_t n, uint64_t k0,
                      uint64_t k1, int64_t offset, double gain, double std);
+int reveal_add_normal(const double *src, double *dst, int64_t n, void *bitgen,
+                      double gain, double std);
 """
 
 #: The C sources, relative to the ``repro`` package, in build order.
@@ -269,14 +275,16 @@ def build_backend() -> Backend:
     lib = module.lib
     ffi = module.ffi
 
+    # typed buffers pass as pointers without a cast (about 0.5 us less
+    # per argument than casting an untyped one)
     def i64(arr: np.ndarray):
-        return ffi.cast("int64_t *", ffi.from_buffer(arr))
+        return ffi.from_buffer("int64_t[]", arr)
 
     def u64(arr: np.ndarray):
-        return ffi.cast("uint64_t *", ffi.from_buffer(arr))
+        return ffi.from_buffer("uint64_t[]", arr)
 
     def f64(arr: np.ndarray):
-        return ffi.cast("double *", ffi.from_buffer(arr))
+        return ffi.from_buffer("double[]", arr)
 
     def _ntt_tables(ctx):
         # Shoup companions are derived lazily per context and cached on
@@ -335,6 +343,33 @@ def build_backend() -> Backend:
         x = np.ascontiguousarray(samples, dtype=np.float64)
         return bool(lib.reveal_all_finite(f64(x), x.size))
 
+    def moments_merge(scatter, other, delta, block, weight) -> bool:
+        # scatter[block, block] += outer(d, d) * weight + other[block,
+        # block] with d = delta[block]; False (numpy runs) for anything
+        # but C-contiguous float64 L x L matrices and a step-1 block
+        if not (
+            type(delta) is np.ndarray and delta.dtype == np.float64
+            and delta.ndim == 1 and delta.flags.c_contiguous
+        ):
+            return False
+        n = delta.shape[0]
+        if not (
+            all(
+                type(m) is np.ndarray and m.dtype == np.float64
+                and m.shape == (n, n) and m.flags.c_contiguous
+                for m in (scatter, other)
+            )
+            and scatter.flags.writeable
+        ):
+            return False
+        lo, hi, step = block.indices(n)
+        if step != 1:
+            return False
+        lib.reveal_moments_merge(
+            f64(scatter), f64(other), f64(delta), n, lo, hi, weight
+        )
+        return True
+
     kernels = {
         "ntt_forward": ntt_forward,
         "ntt_inverse": ntt_inverse,
@@ -342,10 +377,14 @@ def build_backend() -> Backend:
         "expand_events": expand_events,
         "segment": _segment_kernel(module),
         "all_finite": all_finite,
+        "moments_merge": moments_merge,
     }
-    add_noise = _noise_kernel(module)
-    if add_noise is not None:
-        kernels["add_noise"] = add_noise
+    for name, kernel in (
+        ("add_noise", _noise_kernel(module)),
+        ("add_normal", _normal_kernel(module)),
+    ):
+        if kernel is not None:
+            kernels[name] = kernel
     return Backend(
         name="native",
         version=digest[:8],
@@ -353,6 +392,31 @@ def build_backend() -> Backend:
         module=module,
         kernels=kernels,
     )
+
+
+def _noise_out(samples, out, gain, std):
+    """The array a noise kernel writes, or ``None`` where it declines:
+    ``samples`` must be a 1-D C-contiguous float64 array and ``out``
+    (a new array when ``None``; it may be ``samples``) a writeable one
+    of the same shape that ``samples`` does not partly overlap; a
+    non-finite ``gain`` or ``std`` is numpy's (the operand order of a
+    NaN result is its own)."""
+    if not (
+        type(samples) is np.ndarray and samples.dtype == np.float64
+        and samples.ndim == 1 and samples.flags.c_contiguous
+        and math.isfinite(gain) and math.isfinite(std)
+    ):
+        return None
+    if out is None:
+        return np.empty_like(samples)
+    if out is not samples and not (
+        type(out) is np.ndarray and out.dtype == np.float64
+        and out.shape == samples.shape and out.flags.c_contiguous
+        and (out.ctypes.data == samples.ctypes.data
+             or not np.may_share_memory(out, samples))
+    ):
+        return None
+    return out if out.flags.writeable else None
 
 
 def _noise_kernel(module):
@@ -363,10 +427,8 @@ def _noise_kernel(module):
     is ``None``; ``out`` may be ``samples``) and returns it, where ``z``
     is samples ``offset ..`` of the standard normal stream of the 2x64-bit
     Philox ``key`` (:mod:`repro.power.noise`).  It returns ``None``, and
-    the caller runs numpy, for anything but 1-D C-contiguous float64
-    arrays, partly overlapping buffers, a non-finite ``gain`` or ``std``
-    (where the operand order of a NaN result is numpy's) and an
-    ``offset`` that is not a non-negative ``int`` (numpy raises).
+    the caller runs numpy, for whatever :func:`_noise_out` declines and
+    an ``offset`` that is not a non-negative ``int`` (numpy raises).
 
     The kernel is absent where the module was built without numpy's
     ``libnpyrandom.a``, where the C probe of numpy's ziggurat tables
@@ -378,26 +440,13 @@ def _noise_kernel(module):
         return None
 
     def f64(arr: np.ndarray):
-        return ffi.cast("double *", ffi.from_buffer(arr))
+        return ffi.from_buffer("double[]", arr)
 
     def add_noise(samples, out, key, offset, gain, std):
-        if not (
-            type(samples) is np.ndarray and samples.dtype == np.float64
-            and samples.ndim == 1 and samples.flags.c_contiguous
-            and math.isfinite(gain) and math.isfinite(std)
-            and type(offset) is int and offset >= 0
-        ):
+        if type(offset) is not int or offset < 0:
             return None
+        out = _noise_out(samples, out, gain, std)
         if out is None:
-            out = np.empty_like(samples)
-        elif out is not samples and not (
-            type(out) is np.ndarray and out.dtype == np.float64
-            and out.shape == samples.shape and out.flags.c_contiguous
-            and (out.ctypes.data == samples.ctypes.data
-                 or not np.may_share_memory(out, samples))
-        ):
-            return None
-        if not out.flags.writeable:
             return None
         lib.reveal_add_noise(
             f64(samples), f64(out), out.size, int(key[0]), int(key[1]),
@@ -415,6 +464,61 @@ def _noise_kernel(module):
     if add_noise(zeros, None, key, 0, 1.0, 1.0).tobytes() != want.tobytes():
         return None
     return add_noise
+
+
+def _normal_kernel(module):
+    """The exact sequential-stream noise kernel over ``module``, or ``None``.
+
+    ``add_normal(samples, out, rng, gain, std)`` writes
+    ``samples * gain + (0.0 + std * z)`` into ``out`` (as
+    :func:`_noise_kernel`'s ``add_noise`` does) and returns it, where
+    ``z`` are the next standard normals of the numpy ``Generator``
+    ``rng``: the values and the generator's state afterwards are those
+    of ``out *= gain; out += rng.normal(0.0, std, out.size)``.  It draws
+    words through the generator's public ``bitgen_t`` (its ``ctypes``
+    interface), under the generator's lock as numpy's own methods do, so
+    it works for every BitGenerator without knowing its state layout.
+    It declines what ``add_noise`` declines and a negative ``std``
+    (``-0.0`` included), where numpy raises.
+
+    The kernel is absent where ``add_noise`` is for want of the archive
+    or its tables, or where a short PCG64 stream with slow-path draws
+    does not match numpy's output bits and leave the generator where
+    numpy does.
+    """
+    lib, ffi = module.lib, module.ffi
+    if lib.reveal_noise_init() != 0:
+        return None
+
+    def f64(arr: np.ndarray):
+        return ffi.from_buffer("double[]", arr)
+
+    def add_normal(samples, out, rng, gain, std):
+        if not math.copysign(1.0, std) > 0:
+            return None
+        out = _noise_out(samples, out, gain, std)
+        if out is None:
+            return None
+        bits = rng.bit_generator
+        address = bits.ctypes.bit_generator.value
+        with bits.lock:
+            lib.reveal_add_normal(
+                f64(samples), f64(out), out.size,
+                ffi.cast("void *", address), gain, std,
+            )
+        return out
+
+    # Long enough for numpy's tail and wedge draws, whose next_double
+    # and any further words must be the generator's own.
+    samples = np.zeros(4096)
+    mine, theirs = (np.random.default_rng(0x5EED) for _ in range(2))
+    want = samples * 0.5
+    want += theirs.normal(0.0, 1.5, samples.size)
+    got = add_normal(samples, None, mine, 0.5, 1.5)
+    if (got.tobytes() != want.tobytes()
+            or mine.bit_generator.random_raw() != theirs.bit_generator.random_raw()):
+        return None
+    return add_normal
 
 
 #: C status codes of ``reveal_segment_windows`` → the failure reasons
@@ -567,7 +671,7 @@ def _segment_kernel(module):
     lib, ffi = module.lib, module.ffi
 
     def ptr(kind: str, arr: np.ndarray):
-        return ffi.cast(kind, ffi.from_buffer(arr))
+        return ffi.from_buffer(kind, arr)
 
     def segment(samples, config, refiner=None, slices=False, variant=-1):
         x = np.ascontiguousarray(samples, dtype=np.float64)
@@ -586,8 +690,8 @@ def _segment_kernel(module):
         located = np.empty((cap, 3), dtype=np.int64)
         info = np.zeros(4, dtype=np.int64)
         status = lib.reveal_segment_windows(
-            ptr("double *", x), n, ptr("int64_t *", cfg),
-            ptr("int64_t *", located), cap, ptr("int64_t *", info),
+            ptr("double[]", x), n, ptr("int64_t[]", cfg),
+            ptr("int64_t[]", located), cap, ptr("int64_t[]", info),
         )
         if status:
             reason = _SEGMENT_REASONS[status]
@@ -612,16 +716,16 @@ def _segment_kernel(module):
             if reference.ndim != 1 or reference.size < 1:
                 return "defer", None
             if lib.reveal_segment_refine(
-                ptr("double *", x), n, ptr("int64_t *", located),
-                len(located), ptr("double *", reference), reference.size,
+                ptr("double[]", x), n, ptr("int64_t[]", located),
+                len(located), ptr("double[]", reference), reference.size,
                 geometry[2], geometry[3], variant,
-                ptr("uint8_t *", pending),
+                ptr("uint8_t[]", pending),
             ) < 0:
                 raise MemoryError("segmentation kernel: out of memory")
         rows = np.empty((len(located), geometry[0] + geometry[1]))
         lib.reveal_segment_gather(
-            ptr("double *", x), n, ptr("int64_t *", located), len(located),
-            geometry[0], geometry[1], ptr("double *", rows),
+            ptr("double[]", x), n, ptr("int64_t[]", located), len(located),
+            geometry[0], geometry[1], ptr("double[]", rows),
         )
         return "ok", (rows, located, np.flatnonzero(pending))
 

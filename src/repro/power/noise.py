@@ -63,6 +63,37 @@ Native twin
     absent and numpy runs.  :func:`standard_noise` itself stays numpy: filling a zero
     buffer would turn a ``-0.0`` draw into ``0.0``.
 
+Sequential-stream twin
+    Serial profiling draws its noise from the bench's own generator
+    (:meth:`~repro.power.scope.Oscilloscope.capture`, ``out +=
+    rng.normal(0.0, std, n)``), not from a keyed stream.
+    :func:`sequential_noise` runs that in C too (``reveal_add_normal``),
+    with a second word source under the same fast path:
+
+    - words come from the caller's ``Generator`` through its public
+      ``bitgen_t`` (``rng.bit_generator.ctypes.bit_generator``), one
+      ``next_uint64`` per draw, under ``rng.bit_generator.lock`` as
+      numpy's own methods hold it.  No generator's state layout is
+      copied, so it works for every BitGenerator;
+    - a draw takes the fast path on exactly numpy's test, with the
+      tables and the code shared with the keyed kernel;
+    - a rejected draw goes to numpy's ``random_standard_normal``
+      through a replay ``bitgen_t`` that hands out the pushed-back word
+      first and then forwards ``next_uint64``, ``next_uint32`` and
+      ``next_double`` to the real generator.  So numpy's sampler reads
+      the same words in the same order, with that generator's own
+      ``next_double`` (MT19937's differs from PCG64's), and the
+      generator ends in the state numpy leaves it in: every word the
+      kernel reads is a word numpy's sampler reads;
+    - ``out[i] * gain + (0.0 + std * z)`` is numpy's ``random_normal``
+      (``loc + scale * z``) followed by ``+=``; the ``0.0 +`` is kept
+      because it turns a ``-0.0`` product into ``0.0``.
+
+    It declines what the keyed kernel declines, and a negative ``std``
+    (``-0.0`` too), where numpy raises; a load-time check of a short
+    PCG64 stream with slow-path draws (output bits and the generator's
+    next word) must pass, or only this entry is absent.
+
 The deliberate bit-compat break with v1 is versioned via
 :data:`NOISE_STREAM_VERSION`; the ``power.noise_v2`` oracle in
 :mod:`repro.verify.oracles` pins the statistical contract against the
@@ -163,3 +194,24 @@ def scaled_noise(
     if kernel is None:
         return None
     return kernel(samples, out, stream_key(entropy, seed), offset, gain, std)
+
+
+def sequential_noise(
+    samples: np.ndarray,
+    out,
+    rng: np.random.Generator,
+    gain: float,
+    std: float,
+):
+    """:func:`scaled_noise` for the sequential stream of ``rng``: the
+    native kernel's ``samples * gain + (0.0 + std * z)`` with ``z`` the
+    next standard normals of ``rng``, which it leaves where ``out *=
+    gain; out += rng.normal(0.0, std, out.size)`` would.
+
+    Returns ``None`` where the kernel is absent or declines (a negative
+    ``std`` included); the caller then runs that numpy twin.
+    """
+    kernel = get_kernel("add_normal")
+    if kernel is None:
+        return None
+    return kernel(samples, out, rng, gain, std)

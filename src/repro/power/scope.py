@@ -6,6 +6,14 @@ per clock cycle which are effectively averaged per-cycle by the analog
 bandwidth.  We therefore model the acquisition chain at one sample per
 clock cycle: gain, band limiting (moving average), additive Gaussian
 amplifier/quantisation noise and an optional ADC.
+
+Without a filter, both noise sources run in the native backend where
+it builds, gain and noise in one pass with numpy's bits:
+:meth:`Oscilloscope.capture_keyed` over the keyed stream (stream v2),
+:meth:`Oscilloscope.capture` over the caller's own generator, which it
+leaves in numpy's state (see :mod:`repro.power.noise`).  The numpy
+steps stay the reference twin and run wherever a kernel is absent or
+declines.
 """
 
 from __future__ import annotations
@@ -87,15 +95,26 @@ class Oscilloscope:
         """Apply the acquisition chain to noiseless leakage samples.
 
         Noise comes from ``rng``'s sequential stream (the historical
-        v1 contract, kept for the ``capture_reference`` path and
-        single ad-hoc captures).  ``out=`` runs the chain in place.
+        v1 contract, kept for serial profiling, the ``capture_reference``
+        path and single ad-hoc captures).  ``out=`` runs the chain in
+        place.  Without a filter the native sequential-stream kernel
+        draws the normals from ``rng`` itself and applies the gain in
+        the same pass, with the same bits and the same generator state
+        afterwards as the numpy steps (:func:`repro.power.noise.
+        sequential_noise`).
         """
         rng = new_rng(rng)
-        out = self._front_end(samples, out)
-        if self.noise_std > 0:
-            out += rng.normal(0.0, self.noise_std, out.shape)
-        self._quantize(out)
-        return out
+        measured = None
+        if self.bandwidth_window == 1 and self.noise_std > 0:
+            measured = noise_stream.sequential_noise(
+                samples, out, rng, self.gain, self.noise_std
+            )
+        if measured is None:
+            measured = self._front_end(samples, out)
+            if self.noise_std > 0:
+                measured += rng.normal(0.0, self.noise_std, measured.shape)
+        self._quantize(measured)
+        return measured
 
     def capture_keyed(
         self, samples: np.ndarray, entropy: int, seed: int, out=None

@@ -16,11 +16,15 @@ registers one oracle per kernel group —
   contraction);
 - ``backend.<name>.noise`` — keyed measurement noise through
   :func:`repro.power.noise.add_noise` at an offset and
-  :meth:`Oscilloscope.capture_keyed` with a gain, compared as raw bits
-  (so the sign of a zero and a NaN's payload count).  Cases draw
-  counts of 0 and 1, ranges that straddle or end on a 16,384-sample
-  block boundary, streams long enough for numpy's tail and wedge
-  draws, and NaN, infinite and ``-0.0`` input samples.  Fuzzable:
+  :meth:`Oscilloscope.capture_keyed` with a gain, and sequential-stream
+  noise through :meth:`Oscilloscope.capture` from a seeded generator of
+  a random BitGenerator type (PCG64, Philox, MT19937, SFC64 or
+  PCG64DXSM), compared as raw bits (so the sign of a zero and a NaN's
+  payload count) together with the generator's next raw words after
+  the capture.  Cases draw counts of 0 and 1, ranges that straddle or
+  end on a 16,384-sample block boundary, streams long enough for
+  numpy's tail and wedge draws, and NaN, infinite and ``-0.0`` input
+  samples.  Fuzzable:
   ``python -m repro.verify fuzz backend.native.noise --cases 1000``.
 
 Each fast side runs inside :func:`repro.backends.use_backend` so the
@@ -77,8 +81,42 @@ def _expand_with_backend(case: Dict[str, Any], backend: str):
 
 
 # ----------------------------------------------------------------------
-# Keyed measurement noise
+# Measurement noise: the keyed stream and a generator's own stream
 # ----------------------------------------------------------------------
+#: BitGenerator types of the sequential-stream case.
+_BIT_GENERATORS = ("PCG64", "Philox", "MT19937", "SFC64", "PCG64DXSM")
+
+
+def _untemper(y: int) -> int:
+    """The MT19937 state word whose tempered output is ``y``."""
+    y ^= y >> 18
+    y ^= (y << 15) & 0xEFC60000
+    x = y
+    for _ in range(5):
+        x = y ^ ((x << 7) & 0x9D2C5680)
+    y = x & 0xFFFFFFFF
+    x = y
+    for _ in range(3):
+        x = y ^ (x >> 11)
+    return x & 0xFFFFFFFF
+
+
+def planted_mt19937(seed: int) -> np.random.MT19937:
+    """An MT19937 whose next standard normal is ``-0.0``.
+
+    Its next 64-bit word is ``0x105``: ziggurat index 5, the sign bit
+    set and ``rabs = 0``, a fast-path draw of ``-0.0 * wi[5]``.  Such a
+    draw comes once in 2**52 otherwise; it is the one where ``loc +
+    scale * z`` (``0.0 + std * -0.0 = 0.0``) differs from ``scale * z``.
+    """
+    bits = np.random.MT19937(seed)
+    state = bits.state
+    state["state"]["key"][:2] = [_untemper(0), _untemper(0x105)]
+    state["state"]["pos"] = 0
+    bits.state = state
+    return bits
+
+
 def _sample_noise_case(rng: np.random.Generator) -> Dict[str, Any]:
     from repro.power.noise import NOISE_BLOCK
 
@@ -98,14 +136,22 @@ def _sample_noise_case(rng: np.random.Generator) -> Dict[str, Any]:
         specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0])
         where = rng.integers(0, count, size=min(count, 8))
         samples[where] = rng.choice(specials, size=where.size)
-    return {
+    case = {
         "entropy": int(rng.integers(0, 1 << 63)),
         "seed": int(rng.integers(0, 1 << 40)),
         "offset": offset,
         "samples": samples,
         "std": float(rng.choice([0.0, 0.37, 1.0, 2.5, rng.uniform(0.01, 10)])),
         "gain": float(rng.choice([1.0, -0.5, rng.uniform(0.1, 3.0)])),
+        "bit_generator": str(rng.choice(_BIT_GENERATORS)),
+        "generator_seed": int(rng.integers(0, 1 << 63)),
     }
+    # Half the MT19937 cases start on a -0.0 draw over a sample that is
+    # -0.0 after the gain, so the sum's sign tells the two forms apart.
+    if case["bit_generator"] == "MT19937" and count and rng.random() < 0.5:
+        case["planted"] = True
+        samples[0] = -0.0 if case["gain"] > 0 else 0.0
+    return case
 
 
 def _noise_with_backend(case: Dict[str, Any], backend: str) -> Dict[str, Any]:
@@ -121,9 +167,16 @@ def _noise_with_backend(case: Dict[str, Any], backend: str) -> Dict[str, Any]:
         captured = scope.capture_keyed(
             case["samples"], case["entropy"], case["seed"]
         )
+        if case.get("planted"):
+            bits = planted_mt19937(case["generator_seed"])
+        else:
+            bits = getattr(np.random, case["bit_generator"])(case["generator_seed"])
+        sequential = scope.capture(case["samples"], rng=np.random.Generator(bits))
     return {
         "add_noise": shifted.view(np.uint64),
         "capture_keyed": captured.view(np.uint64),
+        "capture": sequential.view(np.uint64),
+        "next_words": bits.random_raw(4),
     }
 
 
@@ -147,8 +200,9 @@ _GROUPS: Tuple[Tuple[str, Tuple[str, ...], str], ...] = (
     (
         "noise",
         ("add_noise",),
-        "keyed Philox noise and scope gain vs numpy's "
-        "Generator(Philox).standard_normal path",
+        "keyed Philox noise, sequential-stream noise from a caller's "
+        "Generator and the scope gain vs numpy's standard_normal and "
+        "normal paths",
     ),
 )
 
@@ -169,7 +223,9 @@ _CASES = {
         _noise_with_backend,
         lambda case: (
             f"count={case['samples'].size}, offset={case['offset']}, "
-            f"std={case['std']}, gain={case['gain']}"
+            f"std={case['std']}, gain={case['gain']}, "
+            f"{case['bit_generator']}({case['generator_seed']})"
+            f"{', planted -0.0' if case.get('planted') else ''}"
         ),
     ),
 }
