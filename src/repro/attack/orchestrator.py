@@ -11,17 +11,17 @@ target both call it, at any worker count.  It is one synchronous call:
   ``signs``, ``estimates``, posterior ``tables``), plus stage timings
   and error messages.
 - **One worker-count rule.**  ``workers=None`` picks ``min(4, cpus)``;
-  any count is clamped to ``trace_count``.  At one worker or fewer the
-  grains run in the calling thread with no fork; above that each grain
-  is one future on a forked pool (:func:`repro.utils.pool.process_pool`).
+  any count is clamped to ``trace_count``.  The grains run on
+  :func:`repro.utils.pool.run_grains`: at one worker or fewer in the
+  calling thread with no fork, else one future each on a forked pool.
 - **Fold in the caller's thread.**  Records are folded as they complete
   into the campaign's seed-indexed arrays, and completed checkpoint
   shards are written atomically (:mod:`repro.attack.checkpoint`), so a
   killed campaign resumes from them under a fingerprint guard.  A shard
   archive that does not load, or has another shape, is attacked again.
 - **Worker death is survivable.**  A dead worker breaks the pool; the
-  fold counts the break, forks a fresh pool and resubmits every grain
-  it has not folded.
+  executor counts it in ``workers_died``, forks a fresh pool and
+  resubmits every grain it has not yielded, for profiling grains too.
 
 Per-seed outcomes are a pure function of ``(attack, seed, coeffs, batch
 entropy)``, so the :class:`~repro.attack.campaign.CampaignReport` is
@@ -35,8 +35,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import as_completed
-from concurrent.futures.process import BrokenProcessPool
+from contextlib import closing
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -48,9 +47,7 @@ from repro.attack.pipeline import SingleTraceAttack
 from repro.errors import AttackError
 from repro.power.capture import _capture_one
 from repro.riscv.device import effective_engine
-from repro.utils.pool import process_pool
-
-Grain = Tuple[int, int]
+from repro.utils.pool import DEFAULT_GRAIN, Grain, run_grains
 
 #: The per-seed arrays of a grain record, of a campaign's state and of a
 #: checkpoint shard (which adds ``errors``, a JSON blob).
@@ -147,25 +144,6 @@ def _run_grain(
     return record
 
 
-# Worker-process state: the profiled attack arrives once through the
-# pool initializer instead of being pickled into every grain.
-_WORKER: dict = {}
-
-
-def _worker_init(attack: SingleTraceAttack) -> None:
-    _WORKER["attack"] = attack
-
-
-def _pool_grain(lo: int, hi: int, count: int, entropy: int, engine: str):
-    return _run_grain(_WORKER["attack"], lo, hi, count, entropy, engine)
-
-
-def _grain_failed(lo: int, hi: int, error: BaseException) -> AttackError:
-    return AttackError(
-        f"seeds [{lo}, {hi}) failed: {type(error).__name__}: {error}"
-    )
-
-
 # ----------------------------------------------------------------------
 # Caller-side fold
 # ----------------------------------------------------------------------
@@ -236,6 +214,9 @@ class _CampaignState:
             else:
                 grains.append((seed, seed + 1))
         return grains
+
+    def worker_died(self) -> None:
+        self.workers_died += 1
 
     def fold(self, record: Dict[str, Any]) -> None:
         a, b = self._put(record["lo"], record, record["errors"])
@@ -343,54 +324,18 @@ def _execute(
     entropy: int,
     engine: str,
 ) -> None:
-    """Attack every unfolded seed and fold each grain as it completes:
-    in this thread at one worker, else on a forked pool, forking a
-    fresh pool for the grains a broken one lost."""
-    if workers <= 1:
-        for lo, hi in state.unfolded_grains(grain):
-            try:
-                record = _run_grain(attack, lo, hi, state.count, entropy, engine)
-            except Exception as error:
-                raise _grain_failed(lo, hi, error) from error
+    """Attack every unfolded seed; fold each grain as it completes."""
+    records = run_grains(
+        _run_grain,
+        attack,
+        state.unfolded_grains(grain),
+        workers,
+        (state.count, entropy, engine),
+        on_break=state.worker_died,
+    )
+    with closing(records):
+        for _, record in records:
             state.fold(record)
-        return
-    grains_at_break: Optional[int] = None
-    grains = state.unfolded_grains(grain)
-    while grains:
-        broke = False
-        pool = process_pool(workers, _worker_init, (attack,))
-        try:
-            futures = {}
-            for lo, hi in grains:
-                try:
-                    future = pool.submit(
-                        _pool_grain, lo, hi, state.count, entropy, engine
-                    )
-                except BrokenProcessPool:  # a worker died during submission
-                    broke = True
-                    break
-                futures[future] = (lo, hi)
-            for future in as_completed(futures):
-                error = future.exception()
-                if isinstance(error, BrokenProcessPool):
-                    broke = True
-                elif error is not None:
-                    raise _grain_failed(*futures[future], error) from error
-                else:
-                    state.fold(future.result())
-        finally:
-            # The pool's own __exit__ would run every queued grain of a
-            # failed or interrupted campaign to the end.
-            pool.shutdown(wait=True, cancel_futures=True)
-        grains = state.unfolded_grains(grain)
-        if broke:
-            state.workers_died += 1
-            if grains_at_break == state.grains:
-                raise AttackError(
-                    "the worker pool broke twice without completing a grain; "
-                    "a grain may be killing its worker"
-                )
-            grains_at_break = state.grains
 
 
 def run_orchestrated(
@@ -427,7 +372,7 @@ def run_orchestrated(
     if workers is None:
         workers = min(4, cpus)
     workers = max(1, min(int(workers), trace_count, cpus * 4))
-    grain = max(1, int(grain) if grain else 32)
+    grain = max(1, int(grain) if grain else DEFAULT_GRAIN)
     # effective_engine: "compiled" degrades to "threaded" without a C
     # toolchain, and the report records the engine that actually ran.
     engine = effective_engine(

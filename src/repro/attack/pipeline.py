@@ -182,10 +182,9 @@ class SingleTraceAttack:
         :meth:`profile_reference` path within float accumulation error
         (the tests pin 1e-9 parity).
 
-        ``workers`` switches acquisition to the batch path with
-        **worker-side segmentation** (per-seed noise streams, slices
-        extracted inside the pool workers so only a few KB per trace
-        crosses the process boundary — see :meth:`~repro.power.capture.
+        ``workers`` switches to per-seed noise streams: the anchor head
+        is captured in this process, every later seed with
+        **worker-side segmentation** (see :meth:`~repro.power.capture.
         TraceAcquisition.capture_segmented_batch`); the default keeps
         the bench's sequential noise stream so seeded experiments
         reproduce historical results exactly.
@@ -203,10 +202,7 @@ class SingleTraceAttack:
             ]
         else:
             head = self.acquisition.capture_batch(
-                min(pool_size, num_traces),
-                coeffs_per_trace,
-                first_seed=first_seed,
-                workers=workers,
+                min(pool_size, num_traces), coeffs_per_trace, first_seed=first_seed
             )
         capture_s += clock() - tick
         tick = clock()
@@ -219,34 +215,34 @@ class SingleTraceAttack:
         accumulator = MomentAccumulator(self.segmenter.slice_length)
         accumulate = accumulator.add
 
-        if workers is None:
-            capture = self.acquisition.capture
-            aligned_slices = self.segmenter.aligned_slices
-            for index in range(num_traces):
-                tick = clock()
-                if index < len(head):
-                    captured = head[index]
-                else:
-                    captured = capture(first_seed + index, coeffs_per_trace)
-                split = clock()
-                capture_s += split - tick
-                try:
-                    aligned = aligned_slices(
-                        captured.trace.samples, refiner=self.refiner
-                    )
-                except AttackError:
-                    segment_s += clock() - split
-                    continue  # a profiling trace may rarely fail to segment
-                if len(aligned) == len(captured.values):
-                    accumulate(self._normalise_matrix(aligned),
-                               captured.values)
+        # The head is folded here on both paths; serially the loop goes
+        # on to capture the later seeds itself.
+        capture = self.acquisition.capture
+        aligned_slices = self.segmenter.aligned_slices
+        for index in range(num_traces if workers is None else len(head)):
+            tick = clock()
+            if index < len(head):
+                captured = head[index]
+            else:
+                captured = capture(first_seed + index, coeffs_per_trace)
+            split = clock()
+            capture_s += split - tick
+            try:
+                aligned = aligned_slices(
+                    captured.trace.samples, refiner=self.refiner
+                )
+            except AttackError:
                 segment_s += clock() - split
-        else:
+                continue  # a profiling trace may rarely fail to segment
+            if len(aligned) == len(captured.values):
+                accumulate(self._normalise_matrix(aligned), captured.values)
+            segment_s += clock() - split
+        if workers is not None:
             tick = clock()
             for segmented in self.acquisition.capture_segmented_batch(
-                num_traces,
+                num_traces - len(head),
                 coeffs_per_trace,
-                first_seed=first_seed,
+                first_seed=first_seed + len(head),
                 workers=workers,
                 segmenter=self.segmenter,
                 refiner=self.refiner,
@@ -325,6 +321,7 @@ class SingleTraceAttack:
         vstack-then-group flow, kept as the parity/throughput reference
         for the streaming :meth:`profile`."""
         # Pass 1: a few traces with coarse anchors teach the re-aligner.
+        # ``workers`` selects the keyed noise stream, as in profile().
         if workers is None:
             captures = [
                 self.acquisition.capture(first_seed + i, coeffs_per_trace)
@@ -332,7 +329,7 @@ class SingleTraceAttack:
             ]
         else:
             captures = self.acquisition.capture_batch(
-                num_traces, coeffs_per_trace, first_seed=first_seed, workers=workers
+                num_traces, coeffs_per_trace, first_seed=first_seed
             )
         reference_pool = [
             c.trace.samples for c in captures[: _reference_pool_size(num_traces)]

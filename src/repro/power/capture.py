@@ -7,13 +7,15 @@ and triggering one execution of the sampling kernel; the returned
 (the sampled values) that the *evaluation* uses to score the attack —
 the attack itself only ever sees ``trace``.
 
-Batch acquisition (:meth:`~TraceAcquisition.capture_batch`) draws each
-trace's measurement noise from the counter-based ``(batch entropy,
-device seed)``-keyed stream of :mod:`repro.power.noise` (noise stream
-v2), never from the bench's shared sequential stream.  That makes every
-trace's noise a pure function of its seed, so the ``workers=`` process
-pool produces **bit-identical** traces to the serial path in any
-completion order.  Every engine shares one per-trace path,
+Batch acquisition (:meth:`~TraceAcquisition.capture_batch` and
+:meth:`~TraceAcquisition.capture_segmented_batch`) draws each trace's
+measurement noise from the counter-based ``(batch entropy, device
+seed)``-keyed stream of :mod:`repro.power.noise` (noise stream v2),
+never from the bench's shared sequential stream.  That makes every
+trace's noise a pure function of its seed, so
+``capture_segmented_batch``'s grains, run on the package's grain
+executor (:func:`repro.utils.pool.run_grains`), are **bit-identical**
+at any worker count.  Every engine shares one per-trace path,
 ``_capture_one`` (and ``_segment_one`` for worker-side segmentation).
 The pre-stream-v1 sequential-generator contract survives as
 :meth:`~TraceAcquisition.capture_reference`, pinned against v2 by the
@@ -22,7 +24,7 @@ The pre-stream-v1 sequential-generator contract survives as
 
 from __future__ import annotations
 
-import os
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional
 
@@ -34,7 +36,7 @@ from repro.power.leakage import LeakageModel
 from repro.power.scope import Oscilloscope
 from repro.power.trace import Trace
 from repro.riscv.device import GaussianSamplerDevice, resolve_engine
-from repro.utils.pool import process_pool
+from repro.utils.pool import DEFAULT_GRAIN, run_grains
 from repro.utils.rng import new_rng
 
 
@@ -130,7 +132,7 @@ def _capture_one(
     seed: int,
     count: int,
     batch_entropy: int,
-    engine: str = "threaded",
+    engine: str,
 ) -> CapturedTrace:
     """One batch capture; shared by the serial path and pool workers."""
     run = device.run(seed, count=count, record_events=True, engine=engine)
@@ -154,7 +156,7 @@ def _segment_one(
     seed: int,
     count: int,
     batch_entropy: int,
-    engine: str = "threaded",
+    engine: str,
 ) -> SegmentedCapture:
     """Capture one trace and segment it in place (worker-side path)."""
     from repro.errors import AttackError
@@ -180,31 +182,14 @@ def _segment_one(
     )
 
 
-# Worker-process state: the bench components (and, for segmented
-# batches, the segmenter) are shipped once via the pool initializer
-# instead of being pickled into every task.
-_POOL_BENCH: dict = {}
-
-
-def _pool_init(
-    device: GaussianSamplerDevice,
-    leakage: LeakageModel,
-    scope: Oscilloscope,
-    segmenter=None,
-    refiner=None,
-) -> None:
-    _POOL_BENCH["parts"] = (device, leakage, scope, segmenter, refiner)
-
-
-def _pool_task(args):
-    """Capture one trace; segment it too when the pool has a segmenter."""
-    seed, count, batch_entropy, engine = args
-    device, leakage, scope, segmenter, refiner = _POOL_BENCH["parts"]
-    if segmenter is None:
-        return _capture_one(device, leakage, scope, seed, count, batch_entropy, engine)
-    return _segment_one(
-        device, leakage, scope, segmenter, refiner, seed, count, batch_entropy, engine
-    )
+def _segment_grain(
+    parts: tuple, lo: int, hi: int, count: int, batch_entropy: int, engine: str
+) -> List[SegmentedCapture]:
+    """One executor grain: capture and segment seeds ``[lo, hi)``."""
+    return [
+        _segment_one(*parts, seed, count, batch_entropy, engine)
+        for seed in range(lo, hi)
+    ]
 
 
 class TraceAcquisition:
@@ -349,29 +334,21 @@ class TraceAcquisition:
         trace_count: int,
         coeffs_per_trace: int = 1,
         first_seed: int = 1,
-        workers: Optional[int] = None,
         engine: Optional[str] = None,
     ) -> List[CapturedTrace]:
         """Capture ``trace_count`` runs with consecutive device seeds.
 
-        ``workers`` > 1 fans the captures out over a process pool.  Each
-        trace's noise generator is seeded by ``(batch entropy, device
-        seed)``, so the result is bit-identical to the serial path —
-        same seeds, same noise — regardless of worker count or
-        scheduling order.
+        Each trace's noise is keyed by ``(batch entropy, device seed)``,
+        so a seed's trace is the same in any batch, at any position, and
+        in :meth:`capture_segmented_batch` at any worker count.
         """
         entropy = self.batch_entropy()
         engine = resolve_engine(engine if engine is not None else self.engine)
-        tasks = [
-            (first_seed + i, coeffs_per_trace, entropy, engine)
+        bench = (self.device, self.leakage, self.scope)
+        return [
+            _capture_one(*bench, first_seed + i, coeffs_per_trace, entropy, engine)
             for i in range(trace_count)
         ]
-        if workers is None or workers <= 1 or trace_count <= 1:
-            return [
-                _capture_one(self.device, self.leakage, self.scope, *task)
-                for task in tasks
-            ]
-        return list(self._pool_map(tasks, workers))
 
     def capture_segmented_batch(
         self,
@@ -385,15 +362,14 @@ class TraceAcquisition:
     ) -> Iterator[SegmentedCapture]:
         """Capture and segment in the workers; yield only aligned slices.
 
-        The campaign-scale acquisition path: each worker runs
-        ``capture -> segment -> slice extraction`` locally and ships back
-        a :class:`SegmentedCapture` — an ``(n_coeffs, slice_length)``
-        slice matrix plus labels, a few KB — instead of the full
-        multi-hundred-k-sample trace.  Slices are bit-identical to
-        segmenting the same capture in the parent (same code, same
-        per-seed noise), in any pool completion order; results are
-        yielded lazily in seed order so the caller can accumulate
-        streaming statistics without holding the batch in memory.
+        The campaign-scale acquisition path: grains of consecutive seeds
+        run ``capture -> segment -> slice extraction`` on the grain
+        executor and ship back :class:`SegmentedCapture` records — an
+        ``(n_coeffs, slice_length)`` slice matrix plus labels, a few KB —
+        instead of the full multi-hundred-k-sample traces.  Slices are
+        bit-identical to segmenting the same capture in the parent; a
+        reorder buffer yields them in seed order, so the caller can
+        accumulate streaming statistics as they arrive.
 
         ``segmenter`` is required (an :class:`~repro.attack.segmentation.
         Segmenter`); ``refiner`` is the optional anchor refiner learned
@@ -403,34 +379,19 @@ class TraceAcquisition:
             raise ValueError("capture_segmented_batch requires a segmenter")
         entropy = self.batch_entropy()
         engine = resolve_engine(engine if engine is not None else self.engine)
-        if workers is None or workers <= 1 or trace_count <= 1:
-            for i in range(trace_count):
-                yield _segment_one(
-                    self.device,
-                    self.leakage,
-                    self.scope,
-                    segmenter,
-                    refiner,
-                    first_seed + i,
-                    coeffs_per_trace,
-                    entropy,
-                    engine,
-                )
-            return
-        tasks = [
-            (first_seed + i, coeffs_per_trace, entropy, engine)
-            for i in range(trace_count)
+        end = first_seed + trace_count
+        grains = [
+            (lo, min(lo + DEFAULT_GRAIN, end))
+            for lo in range(first_seed, end, DEFAULT_GRAIN)
         ]
-        yield from self._pool_map(tasks, workers, segmenter, refiner)
-
-    def _pool_map(self, tasks, workers: int, segmenter=None, refiner=None):
-        """Run :func:`_pool_task` over ``tasks`` on a process pool,
-        yielding results in task (seed) order."""
-        pool_size = min(workers, len(tasks), (os.cpu_count() or 1) * 4)
-        with process_pool(
-            pool_size,
-            _pool_init,
-            (self.device, self.leakage, self.scope, segmenter, refiner),
-        ) as pool:
-            chunk = max(1, len(tasks) // (pool_size * 4))
-            yield from pool.map(_pool_task, tasks, chunksize=chunk)
+        parts = (self.device, self.leakage, self.scope, segmenter, refiner)
+        args = (coeffs_per_trace, entropy, engine)
+        results = run_grains(_segment_grain, parts, grains, workers or 1, args)
+        early = {}  # grains that completed ahead of seed order, by lo
+        with closing(results):
+            for (lo, _), batch in results:
+                early[lo] = batch
+                while first_seed in early:
+                    batch = early.pop(first_seed)
+                    first_seed += len(batch)
+                    yield from batch

@@ -88,14 +88,14 @@ def _run_loop(cpu, max_instructions: int, module) -> int:
         dtype=np.int64,
     )
     regs = np.array(cpu.registers, dtype=np.uint32)
-    st_p = ffi.cast("int64_t *", ffi.from_buffer(st))
-    regs_p = ffi.cast("uint32_t *", ffi.from_buffer(regs))
-    mem_p = ffi.cast("uint8_t *", ffi.from_buffer(memory._data))
+    st_p = ffi.from_buffer("int64_t[]", st)
+    regs_p = ffi.from_buffer("uint32_t[]", regs)
+    mem_p = ffi.from_buffer("uint8_t[]", memory._data)
     while True:
         if recording:
             st[5] = log._length
             st[6] = log._data.shape[0]
-            ev = ffi.cast("int64_t *", ffi.from_buffer(log._data))
+            ev = ffi.from_buffer("int64_t[]", log._data)
         else:
             ev = ffi.NULL
         status = lib.reveal_run(st_p, regs_p, mem_p, ev)

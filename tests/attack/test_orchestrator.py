@@ -2,6 +2,7 @@
 fold, checkpoint/resume and injected faults."""
 
 import json
+import multiprocessing
 import os
 import signal
 
@@ -14,6 +15,7 @@ from repro.attack.checkpoint import CampaignCheckpoint
 from repro.attack.orchestrator import run_orchestrated
 from repro.errors import AttackError
 from repro.riscv.device import effective_engine
+from repro.utils import pool
 
 PAPER_Q = 132120577
 
@@ -67,7 +69,7 @@ class TestOrchestrated:
         def no_pool(*args, **kwargs):
             raise AssertionError("a serial campaign forked a pool")
 
-        monkeypatch.setattr(orchestrator, "process_pool", no_pool)
+        monkeypatch.setattr(pool, "process_pool", no_pool)
         report = run_orchestrated(
             profiled_attack, trace_count=4, coeffs_per_trace=4, workers=workers
         )
@@ -280,6 +282,35 @@ class TestCheckpointResume:
             campaign_dir=tmp_path / "camp", shard_size=6,
         )
         assert (tmp_path / "killed").exists()
+        assert report.orchestrator["workers_died"] == 1
+        assert_reports_identical(baseline, report)
+
+    def test_worker_killed_mid_fold_recovers(self, profiled_attack, monkeypatch):
+        """A worker that dies while the caller folds a finished grain
+        breaks the pool under the fold; the lost grains rerun on a fresh
+        pool and the report is bit-identical."""
+        baseline = run_orchestrated(
+            profiled_attack, trace_count=24, coeffs_per_trace=4,
+            first_seed=1, workers=1, grain=1,
+        )
+        real = orchestrator._CampaignState.fold
+        killed = []
+
+        def fold(state, record):
+            if not killed:
+                victim = multiprocessing.active_children()[0]
+                os.kill(victim.pid, signal.SIGKILL)
+                victim.join(timeout=10)
+                assert not victim.is_alive()
+                killed.append(victim.pid)
+            real(state, record)
+
+        monkeypatch.setattr(orchestrator._CampaignState, "fold", fold)
+        report = run_orchestrated(
+            profiled_attack, trace_count=24, coeffs_per_trace=4,
+            first_seed=1, workers=2, grain=1,
+        )
+        assert killed
         assert report.orchestrator["workers_died"] == 1
         assert_reports_identical(baseline, report)
 

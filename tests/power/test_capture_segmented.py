@@ -1,13 +1,18 @@
 """Worker-side segmentation and slim-capture contracts."""
 
+import multiprocessing
+import time
+
 import numpy as np
 import pytest
 
 from repro.attack.pipeline import SingleTraceAttack
 from repro.attack.segmentation import AnchorRefiner, Segmenter
+from repro.power import capture
 from repro.power.capture import TraceAcquisition
 from repro.power.scope import Oscilloscope
 from repro.riscv.device import GaussianSamplerDevice
+from repro.utils import pool
 
 PAPER_Q = 132120577
 
@@ -19,6 +24,14 @@ def device():
 
 def make_bench(device, seed=7):
     return TraceAcquisition(device, scope=Oscilloscope(noise_std=1.0), rng=seed)
+
+
+def assert_segmented_identical(lhs, rhs):
+    assert [s.seed for s in lhs] == [s.seed for s in rhs]
+    for a, b in zip(lhs, rhs):
+        assert a.values == b.values
+        assert a.cycle_count == b.cycle_count
+        np.testing.assert_array_equal(a.slices, b.slices)
 
 
 @pytest.fixture(scope="module")
@@ -59,23 +72,75 @@ class TestSegmentedBatch:
             np.testing.assert_array_equal(seg.slices, parent)
 
     def test_pool_bit_identical_to_serial(self, device, segmentation):
+        """Any worker count yields the serial records in seed order; 70
+        seeds are three grains, so early grains wait for seed order."""
         segmenter, refiner = segmentation
         serial = list(
             make_bench(device).capture_segmented_batch(
-                5, coeffs_per_trace=2, first_seed=60,
+                70, coeffs_per_trace=2, first_seed=60,
                 segmenter=segmenter, refiner=refiner,
             )
         )
+        assert [s.seed for s in serial] == list(range(60, 130))
+        for workers in (2, 3, 4):
+            pooled = list(
+                make_bench(device).capture_segmented_batch(
+                    70, coeffs_per_trace=2, first_seed=60,
+                    segmenter=segmenter, refiner=refiner, workers=workers,
+                )
+            )
+            assert_segmented_identical(serial, pooled)
+
+    def test_early_grains_wait_for_seed_order(
+        self, device, segmentation, monkeypatch
+    ):
+        """A slow first grain completes last; the batch still yields the
+        serial records in seed order."""
+        segmenter, refiner = segmentation
+        serial = list(
+            make_bench(device).capture_segmented_batch(
+                70, coeffs_per_trace=2, first_seed=60,
+                segmenter=segmenter, refiner=refiner,
+            )
+        )
+        real = capture._segment_one
+
+        def slow_first_seed(*args):
+            if args[5] == 60:  # the seed
+                time.sleep(0.5)
+            return real(*args)
+
+        monkeypatch.setattr(capture, "_segment_one", slow_first_seed)
         pooled = list(
             make_bench(device).capture_segmented_batch(
-                5, coeffs_per_trace=2, first_seed=60,
+                70, coeffs_per_trace=2, first_seed=60,
                 segmenter=segmenter, refiner=refiner, workers=3,
             )
         )
-        assert [s.seed for s in serial] == [p.seed for p in pooled]
-        for s, p in zip(serial, pooled):
-            assert s.values == p.values
-            np.testing.assert_array_equal(s.slices, p.slices)
+        assert_segmented_identical(serial, pooled)
+
+    def test_closing_early_leaves_no_worker(self, device, segmentation):
+        segmenter, refiner = segmentation
+        batch = make_bench(device).capture_segmented_batch(
+            200, coeffs_per_trace=2, first_seed=300,
+            segmenter=segmenter, refiner=refiner, workers=2,
+        )
+        assert next(batch).seed == 300
+        assert multiprocessing.active_children()
+        batch.close()
+        assert multiprocessing.active_children() == []
+
+    def test_no_seeds_forks_nothing(self, device, segmentation, monkeypatch):
+        def no_pool(*args):
+            raise AssertionError("an empty batch forked a pool")
+
+        monkeypatch.setattr(pool, "process_pool", no_pool)
+        segmenter, refiner = segmentation
+        assert list(
+            make_bench(device).capture_segmented_batch(
+                0, segmenter=segmenter, refiner=refiner, workers=2
+            )
+        ) == []
 
     def test_payload_is_slices_not_traces(self, device, segmentation):
         """The segmented record must be orders of magnitude smaller than
