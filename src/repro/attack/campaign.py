@@ -10,8 +10,8 @@ point:
   executor, with ``workers=None`` meaning serial.  Every trace's
   measurement noise is a pure function of ``(batch entropy, seed)``
   under the counter-based stream of :mod:`repro.power.noise`, so the
-  report is **identical** for any worker count, engine or completion
-  order.
+  report is **identical** for any worker count or completion order,
+  and on whichever engine the device runs.
 - :func:`aggregate_outcomes` is the one fold from the campaign's
   seed-indexed result arrays to a :class:`CampaignReport`: accuracies,
   the confusion matrix, the dense probability tables (the
@@ -84,12 +84,14 @@ class CampaignReport:
     #: from the determinism contract: the *outcomes* are bit-identical
     #: across schedules, the schedule itself is not.
     orchestrator: Dict[str, int]
-    engine: str = "threaded"
+    #: The engine the captures ran on
+    #: (:func:`repro.riscv.device.effective_engine`), as provenance only.
+    engine: str
     #: ``name-version`` of the compute backend the campaign ran under
     #: (see :mod:`repro.backends`), as provenance only: every backend
     #: kernel is bit-exact, so reports are bit-identical across
     #: backends.
-    backend: str = "reference"
+    backend: str
 
     @cached_property
     def outcomes(self) -> List[Tuple[int, int, int, Dict[int, float]]]:
@@ -169,7 +171,6 @@ def run_campaign(
     coeffs_per_trace: int = 8,
     first_seed: int = 1,
     workers: Optional[int] = None,
-    engine: Optional[str] = None,
 ) -> CampaignReport:
     """Attack ``trace_count`` fresh executions, optionally in parallel.
 
@@ -181,10 +182,6 @@ def run_campaign(
     (per-seed), so the report is bit-identical for any ``workers``
     value and any completion order.  Traces that fail to segment are
     recorded in ``report.failures`` and excluded from the statistics.
-
-    ``engine`` picks the capture execution engine (``None`` defers to
-    the bench's setting, then ``REVEAL_ENGINE``, then compiled, threaded
-    without a C toolchain); every engine produces the identical report.
     """
     from repro.attack.orchestrator import run_orchestrated
 
@@ -194,7 +191,6 @@ def run_campaign(
         coeffs_per_trace=coeffs_per_trace,
         first_seed=first_seed,
         workers=1 if workers is None else workers,
-        engine=engine,
     )
 
 

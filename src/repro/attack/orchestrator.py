@@ -72,7 +72,6 @@ def _attack_seed(
     seed: int,
     count: int,
     entropy: int,
-    engine: str,
     record: Dict[str, Any],
     row: int,
 ) -> None:
@@ -89,7 +88,6 @@ def _attack_seed(
         seed,
         count,
         entropy,
-        engine=engine,
     )
     record["values"][row] = captured.values
     tick, stage = _lap(seconds, 0, tick), 1
@@ -131,7 +129,6 @@ def _run_grain(
     hi: int,
     count: int,
     entropy: int,
-    engine: str,
 ) -> Dict[str, Any]:
     """Attack victim seeds ``[lo, hi)``; return the grain's record."""
     record: Dict[str, Any] = _empty_arrays(
@@ -139,7 +136,7 @@ def _run_grain(
     )
     record.update(lo=lo, timings=[0.0] * len(STAGES), errors=[])
     for row, seed in enumerate(range(lo, hi)):
-        _attack_seed(attack, seed, count, entropy, engine, record, row)
+        _attack_seed(attack, seed, count, entropy, record, row)
     record["timings"] = np.array(record["timings"])
     return record
 
@@ -322,7 +319,6 @@ def _execute(
     workers: int,
     grain: int,
     entropy: int,
-    engine: str,
 ) -> None:
     """Attack every unfolded seed; fold each grain as it completes."""
     records = run_grains(
@@ -330,7 +326,7 @@ def _execute(
         attack,
         state.unfolded_grains(grain),
         workers,
-        (state.count, entropy, engine),
+        (state.count, entropy),
         on_break=state.worker_died,
     )
     with closing(records):
@@ -345,7 +341,6 @@ def run_orchestrated(
     first_seed: int = 1,
     workers: Optional[int] = None,
     grain: Optional[int] = None,
-    engine: Optional[str] = None,
     campaign_dir: Optional[Union[str, Path]] = None,
     resume: bool = False,
     shard_size: int = 256,
@@ -360,7 +355,9 @@ def run_orchestrated(
     ``resume=True`` reloads completed shards (fingerprint-checked) and
     only the remainder is attacked.  A failed grain raises
     :class:`~repro.errors.AttackError`; the shards written before it
-    stay valid for a later ``resume``.
+    stay valid for a later ``resume``.  Captures run on the device's
+    engine, :func:`~repro.riscv.device.effective_engine`, which the
+    report names.
     """
     if attack.templates is None or attack.branch_classifier is None:
         raise AttackError("profile() must run before a campaign")
@@ -373,11 +370,6 @@ def run_orchestrated(
         workers = min(4, cpus)
     workers = max(1, min(int(workers), trace_count, cpus * 4))
     grain = max(1, int(grain) if grain else DEFAULT_GRAIN)
-    # effective_engine: "compiled" degrades to "threaded" without a C
-    # toolchain, and the report records the engine that actually ran.
-    engine = effective_engine(
-        engine if engine is not None else getattr(attack.acquisition, "engine", None)
-    )
     labels = [int(l) for l in attack.templates.labels]
     entropy = attack.acquisition.batch_entropy()
     fingerprint = campaign_fingerprint(
@@ -403,7 +395,7 @@ def run_orchestrated(
     started = time.perf_counter()
     if checkpoint is not None and resume:
         state.preload()
-    _execute(state, attack, workers, grain, entropy, engine)
+    _execute(state, attack, workers, grain, entropy)
     state.finalize_checkpoint()
     wall = time.perf_counter() - started
-    return state.assemble(labels, grain, workers, engine, wall)
+    return state.assemble(labels, grain, workers, effective_engine(), wall)

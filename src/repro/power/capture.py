@@ -15,11 +15,11 @@ never from the bench's shared sequential stream.  That makes every
 trace's noise a pure function of its seed, so
 ``capture_segmented_batch``'s grains, run on the package's grain
 executor (:func:`repro.utils.pool.run_grains`), are **bit-identical**
-at any worker count.  Every engine shares one per-trace path,
+at any worker count.  Batch captures share one per-trace path,
 ``_capture_one`` (and ``_segment_one`` for worker-side segmentation).
-The pre-stream-v1 sequential-generator contract survives as
-:meth:`~TraceAcquisition.capture_reference`, pinned against v2 by the
-``power.noise_v2`` oracle.
+The bench never chooses an execution engine: every ``device.run`` call
+takes the device's default (:func:`repro.riscv.device.effective_engine`),
+and every engine gives the same bits.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from repro.errors import ParameterError, TraceValidationError
 from repro.power.leakage import LeakageModel
 from repro.power.scope import Oscilloscope
 from repro.power.trace import Trace
-from repro.riscv.device import GaussianSamplerDevice, resolve_engine
+from repro.riscv.device import GaussianSamplerDevice
 from repro.utils.pool import DEFAULT_GRAIN, run_grains
 from repro.utils.rng import new_rng
 
@@ -114,17 +114,6 @@ class SegmentedCapture:
         return self.slices is not None
 
 
-def _noise_rng(batch_entropy: int, seed: int) -> np.random.Generator:
-    """The *v1* per-trace noise generator (sequential, trace-at-a-time).
-
-    Retained for :meth:`TraceAcquisition.capture_reference`: the
-    ``power.noise_v2`` oracle compares stream v2 against traces noised
-    from this generator to pin the statistical contract."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=(int(batch_entropy), int(seed)))
-    )
-
-
 def _capture_one(
     device: GaussianSamplerDevice,
     leakage: LeakageModel,
@@ -132,10 +121,9 @@ def _capture_one(
     seed: int,
     count: int,
     batch_entropy: int,
-    engine: str,
 ) -> CapturedTrace:
     """One batch capture; shared by the serial path and pool workers."""
-    run = device.run(seed, count=count, record_events=True, engine=engine)
+    run = device.run(seed, count=count, record_events=True)
     noiseless, starts = leakage.expand(run.events)
     measured = scope.capture_keyed(noiseless, batch_entropy, seed, out=noiseless)
     return CapturedTrace(
@@ -156,14 +144,11 @@ def _segment_one(
     seed: int,
     count: int,
     batch_entropy: int,
-    engine: str,
 ) -> SegmentedCapture:
     """Capture one trace and segment it in place (worker-side path)."""
     from repro.errors import AttackError
 
-    captured = _capture_one(
-        device, leakage, scope, seed, count, batch_entropy, engine=engine
-    )
+    captured = _capture_one(device, leakage, scope, seed, count, batch_entropy)
     try:
         aligned = segmenter.aligned_slices(captured.trace.samples, refiner=refiner)
     except AttackError as exc:
@@ -183,11 +168,11 @@ def _segment_one(
 
 
 def _segment_grain(
-    parts: tuple, lo: int, hi: int, count: int, batch_entropy: int, engine: str
+    parts: tuple, lo: int, hi: int, count: int, batch_entropy: int
 ) -> List[SegmentedCapture]:
     """One executor grain: capture and segment seeds ``[lo, hi)``."""
     return [
-        _segment_one(*parts, seed, count, batch_entropy, engine)
+        _segment_one(*parts, seed, count, batch_entropy)
         for seed in range(lo, hi)
     ]
 
@@ -209,13 +194,6 @@ class TraceAcquisition:
         device's PRNG).  An integer seed also fixes the batch noise
         entropy, making :meth:`capture_batch` output reproducible
         across bench instances and worker counts.
-    engine:
-        Default execution engine for this bench's captures
-        (``"interpreter"``/``"threaded"``/``"compiled"``);
-        ``None`` defers to ``REVEAL_ENGINE``, then ``"compiled"``,
-        threaded without a C toolchain.  Batch methods can override it
-        per call; ``"compiled"`` falls back to ``"threaded"`` where no C
-        toolchain exists.
     """
 
     def __init__(
@@ -224,12 +202,10 @@ class TraceAcquisition:
         leakage: Optional[LeakageModel] = None,
         scope: Optional[Oscilloscope] = None,
         rng=None,
-        engine: Optional[str] = None,
     ) -> None:
         self.device = device
         self.leakage = leakage if leakage is not None else LeakageModel()
         self.scope = scope if scope is not None else Oscilloscope()
-        self.engine = engine
         self._rng = new_rng(rng)
         # Integer seeds pin the batch entropy immediately; a fresh
         # bench-private stream (rng=None) can still derive it lazily on
@@ -250,9 +226,7 @@ class TraceAcquisition:
         captures draw different noise; use :meth:`capture_batch` when
         per-seed reproducibility matters.
         """
-        run = self.device.run(
-            seed, count=count, record_events=True, engine=self.engine
-        )
+        run = self.device.run(seed, count=count, record_events=True)
         noiseless, starts = self.leakage.expand(run.events)
         measured = self.scope.capture(noiseless, rng=self._rng, out=noiseless)
         return CapturedTrace(
@@ -287,54 +261,11 @@ class TraceAcquisition:
             self._batch_entropy = int(self._rng.integers(0, 2**63 - 1))
         return self._batch_entropy
 
-    def capture_reference(
-        self,
-        trace_count: int,
-        coeffs_per_trace: int = 1,
-        first_seed: int = 1,
-        engine: Optional[str] = None,
-    ) -> List[CapturedTrace]:
-        """The retained noise-stream-v1 batch path (serial, per trace).
-
-        Bit-identical to what ``capture_batch`` produced before the
-        stream-v2 migration: each trace's noise comes sequentially from
-        ``default_rng(SeedSequence((batch entropy, seed)))``.  This is
-        the reference side of the ``power.noise_v2`` oracle, which pins
-        v2's statistical contract (same marginal distribution, same
-        determinism guarantees) against this path.
-        """
-        entropy = self.batch_entropy()
-        engine = resolve_engine(engine if engine is not None else self.engine)
-        captures: List[CapturedTrace] = []
-        for i in range(trace_count):
-            seed = first_seed + i
-            run = self.device.run(
-                seed, count=coeffs_per_trace, record_events=True, engine=engine
-            )
-            noiseless, starts = self.leakage.expand(run.events)
-            measured = self.scope.capture(
-                noiseless, rng=_noise_rng(entropy, seed), out=noiseless
-            )
-            captures.append(
-                CapturedTrace(
-                    trace=Trace(
-                        measured,
-                        metadata={"seed": seed, "count": coeffs_per_trace},
-                    ),
-                    values=run.values,
-                    seed=seed,
-                    cycle_count=run.cycle_count,
-                    event_starts=starts,
-                )
-            )
-        return captures
-
     def capture_batch(
         self,
         trace_count: int,
         coeffs_per_trace: int = 1,
         first_seed: int = 1,
-        engine: Optional[str] = None,
     ) -> List[CapturedTrace]:
         """Capture ``trace_count`` runs with consecutive device seeds.
 
@@ -343,10 +274,9 @@ class TraceAcquisition:
         in :meth:`capture_segmented_batch` at any worker count.
         """
         entropy = self.batch_entropy()
-        engine = resolve_engine(engine if engine is not None else self.engine)
         bench = (self.device, self.leakage, self.scope)
         return [
-            _capture_one(*bench, first_seed + i, coeffs_per_trace, entropy, engine)
+            _capture_one(*bench, first_seed + i, coeffs_per_trace, entropy)
             for i in range(trace_count)
         ]
 
@@ -356,9 +286,9 @@ class TraceAcquisition:
         coeffs_per_trace: int = 1,
         first_seed: int = 1,
         workers: Optional[int] = None,
-        segmenter=None,
+        *,
+        segmenter,
         refiner=None,
-        engine: Optional[str] = None,
     ) -> Iterator[SegmentedCapture]:
         """Capture and segment in the workers; yield only aligned slices.
 
@@ -371,21 +301,18 @@ class TraceAcquisition:
         reorder buffer yields them in seed order, so the caller can
         accumulate streaming statistics as they arrive.
 
-        ``segmenter`` is required (an :class:`~repro.attack.segmentation.
-        Segmenter`); ``refiner`` is the optional anchor refiner learned
-        during profiling pass 1.
+        ``segmenter`` is an :class:`~repro.attack.segmentation.Segmenter`;
+        ``refiner`` is the optional anchor refiner learned during
+        profiling pass 1.
         """
-        if segmenter is None:
-            raise ValueError("capture_segmented_batch requires a segmenter")
         entropy = self.batch_entropy()
-        engine = resolve_engine(engine if engine is not None else self.engine)
         end = first_seed + trace_count
         grains = [
             (lo, min(lo + DEFAULT_GRAIN, end))
             for lo in range(first_seed, end, DEFAULT_GRAIN)
         ]
         parts = (self.device, self.leakage, self.scope, segmenter, refiner)
-        args = (coeffs_per_trace, entropy, engine)
+        args = (coeffs_per_trace, entropy)
         results = run_grains(_segment_grain, parts, grains, workers or 1, args)
         early = {}  # grains that completed ahead of seed order, by lo
         with closing(results):

@@ -95,8 +95,8 @@ class Oscilloscope:
         """Apply the acquisition chain to noiseless leakage samples.
 
         Noise comes from ``rng``'s sequential stream (the historical
-        v1 contract, kept for serial profiling, the ``capture_reference``
-        path and single ad-hoc captures).  ``out=`` runs the chain in
+        v1 contract, kept for serial profiling and single ad-hoc
+        captures).  ``out=`` runs the chain in
         place.  Without a filter the native sequential-stream kernel
         draws the normals from ``rng`` itself and applies the gain in
         the same pass, with the same bits and the same generator state

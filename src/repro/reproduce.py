@@ -15,10 +15,13 @@ Usage::
 
 The pytest benchmarks in ``benchmarks/`` are the full-fidelity
 regeneration path; this module is the quick look.  ``table1``/``table2``
-run on the campaign engine (:mod:`repro.attack.campaign`): ``--workers
+run on the campaign executor (:mod:`repro.attack.campaign`): ``--workers
 N`` fans profiling captures and the attack phase across a process pool
 (bit-identical results for any worker count), and each run prints the
-engine's per-stage timing counters.
+executor's per-stage timing counters.  Captures run on the compiled
+RV32IM engine, or the threaded one where no C toolchain builds it
+(:func:`repro.riscv.device.effective_engine`); the timings line names
+it, and the output bits are the same on either.
 """
 
 from __future__ import annotations
@@ -65,14 +68,14 @@ def run_fig3() -> None:
               f"anchor {window.anchor}")
 
 
-def run_table1(traces: int, workers=None, engine=None) -> None:
+def run_table1(traces: int, workers=None) -> None:
     from repro.attack.campaign import run_campaign
 
     bench = _make_bench()
     attack = _profiled_attack(bench, traces, workers=workers)
     report = run_campaign(
         attack, trace_count=traces, coeffs_per_trace=8, first_seed=1,
-        workers=workers, engine=engine,
+        workers=workers,
     )
     labels = [v for v in range(-5, 6) if report.confusion.total(v) >= 3]
     print("Table I (condensed):")
@@ -81,7 +84,7 @@ def run_table1(traces: int, workers=None, engine=None) -> None:
     print(report.format_timings())
 
 
-def run_table2(traces: int, workers=None, engine=None) -> None:
+def run_table2(traces: int, workers=None) -> None:
     from repro.attack.campaign import run_campaign
     from repro.hints.hintgen import moments_of_table
 
@@ -89,7 +92,7 @@ def run_table2(traces: int, workers=None, engine=None) -> None:
     attack = _profiled_attack(bench, traces, workers=workers)
     report = run_campaign(
         attack, trace_count=traces, coeffs_per_trace=8, first_seed=1,
-        workers=workers, engine=engine,
+        workers=workers,
     )
     print("Table II: probability tables (centered / variance):")
     shown = set()
@@ -107,7 +110,6 @@ def run_table2(traces: int, workers=None, engine=None) -> None:
 def run_campaign_target(
     traces: int,
     workers=None,
-    engine=None,
     coeffs: int = 8,
     campaign_dir=None,
     resume: bool = False,
@@ -147,7 +149,6 @@ def run_campaign_target(
         first_seed=1,
         workers=workers,
         grain=grain,
-        engine=engine,
         campaign_dir=campaign_dir,
         resume=resume,
         shard_size=shard_size,
@@ -246,14 +247,6 @@ def main(argv=None) -> None:
         "(default: serial)",
     )
     parser.add_argument(
-        "--engine",
-        choices=["interpreter", "threaded", "compiled"],
-        default=None,
-        help="execution engine for table1/table2/campaign attack captures "
-        "(default: $REVEAL_ENGINE, then compiled, threaded without a "
-        "C toolchain)",
-    )
-    parser.add_argument(
         "--coeffs",
         type=int,
         default=8,
@@ -296,14 +289,13 @@ def main(argv=None) -> None:
         parser.error("--resume needs --campaign-dir")
     runners = {
         "fig3": run_fig3,
-        "table1": lambda: run_table1(args.traces, args.workers, args.engine),
-        "table2": lambda: run_table2(args.traces, args.workers, args.engine),
+        "table1": lambda: run_table1(args.traces, args.workers),
+        "table2": lambda: run_table2(args.traces, args.workers),
         "table3": run_table3,
         "table4": run_table4,
         "campaign": lambda: run_campaign_target(
             args.traces,
             workers=args.workers,
-            engine=args.engine,
             coeffs=args.coeffs,
             campaign_dir=args.campaign_dir,
             resume=args.resume,

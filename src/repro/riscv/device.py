@@ -6,11 +6,16 @@ paper's SAKURA-G target.  One ``run`` is one execution of SEAL's
 the functional output (the sampled noise values / the RNS polynomial
 buffer) and the microarchitectural events that the power model turns
 into a trace.
+
+This is the one module that knows which RV32IM engine runs:
+:func:`effective_engine` chooses it from the native backend's probe,
+:func:`run_engine` dispatches to it, and ``GaussianSamplerDevice.run``
+is the one place a caller can name another.  Every engine gives the
+same bits, so the choice changes speed only.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -26,55 +31,47 @@ _CODE_BASE = 0x0000
 _MOD_TABLE = 0x4000
 _OUT_BASE = 0x5000
 
-#: Canonical engine names.  ``"interpreter"`` is accepted as a CLI-facing
-#: alias for ``"reference"`` (the scalar seed interpreter).
-ENGINES = ("threaded", "reference", "compiled")
+#: The three RV32IM engines, bit-identical in every output and differing
+#: only in speed: the scalar reference interpreter (the oracle), the
+#: threaded-code engine and the compiled C core.
+ENGINES = ("reference", "threaded", "compiled")
 
 
-def resolve_engine(engine: Optional[str] = None) -> str:
-    """Resolve an engine selection to its canonical name.
+def effective_engine() -> str:
+    """The engine a capture runs on this host.
 
-    ``None`` falls back to the ``REVEAL_ENGINE`` environment variable,
-    then to ``"compiled"`` (:func:`effective_engine` degrades it to
-    ``"threaded"`` without a C toolchain).  The CLI alias
-    ``"interpreter"`` maps to ``"reference"``.  Anything else —
-    including a bad ``REVEAL_ENGINE`` value — raises
-    :class:`~repro.errors.ParameterError` listing the valid options at
-    parse time, instead of surfacing later as a ``KeyError`` deep in
-    dispatch.
-    """
-    source = "engine"
-    if engine is None:
-        engine = os.environ.get("REVEAL_ENGINE", "").strip() or "compiled"
-        source = "REVEAL_ENGINE"
-    if engine == "interpreter":
-        engine = "reference"
-    if engine not in ENGINES:
-        raise ParameterError(
-            f"unknown {source} {engine!r} (choose from interpreter, "
-            f"{', '.join(ENGINES)})"
-        )
-    return engine
-
-
-def effective_engine(engine: Optional[str] = None) -> str:
-    """Resolve an engine and apply capability degradation.
-
-    ``"compiled"`` runs its core in the native backend's module; where
-    ``probe_backend("native")`` fails (no C toolchain) it degrades to
-    ``"threaded"`` (bit-identical, slower), with the reason kept by
-    :func:`repro.backends.probe_error`.  It reads the probe, not the
+    ``"compiled"`` where ``probe_backend("native")`` passes, else
+    ``"threaded"`` (bit-identical, slower), with the probe's reason kept
+    by :func:`repro.backends.probe_error`.  It reads the probe, not the
     :func:`~repro.backends.use_backend` selection, so pinning the
-    reference backend does not switch engines.  Every other engine
-    resolves unchanged.
+    reference backend does not switch engines.  This is the only place
+    the package chooses an engine; :meth:`GaussianSamplerDevice.run`'s
+    ``engine`` argument is the only way to name one.
     """
-    engine = resolve_engine(engine)
-    if engine == "compiled":
-        from repro.backends import probe_backend
+    from repro.backends import probe_backend
 
-        if probe_backend("native") is None:
-            return "threaded"
-    return engine
+    return "threaded" if probe_backend("native") is None else "compiled"
+
+
+def run_engine(cpu: Cpu, engine: str, max_instructions: int) -> int:
+    """Run a loaded ``cpu`` on ``engine`` until it halts or
+    ``max_instructions`` retire: the package's one engine dispatch.
+
+    Returns the instructions executed; guest faults raise
+    :class:`~repro.errors.SimulationError`, and a name outside
+    :data:`ENGINES` raises :class:`~repro.errors.ParameterError`.
+    """
+    if engine == "threaded":
+        return cpu.run(max_instructions=max_instructions)
+    if engine == "compiled":
+        from repro.riscv.compiled import run_compiled
+
+        return run_compiled(cpu, max_instructions=max_instructions)
+    if engine == "reference":
+        return cpu.run_reference(max_instructions=max_instructions)
+    raise ParameterError(
+        f"unknown engine {engine!r} (choose from {', '.join(ENGINES)})"
+    )
 
 
 @dataclass
@@ -156,20 +153,21 @@ class GaussianSamplerDevice:
         """Sample ``count`` coefficients with PRNG seed ``seed``.
 
         ``record_events=False`` skips event collection for functional-only
-        runs (about 2x faster).  ``engine`` selects the execution engine:
-        ``"compiled"`` (the default: one fixed RV32IM interpreter core in
-        C, built once per machine via cffi, the fastest engine where a
-        toolchain exists, and a bit-identical fall-back to threaded where
-        none does), ``"threaded"`` (the block-translating Python engine,
-        reusing this device's warm translation cache across runs), or
-        ``"reference"`` (the scalar interpreter, bit-identical but much
-        slower — useful for differential testing).  ``None`` defers to
-        the ``REVEAL_ENGINE`` environment variable, then to the default:
-        compiled, threaded without a C toolchain.
+        runs (about 2x faster).  ``engine=None`` runs
+        :func:`effective_engine`: the compiled C core where the native
+        backend builds, else the threaded engine.  Naming an engine is
+        for differential tests and benchmarks: ``"threaded"`` (the
+        block-translating Python engine, reusing this device's warm
+        translation cache across runs), ``"reference"`` (the scalar
+        interpreter, much slower) or ``"compiled"`` (which still runs
+        threaded where no C toolchain exists).  Every engine gives the
+        same bits; any other name raises
+        :class:`~repro.errors.ParameterError`.
         """
         if count < 1:
             raise SimulationError("count must be >= 1")
-        engine = effective_engine(engine)
+        if engine is None or engine == "compiled":
+            engine = effective_engine()
         k = len(self.moduli)
         memory = Memory(size_bytes=_next_pow2(_OUT_BASE + 4 * k * count + 4096))
         cpu = Cpu(memory, record_events=record_events, record_retires=record_retires)
@@ -190,14 +188,7 @@ class GaussianSamplerDevice:
         cpu.write_register(14, seed & 0xFFFFFFFF)  # a4
         cpu.write_register(15, self.max_deviation)  # a5
         budget = max_instructions if max_instructions else 4000 * count + 10_000
-        if engine == "threaded":
-            cpu.run(max_instructions=budget)
-        elif engine == "compiled":
-            from repro.riscv.compiled import run_compiled
-
-            run_compiled(cpu, max_instructions=budget)
-        else:
-            cpu.run_reference(max_instructions=budget)
+        run_engine(cpu, engine, budget)
 
         residues = [
             memory.read_words(_OUT_BASE + 4 * j * count, count) for j in range(k)

@@ -35,11 +35,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.riscv.device import ENGINES, effective_engine, run_engine
 from repro.riscv.retire import RETIRE_FIELDS
-
-#: Every engine the conformance sweeps know about, all runnable
-#: through :func:`run_scalar_engine`.
-ALL_ENGINES = ("reference", "threaded", "compiled")
 
 #: Every comparable engine pairing the ``cpu.retire_log`` oracle sweeps.
 ENGINE_PAIRS = (
@@ -64,11 +61,11 @@ def set_engine_filter(names: Optional[Sequence[str]]) -> None:
         _ENGINE_FILTER = None
         return
     subset = tuple(dict.fromkeys(names))
-    unknown = [name for name in subset if name not in ALL_ENGINES]
+    unknown = [name for name in subset if name not in ENGINES]
     if unknown:
         raise ValueError(
             f"unknown engine(s) {', '.join(unknown)} (choose from "
-            f"{', '.join(ALL_ENGINES)})"
+            f"{', '.join(ENGINES)})"
         )
     if len(subset) < 2:
         raise ValueError(
@@ -81,16 +78,13 @@ def active_engines() -> tuple:
     """The engines the sweeps actually run here and now.
 
     Applies the :func:`set_engine_filter` subset, then drops
-    ``compiled`` when the native backend's probe fails (no C
-    toolchain): the fuzz must stay green on machines where the engine
-    legitimately degrades to threaded.
+    ``compiled`` where :func:`~repro.riscv.device.effective_engine`
+    degrades it (no C toolchain): the fuzz must stay green on machines
+    where the engine legitimately degrades to threaded.
     """
-    engines = _ENGINE_FILTER if _ENGINE_FILTER is not None else ALL_ENGINES
-    if "compiled" in engines:
-        from repro.backends import probe_backend
-
-        if probe_backend("native") is None:
-            engines = tuple(e for e in engines if e != "compiled")
+    engines = _ENGINE_FILTER if _ENGINE_FILTER is not None else ENGINES
+    if "compiled" in engines and effective_engine() != "compiled":
+        engines = tuple(e for e in engines if e != "compiled")
     return engines
 
 
@@ -140,16 +134,13 @@ def run_scalar_engine(
     ``setup(cpu, memory)`` runs after the program and registers are
     loaded, for cases that need extra memory contents.  Guest faults
     are captured as ``error`` (never raised); only harness misuse
-    raises.
+    raises, such as an engine outside
+    :data:`~repro.riscv.device.ENGINES`
+    (:class:`~repro.errors.ParameterError`).
     """
     from repro.riscv.cpu import Cpu
     from repro.riscv.memory import Memory
 
-    if engine not in ALL_ENGINES:
-        raise SimulationError(
-            f"unknown engine {engine!r} (choose from "
-            f"{', '.join(ALL_ENGINES)})"
-        )
     memory = Memory(size_bytes=memory_size)
     cpu = Cpu(
         memory,
@@ -163,14 +154,7 @@ def run_scalar_engine(
         setup(cpu, memory)
     error: Optional[str] = None
     try:
-        if engine == "threaded":
-            cpu.run(max_instructions=max_instructions)
-        elif engine == "compiled":
-            from repro.riscv.compiled import run_compiled
-
-            run_compiled(cpu, max_instructions=max_instructions)
-        else:
-            cpu.run_reference(max_instructions=max_instructions)
+        run_engine(cpu, engine, max_instructions)
     except SimulationError as exc:
         error = str(exc)
     return EngineRun(

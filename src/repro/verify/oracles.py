@@ -285,9 +285,10 @@ def random_program(rng: np.random.Generator) -> Dict[str, Any]:
     }
 
 
-def _run_engine(case: Dict[str, Any], threaded: bool) -> Dict[str, Any]:
+def _run_engine(case: Dict[str, Any], engine: str) -> Dict[str, Any]:
     from repro.riscv.assembler import assemble
     from repro.riscv.cpu import Cpu
+    from repro.riscv.device import run_engine
     from repro.riscv.memory import Memory
 
     cpu = Cpu(Memory(size_bytes=1 << 16), record_events=True)
@@ -296,10 +297,7 @@ def _run_engine(case: Dict[str, Any], threaded: bool) -> Dict[str, Any]:
         cpu.write_register(index, value)
     error: Optional[str] = None
     try:
-        if threaded:
-            cpu.run(max_instructions=case["max_instructions"])
-        else:
-            cpu.run_reference(max_instructions=case["max_instructions"])
+        run_engine(cpu, engine, case["max_instructions"])
     except SimulationError as exc:
         error = str(exc)
     return {
@@ -476,9 +474,15 @@ def _noise_v2_fast(case: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def _noise_v2_reference(case: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.power.capture import _noise_rng
+def _noise_rng(batch_entropy: int, seed: int) -> np.random.Generator:
+    """The v1 per-trace noise generator (sequential, trace-at-a-time):
+    stream v2's statistical reference."""
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=(int(batch_entropy), int(seed)))
+    )
 
+
+def _noise_v2_reference(case: Dict[str, Any]) -> Dict[str, Any]:
     x = _noise_rng(case["entropy"], case["seed"]).standard_normal(case["n"])
     return {
         "moments": _noise_moments(x),
@@ -947,7 +951,6 @@ def _run_orchestrated_case(case: Dict[str, Any]) -> Dict[str, Any]:
             first_seed=case["first_seed"],
             workers=case["workers"],
             grain=case["grain"],
-            engine="compiled",
             **checkpointing,
         )
 
@@ -1020,8 +1023,8 @@ register(
         description="threaded-code RV32IM engine vs the scalar interpreter "
         "(registers, pc, cycles, EventLog, faults)",
         sample=random_program,
-        fast=lambda case: _run_engine(case, threaded=True),
-        reference=lambda case: _run_engine(case, threaded=False),
+        fast=lambda case: _run_engine(case, "threaded"),
+        reference=lambda case: _run_engine(case, "reference"),
         fuzzable=True,
         summarize=lambda case: (
             f"{len(case['source'].splitlines())} source lines, "

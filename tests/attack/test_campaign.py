@@ -16,6 +16,7 @@ from repro.errors import AttackError
 from repro.power.capture import TraceAcquisition
 from repro.power.scope import Oscilloscope
 from repro.riscv.device import GaussianSamplerDevice, effective_engine
+from tests.native_probe import pin_threaded
 
 PAPER_Q = 132120577
 
@@ -61,17 +62,18 @@ class TestRunCampaign:
         stats = report.hint_statistics()
         assert 0.0 <= stats["perfect_fraction"] <= 1.0
 
-    def test_compiled_bit_identical_to_threaded(self, profiled_attack):
-        threaded = run_campaign(
-            profiled_attack, trace_count=10, coeffs_per_trace=4, first_seed=1,
-            engine="threaded",
-        )
+    def test_compiled_bit_identical_to_threaded(self, profiled_attack, monkeypatch):
+        """The default engine's campaign equals one run where the native
+        probe fails, as on a host without a C toolchain."""
         compiled = run_campaign(
-            profiled_attack, trace_count=10, coeffs_per_trace=4, first_seed=1,
-            engine="compiled",
+            profiled_attack, trace_count=10, coeffs_per_trace=4, first_seed=1
+        )
+        assert compiled.engine == effective_engine()
+        pin_threaded(monkeypatch)
+        threaded = run_campaign(
+            profiled_attack, trace_count=10, coeffs_per_trace=4, first_seed=1
         )
         assert threaded.engine == "threaded"
-        assert compiled.engine == effective_engine("compiled")
         assert [o[:3] for o in threaded.outcomes] == [o[:3] for o in compiled.outcomes]
         for a, b in zip(threaded.outcomes, compiled.outcomes):
             assert a[3] == b[3]

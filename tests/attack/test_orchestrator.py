@@ -15,7 +15,8 @@ from repro.attack.checkpoint import CampaignCheckpoint
 from repro.attack.orchestrator import run_orchestrated
 from repro.errors import AttackError
 from repro.riscv.device import effective_engine
-from repro.utils import pool
+from repro.utils import files, pool
+from tests.native_probe import pin_threaded
 
 PAPER_Q = 132120577
 
@@ -50,17 +51,20 @@ class TestOrchestrated:
     @pytest.mark.parametrize("engine", ["threaded", "compiled"])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_report_invariant_to_workers_and_engine(
-        self, profiled_attack, serial_baseline, workers, engine
+        self, profiled_attack, serial_baseline, workers, engine, monkeypatch
     ):
-        """In-process and pooled grains, on either capture engine, fold
-        the report of a default serial campaign bit for bit."""
+        """In-process and pooled grains, on the default engine or with
+        the native probe failing (threaded, as without a C toolchain),
+        fold the report of a default serial campaign bit for bit."""
+        if engine == "threaded":
+            pin_threaded(monkeypatch)  # forked workers inherit the patch
         report = run_orchestrated(
             profiled_attack, trace_count=10, coeffs_per_trace=4,
-            first_seed=1, workers=workers, grain=3, engine=engine,
+            first_seed=1, workers=workers, grain=3,
         )
         assert_reports_identical(serial_baseline, report)
         assert report.workers == workers
-        assert report.engine == effective_engine(engine)
+        assert report.engine == effective_engine()
 
     @pytest.mark.parametrize("workers", [0, 1])
     def test_one_worker_or_fewer_never_forks(
@@ -408,10 +412,72 @@ class TestCheckpointResume:
         assert CampaignCheckpoint.resume(directory).load_shard(1) is not None
 
 
+    @pytest.mark.parametrize("target", ["shard", "manifest"])
+    def test_campaign_killed_between_temp_write_and_replace(
+        self, profiled_attack, tmp_path, target
+    ):
+        """The campaign process is SIGKILLed inside ``atomic_write_bytes``
+        after the temp file is written and before ``os.replace``: on
+        shard 1's archive, or on the manifest update that would list it.
+        Resume loads shard 0 alone, ignores the leftover temp file and
+        gives the uninterrupted report."""
+        directory = tmp_path / "camp"
+        kwargs = dict(
+            trace_count=12, coeffs_per_trace=4, first_seed=1, workers=1,
+            grain=2, shard_size=4,
+        )
+        baseline = run_orchestrated(profiled_attack, **kwargs)
+        child = multiprocessing.get_context("fork").Process(
+            target=_campaign_killed_at_publish,
+            args=(profiled_attack, directory, kwargs, target),
+        )
+        child.start()
+        child.join(timeout=120)
+        assert child.exitcode == -signal.SIGKILL
+        leftovers = list(directory.rglob(".*.tmp"))
+        assert len(leftovers) == 1, leftovers
+        assert CampaignCheckpoint.resume(directory).shards_done == [0]
+        resumed = run_orchestrated(
+            profiled_attack, **kwargs, campaign_dir=directory, resume=True
+        )
+        assert_reports_identical(baseline, resumed)
+        assert resumed.orchestrator["checkpoints"] == 2  # shards 1 and 2
+        assert CampaignCheckpoint.resume(directory).shards_done == [0, 1, 2]
+
     def test_manifest_lacking_a_field_names_it(self, tmp_path):
         (tmp_path / "manifest.json").write_text('{"version": 1}')
         with pytest.raises(AttackError, match="lacks field.*fingerprint"):
             CampaignCheckpoint.resume(tmp_path, "0" * 64)
+
+
+def _campaign_killed_at_publish(attack, directory, kwargs, target):
+    """Run a checkpointed campaign in this forked child and SIGKILL it
+    inside ``atomic_write_bytes``, between the temp file's write and
+    ``os.replace``: on shard 1's archive (``target="shard"``) or on the
+    manifest write after it (``"manifest"``, the third: the first
+    manifest comes before any shard, one follows each shard)."""
+    manifest_writes = []
+
+    class KillingOs:
+        def __getattr__(self, name):
+            return getattr(os, name)
+
+        @staticmethod
+        def replace(src, dst):
+            name = os.path.basename(dst)
+            if name == "manifest.json":
+                manifest_writes.append(name)
+            if (target == "shard" and name == "shard-000001.npz") or (
+                target == "manifest" and len(manifest_writes) == 3
+            ):
+                os.kill(os.getpid(), signal.SIGKILL)
+            os.replace(src, dst)
+
+    try:
+        files.os = KillingOs()
+        run_orchestrated(attack, **kwargs, campaign_dir=directory)
+    finally:
+        os._exit(1)  # never return into the parent's test session
 
 
 def _kill_worker_at_seed_7(marker):

@@ -22,6 +22,7 @@ from repro.power import noise
 from repro.power.capture import TraceAcquisition
 from repro.power.scope import Oscilloscope
 from repro.riscv.device import GaussianSamplerDevice
+from tests.native_probe import reprobe_native
 
 BLOCK = noise.NOISE_BLOCK
 
@@ -238,11 +239,7 @@ def _capture():
 
 def _with_native(monkeypatch, factory):
     """Make ``factory`` the native backend and select it."""
-    monkeypatch.setitem(backends._FACTORIES, "native", factory)
-    for name in ("_PROBED", "_PROBE_ERRORS"):
-        kept = {k: v for k, v in getattr(backends, name).items() if k != "native"}
-        monkeypatch.setattr(backends, name, kept)
-    monkeypatch.setattr(backends, "_ACTIVE", None)
+    reprobe_native(monkeypatch, factory)
     return backends.get_backend()
 
 

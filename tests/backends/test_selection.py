@@ -127,12 +127,11 @@ class TestReportPlumbing:
 
         from repro.attack.campaign import CampaignReport
 
-        (field,) = [
-            f for f in dataclasses.fields(CampaignReport)
-            if f.name == "backend"
-        ]
-        # Pre-backend archives deserialise to the reference ident.
-        assert field.default == "reference"
+        # No stale defaults: the one constructor, aggregate_outcomes,
+        # records the backend and the engine the campaign ran under.
+        defaults = {f.name: f.default for f in dataclasses.fields(CampaignReport)}
+        assert defaults["backend"] is dataclasses.MISSING
+        assert defaults["engine"] is dataclasses.MISSING
 
     def test_profile_cache_key_ignores_backend(self):
         # Every kernel is bit-exact, so a profile or a checkpoint made

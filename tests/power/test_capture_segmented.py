@@ -46,8 +46,8 @@ def segmentation(device):
 
 class TestSegmentedBatch:
     def test_requires_segmenter(self, device):
-        with pytest.raises(ValueError):
-            list(make_bench(device).capture_segmented_batch(2))
+        with pytest.raises(TypeError, match="segmenter"):
+            make_bench(device).capture_segmented_batch(2)
 
     def test_matches_parent_side_segmentation(self, device, segmentation):
         """Worker-extracted slices == segmenting the same batch capture

@@ -3,9 +3,10 @@
 The stream-v2 migration replaced the per-trace sequential generator
 with counter-based Philox streams keyed by ``(batch entropy, seed)``.
 These tests pin the guarantees the rest of the bench builds on:
-bit-identical output across engines, worker counts and capture order; addressable offsets (mid-stream re-entry equals the
-one-shot draw, including across block boundaries); and the explicit
-refusal to derive a batch entropy from caller-owned generator state.
+bit-identical output across engines, worker counts and capture order;
+addressable offsets (mid-stream re-entry equals the one-shot draw,
+including across block boundaries); and the explicit refusal to derive
+a batch entropy from caller-owned generator state.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from repro.power import noise
 from repro.power.capture import TraceAcquisition
 from repro.power.scope import Oscilloscope
 from repro.riscv.device import GaussianSamplerDevice
+from tests.native_probe import pin_threaded
 
 PAPER_Q = 132120577
 
@@ -26,10 +28,8 @@ def device():
     return GaussianSamplerDevice([PAPER_Q])
 
 
-def make_bench(device, seed=7, **kwargs):
-    return TraceAcquisition(
-        device, scope=Oscilloscope(noise_std=1.0), rng=seed, **kwargs
-    )
+def make_bench(device, seed=7):
+    return TraceAcquisition(device, scope=Oscilloscope(noise_std=1.0), rng=seed)
 
 
 def assert_batches_identical(lhs, rhs):
@@ -96,14 +96,14 @@ class TestStreamAddressing:
 
 class TestCaptureDeterminism:
     def test_worker_count_invariant(self, device):
-        """Three pooled workers on the compiled engine segment the same
+        """Three pooled workers on the default engine segment the same
         keyed traces the serial batch captures."""
         segmenter = Segmenter()
-        serial = make_bench(device, engine="compiled").capture_batch(
+        serial = make_bench(device).capture_batch(
             12, coeffs_per_trace=2, first_seed=50
         )
         pooled = list(
-            make_bench(device, engine="compiled").capture_segmented_batch(
+            make_bench(device).capture_segmented_batch(
                 12, coeffs_per_trace=2, first_seed=50,
                 segmenter=segmenter, workers=3,
             )
@@ -116,34 +116,33 @@ class TestCaptureDeterminism:
                 segmented.slices, segmenter.aligned_slices(captured.trace.samples)
             )
 
-    def test_engine_invariant(self, device):
-        batches = [
-            make_bench(device, engine=engine).capture_batch(
-                9, coeffs_per_trace=1, first_seed=200
-            )
-            for engine in ("threaded", "compiled", "reference")
-        ]
-        for other in batches[1:]:
-            assert_batches_identical(batches[0], other)
+    def test_engine_invariant(self, device, monkeypatch):
+        """Threaded captures (the native probe failing, as without a C
+        toolchain) equal the default engine's."""
+        default = make_bench(device).capture_batch(
+            9, coeffs_per_trace=1, first_seed=200
+        )
+        pin_threaded(monkeypatch)
+        threaded = make_bench(device).capture_batch(
+            9, coeffs_per_trace=1, first_seed=200
+        )
+        assert_batches_identical(default, threaded)
 
     def test_capture_order_invariant(self, device):
         # Seed 105 captured alone, in a later chunk, or mid-batch must
         # carry the same noise: the stream is keyed, not positional.
-        wide = make_bench(device, engine="compiled").capture_batch(
-            8, first_seed=100
-        )
-        alone = make_bench(device, engine="compiled").capture_batch(
-            1, first_seed=105
-        )
+        wide = make_bench(device).capture_batch(8, first_seed=100)
+        alone = make_bench(device).capture_batch(1, first_seed=105)
         np.testing.assert_array_equal(
             wide[5].trace.samples, alone[0].trace.samples
         )
 
-    def test_compiled_matches_threaded(self, device):
-        compiled = make_bench(device, engine="compiled").capture_batch(
+    def test_compiled_matches_threaded(self, device, monkeypatch):
+        compiled = make_bench(device).capture_batch(
             6, coeffs_per_trace=2, first_seed=31
         )
-        threaded = make_bench(device, engine="threaded").capture_batch(
+        pin_threaded(monkeypatch)
+        threaded = make_bench(device).capture_batch(
             6, coeffs_per_trace=2, first_seed=31
         )
         assert_batches_identical(compiled, threaded)
@@ -168,28 +167,24 @@ class TestBatchEntropyContract:
         assert bench.batch_entropy() == bench.batch_entropy()
 
 
-class TestReferencePath:
-    def test_reference_preserves_ground_truth(self, device):
-        v1 = make_bench(device).capture_reference(3, coeffs_per_trace=2)
-        v2 = make_bench(device, engine="compiled").capture_batch(
-            3, coeffs_per_trace=2
-        )
-        for a, b in zip(v1, v2):
+class TestSerialPath:
+    def test_serial_capture_preserves_ground_truth(self, device):
+        """Serial ``capture`` (the bench's sequential noise stream) and
+        ``capture_batch`` (the keyed stream) see the same execution."""
+        bench = make_bench(device)
+        serial = [bench.capture(seed, 2) for seed in (1, 2, 3)]
+        batch = make_bench(device).capture_batch(3, coeffs_per_trace=2)
+        for a, b in zip(serial, batch):
             assert a.seed == b.seed
             assert a.values == b.values
             assert a.cycle_count == b.cycle_count
             np.testing.assert_array_equal(a.event_starts, b.event_starts)
             # Same kernel, same noiseless leakage — only the noise
-            # stream version differs, so the traces differ but agree
-            # closely in the mean (noise is zero-mean on both sides).
+            # stream differs, so the traces differ but agree closely in
+            # the mean (noise is zero-mean on both sides).
             assert a.trace.samples.shape == b.trace.samples.shape
             assert not np.array_equal(a.trace.samples, b.trace.samples)
             drift = abs(
                 float(a.trace.samples.mean()) - float(b.trace.samples.mean())
             )
             assert drift < 8.0 / np.sqrt(a.trace.samples.size)
-
-    def test_reference_is_deterministic(self, device):
-        a = make_bench(device).capture_reference(2)
-        b = make_bench(device).capture_reference(2)
-        assert_batches_identical(a, b)

@@ -9,8 +9,8 @@ program, graceful no-toolchain fallback and the pickle behaviour
 (devices never ship warm caches across process boundaries).
 
 The core lives in the native backend's module.  Without a C toolchain
-``probe_backend("native")`` fails and ``effective_engine`` degrades the
-compiled engine to threaded: the device-level tests run either way, and
+``probe_backend("native")`` fails and ``effective_engine`` names the
+threaded engine instead: the device-level tests run either way, and
 the tests that drive the core directly skip.
 """
 
@@ -26,17 +26,13 @@ from repro.errors import ParameterError
 from repro.riscv import compiled as compiled_mod
 from repro.riscv import Cpu, Memory
 from repro.riscv.assembler import assemble
-from repro.riscv.device import (
-    ENGINES,
-    GaussianSamplerDevice,
-    effective_engine,
-    resolve_engine,
-)
+from repro.riscv.device import ENGINES, GaussianSamplerDevice, effective_engine
 from repro.riscv.threaded import (
     clear_translation_cache,
     translation_cache_stats as threaded_cache_stats,
 )
 from repro.verify import conformance
+from tests.native_probe import no_toolchain, reprobe_native
 
 MODULI = [0xFFEE001, 0xFFC4001]
 
@@ -44,21 +40,6 @@ requires_compiled = pytest.mark.skipif(
     probe_backend("native") is None,
     reason=f"compiled engine unavailable: {probe_error('native')}",
 )
-
-
-def _no_toolchain():
-    """A native factory failing as a missing compiler does."""
-    raise OSError("no toolchain")
-
-
-def _reprobe_native(monkeypatch, factory):
-    """Forget the native probe and the active backend selection, and
-    build the native backend with ``factory`` next time."""
-    monkeypatch.setitem(backends._FACTORIES, "native", factory)
-    for name in ("_PROBED", "_PROBE_ERRORS"):
-        kept = {k: v for k, v in getattr(backends, name).items() if k != "native"}
-        monkeypatch.setattr(backends, name, kept)
-    monkeypatch.setattr(backends, "_ACTIVE", None)
 
 
 def _match(words, registers=None, *, max_instructions=10_000, setup=None):
@@ -207,7 +188,7 @@ def test_one_core_module_for_every_program(tmp_path, monkeypatch):
     """Two programs, a device and the backend kernels share one module:
     a cold cache holds exactly one file afterwards."""
     monkeypatch.setenv("REVEAL_NATIVE_CACHE", str(tmp_path))
-    _reprobe_native(monkeypatch, backends._FACTORIES["native"])
+    reprobe_native(monkeypatch, backends._FACTORIES["native"])
     _match(assemble("addi x1, x0, 9\nebreak").words)
     _match(assemble("addi x2, x0, 3\nmul x3, x2, x2\nebreak").words)
     GaussianSamplerDevice(MODULI).run(1, 2, engine="compiled")
@@ -237,8 +218,8 @@ def test_device_pickle_drops_compiled_caches():
 # Graceful degradation (no C toolchain: the native probe fails)
 # ----------------------------------------------------------------------
 def test_failed_native_probe_forces_threaded_fallback(monkeypatch):
-    _reprobe_native(monkeypatch, _no_toolchain)
-    assert effective_engine("compiled") == "threaded"
+    reprobe_native(monkeypatch, no_toolchain)
+    assert effective_engine() == "threaded"
     assert "compiled" not in conformance.active_engines()
     pairs = conformance.active_engine_pairs()
     assert pairs and all("compiled" not in pair for pair in pairs)
@@ -249,10 +230,8 @@ def test_failed_native_probe_forces_threaded_fallback(monkeypatch):
 
 
 def test_default_engine_degrades_to_threaded_when_disabled(monkeypatch):
-    monkeypatch.delenv("REVEAL_ENGINE", raising=False)
-    _reprobe_native(monkeypatch, _no_toolchain)
-    assert resolve_engine(None) == "compiled"
-    assert effective_engine(None) == "threaded"
+    reprobe_native(monkeypatch, no_toolchain)
+    assert effective_engine() == "threaded"
     device = GaussianSamplerDevice(MODULI)
     run = device.run(3, 2)
     assert run.values == device.run(3, 2, engine="reference").values
@@ -262,13 +241,18 @@ def test_pinned_reference_backend_keeps_the_compiled_engine():
     """The engine reads the probe, not the temporary backend selection."""
     expected = "threaded" if probe_backend("native") is None else "compiled"
     with backends.use_backend("reference"):
-        assert effective_engine("compiled") == expected
+        assert effective_engine() == expected
 
 
-def test_effective_engine_passes_through_other_engines():
-    assert effective_engine("threaded") == "threaded"
-    assert effective_engine("interpreter") == "reference"
-    assert effective_engine("reference") == "reference"
+def test_effective_engine_follows_native_probe(monkeypatch):
+    """The one engine rule: compiled where the native probe passes,
+    threaded where it fails, re-read after a re-probe."""
+    expected = "threaded" if probe_backend("native") is None else "compiled"
+    assert effective_engine() == expected
+    reprobe_native(monkeypatch, no_toolchain)
+    assert effective_engine() == "threaded"
+    monkeypatch.undo()
+    assert effective_engine() == expected
 
 
 def test_engine_filter_validation():
@@ -286,10 +270,10 @@ def test_engine_filter_validation():
 
 def test_probe_failure_keeps_reason(monkeypatch):
     """A toolchain failure degrades to threaded with its reason kept."""
-    _reprobe_native(monkeypatch, _no_toolchain)
+    reprobe_native(monkeypatch, no_toolchain)
     assert probe_backend("native") is None
     assert probe_error("native") == "OSError: no toolchain"
-    assert effective_engine("compiled") == "threaded"
+    assert effective_engine() == "threaded"
     with pytest.raises(ParameterError, match="no toolchain"):
         compiled_mod.run_compiled(Cpu(Memory(64)))
 
@@ -300,25 +284,25 @@ def test_probe_does_not_hide_unexpected_errors(monkeypatch):
     def broken():
         raise ZeroDivisionError("bug")
 
-    _reprobe_native(monkeypatch, broken)
+    reprobe_native(monkeypatch, broken)
     with pytest.raises(ZeroDivisionError):
         probe_backend("native")
     assert "native" not in backends._PROBED  # not cached as "unavailable"
     assert probe_error("native") is None
     with pytest.raises(ZeroDivisionError):
-        effective_engine("compiled")
+        effective_engine()
 
 
 @requires_compiled
 def test_core_that_does_not_retire_ebreak_fails_the_probe(monkeypatch):
     """The probe's end-to-end check: one ``ebreak`` must retire in C."""
-    _reprobe_native(monkeypatch, backends._FACTORIES["native"])
+    reprobe_native(monkeypatch, backends._FACTORIES["native"])
     monkeypatch.setattr(compiled_mod, "_run_loop", lambda cpu, budget, module: 0)
     assert probe_backend("native") is None
     assert probe_error("native") == (
         "SimulationError: probe program did not halt after 1 instruction"
     )
-    assert effective_engine("compiled") == "threaded"
+    assert effective_engine() == "threaded"
 
 
 # ----------------------------------------------------------------------
@@ -365,7 +349,7 @@ def test_threaded_translation_cache_stats():
 def test_probe_is_cached_and_resettable(monkeypatch):
     first = probe_backend("native")
     assert probe_backend("native") is first  # cached, no re-probe
-    _reprobe_native(monkeypatch, backends._FACTORIES["native"])
+    reprobe_native(monkeypatch, backends._FACTORIES["native"])
     again = probe_backend("native")
     assert (again is None) == (first is None)  # same answer after re-probe
 

@@ -19,7 +19,7 @@ import pytest
 from repro.errors import ParameterError, SimulationError
 from repro.riscv.assembler import assemble
 from repro.riscv.cpu import Cpu, EventLog
-from repro.riscv.device import GaussianSamplerDevice, resolve_engine
+from repro.riscv.device import GaussianSamplerDevice
 from repro.riscv.memory import Memory
 from repro.riscv.programs.gaussian import gaussian_sampler_source
 from repro.riscv.programs.uniform import ternary_sampler_source, uniform_sampler_source
@@ -453,24 +453,9 @@ def test_device_engine_parity(engine, seed):
 
 def test_device_rejects_unknown_engine():
     device = GaussianSamplerDevice(MODULI)
-    with pytest.raises(ParameterError, match="unknown engine"):
-        device.run(1, count=1, engine="turbo")
-
-
-def test_resolve_engine_env_default(monkeypatch):
-    monkeypatch.delenv("REVEAL_ENGINE", raising=False)
-    assert resolve_engine(None) == "compiled"
-    monkeypatch.setenv("REVEAL_ENGINE", "compiled")
-    assert resolve_engine(None) == "compiled"
-    assert resolve_engine("interpreter") == "reference"
-    for name in ("warp", "lanes"):
+    for name in ("turbo", "warp", "lanes", "interpreter"):
         with pytest.raises(ParameterError, match="unknown engine"):
-            resolve_engine(name)
-    # A bad env value is caught at resolution time, naming the source.
-    for name in ("warp", "lanes"):
-        monkeypatch.setenv("REVEAL_ENGINE", name)
-        with pytest.raises(ParameterError, match="unknown REVEAL_ENGINE"):
-            resolve_engine(None)
+            device.run(1, count=1, engine=name)
 
 
 def test_warm_cache_second_run_identical():
