@@ -42,6 +42,7 @@ from repro.attack.metrics import ConfusionMatrix
 from repro.attack.pipeline import ProfilingReport, SingleTraceAttack, probability_tables
 from repro.errors import AttackError
 from repro.power.noise import NOISE_STREAM_VERSION
+from repro.riscv.device import effective_engine
 
 #: Timing stages reported by the campaign grains, in pipeline order.
 STAGES = ("capture", "segment", "classify", "score")
@@ -202,7 +203,6 @@ def aggregate_outcomes(
     timings: Dict[str, float],
     wall_seconds: float,
     workers: int,
-    engine: str,
     orchestrator: Dict[str, int],
 ) -> CampaignReport:
     """Fold a campaign's seed-indexed result arrays into a report.
@@ -211,7 +211,8 @@ def aggregate_outcomes(
     ``tables`` (the layout of the orchestrator's grain records and
     checkpoint shards) for seeds ``first_seed, first_seed + 1, ...``.
     The report's deterministic payload (outcomes, confusion, accuracies,
-    failures) depends only on these arrays, never on who computed them.
+    failures) depends only on these arrays, never on who computed them;
+    the engine and backend it names are this process's, as provenance.
     """
     ok = arrays["ok"].astype(bool)
     values = arrays["values"][ok]
@@ -242,7 +243,7 @@ def aggregate_outcomes(
         timings=dict(timings),
         wall_seconds=wall_seconds,
         workers=workers,
-        engine=engine,
+        engine=effective_engine(),
         backend=backend_id(),
         orchestrator=orchestrator,
     )

@@ -46,7 +46,6 @@ from repro.attack.checkpoint import CampaignCheckpoint, campaign_fingerprint
 from repro.attack.pipeline import SingleTraceAttack
 from repro.errors import AttackError
 from repro.power.capture import _capture_one
-from repro.riscv.device import effective_engine
 from repro.utils.pool import DEFAULT_GRAIN, Grain, run_grains
 
 #: The per-seed arrays of a grain record, of a campaign's state and of a
@@ -273,7 +272,6 @@ class _CampaignState:
         labels: List[int],
         grain: int,
         workers: int,
-        engine: str,
         wall: float,
     ) -> CampaignReport:
         metadata = {
@@ -291,7 +289,6 @@ class _CampaignState:
             self.timings,
             wall,
             workers,
-            engine,
             metadata,
         )
 
@@ -398,4 +395,4 @@ def run_orchestrated(
     _execute(state, attack, workers, grain, entropy)
     state.finalize_checkpoint()
     wall = time.perf_counter() - started
-    return state.assemble(labels, grain, workers, effective_engine(), wall)
+    return state.assemble(labels, grain, workers, wall)
