@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -289,24 +290,40 @@ class TestCheckpointResume:
         assert report.orchestrator["workers_died"] == 1
         assert_reports_identical(baseline, report)
 
-    def test_worker_killed_mid_fold_recovers(self, profiled_attack, monkeypatch):
+    def test_worker_killed_mid_fold_recovers(
+        self, profiled_attack, monkeypatch, tmp_path
+    ):
         """A worker that dies while the caller folds a finished grain
         breaks the pool under the fold; the lost grains rerun on a fresh
-        pool and the report is bit-identical."""
+        pool and the report is bit-identical.  Every seed after the
+        first waits for the fold, so the killed worker always holds a
+        grain whose result has not arrived."""
         baseline = run_orchestrated(
             profiled_attack, trace_count=24, coeffs_per_trace=4,
             first_seed=1, workers=1, grain=1,
+        )
+        go = tmp_path / "go"
+        monkeypatch.setattr(
+            orchestrator, "_attack_seed", _hold_after_seed_1(go, tmp_path)
         )
         real = orchestrator._CampaignState.fold
         killed = []
 
         def fold(state, record):
             if not killed:
-                victim = multiprocessing.active_children()[0]
+                pid = _first_waiting_worker(tmp_path)
+                victim = next(
+                    p for p in multiprocessing.active_children() if p.pid == pid
+                )
                 os.kill(victim.pid, signal.SIGKILL)
-                victim.join(timeout=10)
+                # The pool's manager thread may reap the victim first; its
+                # join then returns early, so poll until the exit shows.
+                deadline = time.monotonic() + 10
+                while victim.is_alive() and time.monotonic() < deadline:
+                    victim.join(timeout=0.01)
                 assert not victim.is_alive()
                 killed.append(victim.pid)
+                go.touch()
             real(state, record)
 
         monkeypatch.setattr(orchestrator._CampaignState, "fold", fold)
@@ -498,3 +515,32 @@ def _kill_worker_at_seed_7(marker):
         return real(attack, seed, *args)
 
     return attack_seed
+
+
+def _hold_after_seed_1(go, directory, timeout=60.0):
+    """An ``_attack_seed`` that, at every seed but 1, first marks its
+    worker as waiting (a ``waiting-<pid>`` file in ``directory``) and
+    then waits until the file ``go`` exists, for at most ``timeout``
+    seconds."""
+    real = orchestrator._attack_seed
+
+    def attack_seed(attack, seed, *args):
+        if seed != 1 and not go.exists():
+            (directory / f"waiting-{os.getpid()}").touch()
+            deadline = time.monotonic() + timeout
+            while not go.exists() and time.monotonic() < deadline:
+                time.sleep(0.005)
+        return real(attack, seed, *args)
+
+    return attack_seed
+
+
+def _first_waiting_worker(directory, timeout=60.0):
+    """The pid of a worker that ``_hold_after_seed_1`` holds."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        waiting = sorted(directory.glob("waiting-*"))
+        if waiting:
+            return int(waiting[0].name.split("-")[1])
+        time.sleep(0.005)
+    raise AssertionError("no worker reached a held seed")

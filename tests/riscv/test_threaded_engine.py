@@ -19,7 +19,8 @@ import pytest
 from repro.errors import ParameterError, SimulationError
 from repro.riscv.assembler import assemble
 from repro.riscv.cpu import Cpu, EventLog
-from repro.riscv.device import GaussianSamplerDevice
+from repro.riscv import device as device_module
+from repro.riscv.device import GaussianSamplerDevice, effective_engine
 from repro.riscv.memory import Memory
 from repro.riscv.programs.gaussian import gaussian_sampler_source
 from repro.riscv.programs.uniform import ternary_sampler_source, uniform_sampler_source
@@ -456,6 +457,30 @@ def test_device_rejects_unknown_engine():
     for name in ("turbo", "warp", "lanes", "interpreter"):
         with pytest.raises(ParameterError, match="unknown engine"):
             device.run(1, count=1, engine=name)
+
+
+def test_resolve_engine_env_default(monkeypatch):
+    """``engine=None`` runs :func:`effective_engine` whatever the
+    environment holds: no variable chooses the engine, so a stale or
+    bad ``REVEAL_ENGINE`` neither switches it nor raises."""
+    ran = []
+    real = device_module.run_engine
+
+    def run_engine(cpu, engine, max_instructions):
+        ran.append(engine)
+        return real(cpu, engine, max_instructions)
+
+    monkeypatch.setattr(device_module, "run_engine", run_engine)
+    device = GaussianSamplerDevice(MODULI)
+    monkeypatch.delenv("REVEAL_ENGINE", raising=False)
+    expected = device.run(5, count=4)
+    for value in ("reference", "threaded", "warp"):
+        monkeypatch.setenv("REVEAL_ENGINE", value)
+        result = device.run(5, count=4)
+        assert result.values == expected.values
+        assert result.events == expected.events
+        assert result.cycle_count == expected.cycle_count
+    assert ran == [effective_engine()] * 4
 
 
 def test_warm_cache_second_run_identical():
